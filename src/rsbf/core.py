@@ -39,6 +39,7 @@ __all__ = [
     "table_from_values",
     "walsh_transform",
     "walsh_at",
+    "walsh_at_many",
     "nonlinearity",
     "affine_nonlinearity",
     "spectrum_argmax",
@@ -203,38 +204,92 @@ def table_from_values(n: int, values) -> TruthTable:
     return TruthTable(n, int.from_bytes(packed.tobytes(), "little"))
 
 
+@lru_cache(maxsize=1)
+def _byte_spectra() -> np.ndarray:
+    # row b: the 8-point spectrum of the three-variable table packed in byte b,
+    # by direct summation against the 8 x 8 sign matrix
+    x = np.arange(8)
+    signs = 1 - 2 * (np.bitwise_count(x[:, None] & x[None, :]) & 1).astype(np.int32)
+    outputs = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
+    return (1 - 2 * outputs.astype(np.int32)) @ signs
+
+
 def walsh_transform(table: TruthTable) -> WalshSpectrum:
-    """Full spectrum by the in-place butterfly, O(n * 2**n) int64 ops."""
-    v = 1 - 2 * table_values(table).astype(np.int64)
-    half = 1
+    """Full spectrum by the in-place butterfly, O(n * 2**n) int32 ops.
+
+    int32 is exact: after stage k every entry is a signed count of 2**k
+    inputs, so no value, final or partial, exceeds 2**n <= 2**HARD_MAX_N
+    = 2**28 < 2**31 in magnitude.
+    """
+    if table.n >= 3:
+        # the first three stages in one lookup: byte k of the table holds
+        # inputs 8k..8k+7
+        raw = np.frombuffer(table.bits.to_bytes(table.size // 8, "little"), dtype=np.uint8)
+        v = _byte_spectra()[raw].reshape(-1)
+        half = 8
+    else:
+        v = 1 - 2 * table_values(table).astype(np.int32)
+        half = 1
     while half < v.shape[0]:
         pairs = v.reshape(-1, 2, half)
-        top = pairs[:, 0, :].copy()
-        pairs[:, 0, :] += pairs[:, 1, :]
-        pairs[:, 1, :] = top - pairs[:, 1, :]
+        a, b = pairs[:, 0, :], pairs[:, 1, :]
+        a += b  # a + b
+        b *= -2
+        b += a  # a + b - 2b = a - b
         half <<= 1
     return WalshSpectrum(table.n, v)
 
 
-@lru_cache(maxsize=4)
-def _input_indices(n: int) -> np.ndarray:
-    return np.arange(1 << n, dtype=np.int64)
+# Direct sums run over blocks of this many (mask, input) pairs, which keeps
+# each temporary at 1 MiB or less.
+_DIRECT_BLOCK = 1 << 18
+
+
+def walsh_at_many(table: TruthTable, masks) -> np.ndarray:
+    """Walsh coefficients at each of ``masks`` by direct summation over all
+    inputs, as an int64 vector.
+
+    Deliberately independent of walsh_transform so the butterfly can be
+    checked against it.  Costs O(len(masks) * 2**n).  Beyond the unpacked
+    table (one byte per input) and the answer, it works in blocks whose
+    temporaries stay at about 1 MiB whatever the arity.
+    """
+    c = np.asarray(masks)
+    if c.ndim != 1:
+        raise ValueError(f"masks must be one-dimensional, got shape {c.shape}")
+    n, size = table.n, table.size
+    if c.size:
+        if c.dtype.kind not in "iu":
+            raise TypeError(f"masks must be integers, got {c.dtype}")
+        if c.min() < 0 or c.max() >= size:
+            raise IndexError(f"masks out of range for n={n}")
+    # Input x carries f(x) in bit n and every mask carries a 1 there, so the
+    # popcount of (x | f(x) << n) & (c | 1 << n) has the parity of f(x) + c.x.
+    # Bit n <= 28 fits uint32.
+    marked_masks = c.astype(np.uint32) | np.uint32(1 << n)
+    f = table_values(table)
+    ones = np.zeros(c.size, dtype=np.int64)
+    width = min(size, _DIRECT_BLOCK)
+    rows = _DIRECT_BLOCK // width
+    for x0 in range(0, size, width):
+        marked = f[x0 : x0 + width].astype(np.uint32) << n
+        marked |= np.arange(x0, x0 + width, dtype=np.uint32)
+        for r0 in range(0, c.size, rows):
+            odd = np.bitwise_count(marked_masks[r0 : r0 + rows, None] & marked)
+            odd &= 1
+            ones[r0 : r0 + rows] += odd.sum(axis=1, dtype=np.uint32)
+    return size - 2 * ones
 
 
 def walsh_at(table: TruthTable, mask) -> int:
-    """One Walsh coefficient by direct summation over all inputs.
-
-    Deliberately independent of walsh_transform so the butterfly can be
-    checked against it.
-    """
+    """One Walsh coefficient by direct summation over all inputs; see
+    walsh_at_many."""
     if isinstance(mask, LinearMask) and mask.n != table.n:
         raise ValueError(f"arity mismatch: {mask.n} vs {table.n}")
     c = operator.index(mask)
     if not 0 <= c < table.size:
         raise IndexError(f"mask {c} out of range for n={table.n}")
-    parities = (np.bitwise_count(_input_indices(table.n) & c) & 1).astype(np.uint8)
-    ones = int(np.count_nonzero(table_values(table) ^ parities))
-    return table.size - 2 * ones
+    return int(walsh_at_many(table, [c])[0])
 
 
 def nonlinearity(table: TruthTable) -> int:

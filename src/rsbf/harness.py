@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import goldens
-from .core import DEFAULT_MAX_N, HARD_MAX_N, walsh_at, walsh_transform, weight
+from .core import DEFAULT_MAX_N, HARD_MAX_N, walsh_at, walsh_at_many, walsh_transform, weight
 from .families import (
     MonomialRsbfSpec,
     cycle_decompose,
@@ -105,6 +105,12 @@ def _skip(check: str, params: dict, cap: int, n: int) -> VerificationReport:
     return VerificationReport(check, params, "skipped", [("max-n", cap, n)], 0)
 
 
+def _differences(masks: np.ndarray, lhs: np.ndarray, rhs: np.ndarray) -> list:
+    """(mask, lhs, rhs) as ints wherever the two sides differ, in mask order."""
+    bad = np.nonzero(lhs != rhs)[0]
+    return list(zip(masks[bad].tolist(), lhs[bad].tolist(), rhs[bad].tolist()))
+
+
 def _cap_witnesses(witnesses: list) -> list:
     if len(witnesses) > MAX_WITNESSES:
         extra = len(witnesses) - MAX_WITNESSES
@@ -139,16 +145,15 @@ def _table1_artifact(route_bad: list) -> TableArtifact:
 
 
 def _table2_artifact(route_bad: list) -> TableArtifact:
-    masks = [c for c in range(32) if c & 2]
-    spectra = {}
+    masks = np.nonzero(np.arange(32) & 2)[0]
+    columns = []
     for i, j in SUB_PAIRS:
         tbl = sub_function(i, j, 5)
-        spectra[(i, j)] = walsh_transform(tbl)
-        for c in masks:
-            direct = walsh_at(tbl, c)
-            if spectra[(i, j)][c] != direct:
-                route_bad.append((f"route:f{i}{j}:c={c}", direct, spectra[(i, j)][c]))
-    rows = [(str(c), [spectra[p][c] for p in SUB_PAIRS]) for c in masks]
+        fast = walsh_transform(tbl).values[masks]
+        direct = walsh_at_many(tbl, masks)
+        route_bad += [(f"route:f{i}{j}:c={c}", d, f) for c, f, d in _differences(masks, fast, direct)]
+        columns.append(fast.tolist())
+    rows = [(str(c), [col[k] for col in columns]) for k, c in enumerate(masks.tolist())]
     return TableArtifact("table2", "c", [f"f{i}{j}" for i, j in SUB_PAIRS], rows)
 
 
@@ -181,7 +186,7 @@ def _transform_provider():
         if spectrum is None:
             spectrum = walsh_transform(sub_function(i, j, m)).values
             cache[key] = spectrum
-        return int(spectrum[c])
+        return spectrum[c]
 
     return get
 
@@ -200,7 +205,8 @@ def check_identity_grid(
     With samples=None every admissible mask is checked and both sides use
     the direct summation oracle.  Sampled runs default to transform-backed
     values so large arities stay cheap; either side can be forced with
-    ``oracle`` ("direct" or "transform").
+    ``oracle`` ("direct" or "transform").  Each side is evaluated over a
+    variant's whole mask array at once.
     """
     if which not in ("lemma21", "lemma22"):
         raise ValueError(f"unknown identity grid {which!r}")
@@ -220,30 +226,22 @@ def check_identity_grid(
         t0 = time.perf_counter()
         half = 1 << (n - 1)
         if samples is None or samples >= half:
-            base_masks = range(half)
+            masks = np.arange(half)
         else:
             rng = random.Random(seed * 1_000_003 + n * 101 + top_bit)
-            base_masks = sorted(rng.sample(range(half), samples))
-        offset = half if top_bit else 0
+            masks = np.array(sorted(rng.sample(range(half), samples)), dtype=np.int64)
+        if top_bit:
+            masks |= half
         witnesses = []
         provider = _transform_provider() if mode == "transform" else None
         for i, j in SUB_PAIRS:
+            tbl = sub_function(i, j, n)
             if mode == "transform":
-                lhs_values = walsh_transform(sub_function(i, j, n)).values
-                for base in base_masks:
-                    c = base | offset
-                    lhs = int(lhs_values[c])
-                    rhs = identity(i, j, n, c, provider)
-                    if lhs != rhs:
-                        witnesses.append((f"f{i}{j}:c={c}", lhs, rhs))
+                lhs = walsh_transform(tbl).values[masks]
             else:
-                tbl = sub_function(i, j, n)
-                for base in base_masks:
-                    c = base | offset
-                    lhs = walsh_at(tbl, c)
-                    rhs = identity(i, j, n, c)
-                    if lhs != rhs:
-                        witnesses.append((f"f{i}{j}:c={c}", lhs, rhs))
+                lhs = walsh_at_many(tbl, masks)
+            rhs = identity(i, j, n, masks, provider)
+            witnesses += [(f"f{i}{j}:c={c}", a, b) for c, a, b in _differences(masks, lhs, rhs)]
         status = "fail" if witnesses else "pass"
         reports.append(
             VerificationReport(which, params, status, _cap_witnesses(witnesses), _elapsed_ms(t0))
@@ -263,12 +261,8 @@ def check_family_identity(n_values=None, max_n: int = DEFAULT_MAX_N) -> list[Ver
             continue
         t0 = time.perf_counter()
         tbl = monomial_rsbf(MonomialRsbfSpec(n, 4, 1))
-        witnesses = []
-        for c in range(1 << n):
-            lhs = walsh_at(tbl, c)
-            rhs = family_walsh_via_subfns(n, c)
-            if lhs != rhs:
-                witnesses.append((c, lhs, rhs))
+        masks = np.arange(1 << n)
+        witnesses = _differences(masks, walsh_at_many(tbl, masks), family_walsh_via_subfns(n, masks))
         status = "fail" if witnesses else "pass"
         reports.append(
             VerificationReport("eq23", {"n": n}, status, _cap_witnesses(witnesses), _elapsed_ms(t0))
@@ -419,8 +413,11 @@ def scan_family(
         else:
             todo.append((n, l, e))
     if workers > 1 and len(todo) > 1:
+        # largest arity first, one case per task, so the big cases spread
+        # over the workers and the small ones fill in behind them
+        todo.sort(key=lambda case: case[0], reverse=True)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_family_case, todo, chunksize=8))
+            results = list(pool.map(_family_case, todo, chunksize=1))
     else:
         results = [_family_case(args) for args in todo]
     for n, l, e, wt, nl, peak, k_abs, abs_max, zero_value, ms in results:

@@ -1,30 +1,32 @@
 """Arity-lowering identities for variant spectra, zero-mask recurrences,
 and the spectral bound that pins peaks to the zero mask.
 
-Every evaluator works in exact Python integers.  The identities rewrite a
-coefficient at arity n in terms of variant coefficients two to four
-variables down; by default the lower-arity values come from the direct
-summation oracle, but a caller may inject any provider with the same
-(i, j, n, c) -> int signature.
+Every evaluator is exact: the recurrences run on Python integers, and the
+identities sum in int64, far above the 2**28 that bounds every term.  The
+identities rewrite a coefficient at arity n in terms of variant
+coefficients two to four variables down, at one mask or at a whole int64
+mask array in one call; by default the lower-arity values come from the
+direct summation oracle, but a caller may inject any provider with the
+same (i, j, n, masks) signature.
 """
 
 from __future__ import annotations
 
 import logging
+import operator
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
 from . import goldens
-from .core import WalshSpectrum, walsh_at, walsh_transform, weight
+from .core import WalshSpectrum, walsh_at, walsh_at_many, walsh_transform, weight
 from .families import MonomialRsbfSpec, monomial_rsbf, sub_function
 from .report import VerificationReport
 
 __all__ = [
-    "MaskSuffix",
     "SpectralBaseTable",
     "MissingBaseEntry",
     "subfn_walsh_top0",
@@ -37,111 +39,130 @@ __all__ = [
     "peak_at_zero",
 ]
 
-SubWalsh = Callable[[int, int, int, int], int]
+# (i, j, n, masks) -> coefficients of variant (i, j) at arity n; masks is an
+# int or an int64 array, and the answer has the same shape
+SubWalsh = Callable[[int, int, int, Any], Any]
 
 log = logging.getLogger(__name__)
 
-
-def _sign(parity: int) -> int:
-    return -1 if parity & 1 else 1
-
-
-@dataclass(frozen=True)
-class MaskSuffix:
-    """View of a mask as trailing top coefficients plus low truncations."""
-
-    n: int
-    c: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.c < 1 << self.n:
-            raise ValueError(f"mask {self.c} out of range for n={self.n}")
-
-    def top(self, back: int) -> int:
-        """Coefficient c_{n-back}, for back in 1..n."""
-        if not 1 <= back <= self.n:
-            raise ValueError(f"top offset {back} out of range for n={self.n}")
-        return (self.c >> (self.n - back)) & 1
-
-    def low(self, m: int) -> int:
-        """The mask truncated to its m lowest coefficients."""
-        if not 0 <= m <= self.n:
-            raise ValueError(f"truncation width {m} out of range for n={self.n}")
-        return self.c & ((1 << m) - 1)
+# Whole direct spectra are kept up to this arity: one costs 4**12 pairs
+# (tens of milliseconds) and the 64 cached entries hold 2 MiB at most.
+# Above it the default provider sums only the distinct masks asked for.
+_WHOLE_SPECTRUM_MAX_N = 12
 
 
-@lru_cache(maxsize=None)
-def _sub_walsh_direct(i: int, j: int, n: int, c: int) -> int:
-    return walsh_at(sub_function(i, j, n), c)
+def _sign(parity):
+    return 1 - 2 * (parity & 1)
 
 
-def _checked(i: int, j: int, n: int, c: int, top_bit: int, floor: int) -> MaskSuffix:
+@lru_cache(maxsize=64)
+def _sub_walsh_direct(i: int, j: int, n: int) -> np.ndarray:
+    values = walsh_at_many(sub_function(i, j, n), np.arange(1 << n))
+    values.flags.writeable = False
+    return values
+
+
+def _direct_provider(i: int, j: int, n: int, c):
+    if n <= _WHOLE_SPECTRUM_MAX_N:
+        return _sub_walsh_direct(i, j, n)[c]
+    masks, where = np.unique(c, return_inverse=True)
+    return walsh_at_many(sub_function(i, j, n), masks)[where].reshape(np.shape(c))
+
+
+def _int64_provider(sub_walsh: SubWalsh | None) -> SubWalsh:
+    # identity sums run in int64 whatever width the provider returns
+    w = sub_walsh or _direct_provider
+    return lambda i, j, m, c: np.asarray(w(i, j, m, c), dtype=np.int64)
+
+
+def _masks(n: int, c):
+    """Range-checked masks: an int stays an int, an array becomes int64."""
+    arr = np.asarray(c)
+    if arr.dtype.kind not in "iu":
+        raise TypeError(f"masks must be integers, got {arr.dtype}")
+    if arr.size and (arr.min() < 0 or arr.max() >= 1 << n):
+        raise IndexError(f"mask out of range for n={n}")
+    return arr.astype(np.int64) if arr.ndim else operator.index(c)
+
+
+def _result(total):
+    return total if np.ndim(total) else int(total)
+
+
+def _checked(i: int, j: int, n: int, c, top_bit: int, floor: int):
     if not (0 <= i <= 3 and 0 <= j <= 3):
         raise ValueError(f"variant indices must be in 0..3, got ({i},{j})")
     if n < floor:
         raise ValueError(f"reduction needs n >= {floor}, got {n}")
-    if not 0 <= c < 1 << n:
-        raise IndexError(f"mask {c} out of range for n={n}")
-    suffix = MaskSuffix(n, c)
-    if suffix.top(1) != top_bit:
+    c = _masks(n, c)
+    if np.any((c >> (n - 1)) & 1 != top_bit):
         raise ValueError(f"top coefficient must be {top_bit} for this identity")
-    return suffix
+    return c
 
 
-def subfn_walsh_top0(i: int, j: int, n: int, c: int, sub_walsh: SubWalsh | None = None) -> int:
+def subfn_walsh_top0(i: int, j: int, n: int, c, sub_walsh: SubWalsh | None = None):
     """Variant coefficient at a mask whose top coefficient is 0, rewritten
-    over variants two to four variables down.  Needs n >= 8."""
-    suffix = _checked(i, j, n, c, 0, 8)
-    w = sub_walsh or _sub_walsh_direct
-    b2, b3, b4 = suffix.top(2), suffix.top(3), suffix.top(4)
-    c2, c3, c4 = suffix.low(n - 2), suffix.low(n - 3), suffix.low(n - 4)
+    over variants two to four variables down.  Needs n >= 8.
+
+    ``c`` is one mask (the answer is an int) or an int64 mask array (the
+    answer is an int64 array of the same shape)."""
+    c = _checked(i, j, n, c, 0, 8)
+    w = _int64_provider(sub_walsh)
+    b2, b3, b4 = (c >> (n - 2)) & 1, (c >> (n - 3)) & 1, (c >> (n - 4)) & 1
+    c2, c3, c4 = c & ((1 << (n - 2)) - 1), c & ((1 << (n - 3)) - 1), c & ((1 << (n - 4)) - 1)
     if i == 0:
-        return (2 * w(0, j, n - 2, c2)
-                + 2 * _sign(b2) * w(0, j, n - 3, c3)
-                + 2 * _sign(b2 + b3) * w(0, j, n - 4, c4))
-    if i == 1:
-        return (2 * w(0, j, n - 2, c2)
-                + 2 * _sign(b2) * w(0, j, n - 3, c3)
-                + 2 * _sign(b2 + b3 + b4) * w(3, j, n - 4, c4))
-    if i == 2:
-        return 2 * w(0, j, n - 2, c2) + 2 * _sign(b2 + b3) * w(0, j, n - 4, c4)
-    return 2 * _sign(b2) * w(0, j, n - 3, c3) + 2 * _sign(b2 + b3 + b4) * w(3, j, n - 4, c4)
+        total = (2 * w(0, j, n - 2, c2)
+                 + 2 * _sign(b2) * w(0, j, n - 3, c3)
+                 + 2 * _sign(b2 + b3) * w(0, j, n - 4, c4))
+    elif i == 1:
+        total = (2 * w(0, j, n - 2, c2)
+                 + 2 * _sign(b2) * w(0, j, n - 3, c3)
+                 + 2 * _sign(b2 + b3 + b4) * w(3, j, n - 4, c4))
+    elif i == 2:
+        total = 2 * w(0, j, n - 2, c2) + 2 * _sign(b2 + b3) * w(0, j, n - 4, c4)
+    else:
+        total = (2 * _sign(b2) * w(0, j, n - 3, c3)
+                 + 2 * _sign(b2 + b3 + b4) * w(3, j, n - 4, c4))
+    return _result(total)
 
 
-def subfn_walsh_top1(i: int, j: int, n: int, c: int, sub_walsh: SubWalsh | None = None) -> int:
+def subfn_walsh_top1(i: int, j: int, n: int, c, sub_walsh: SubWalsh | None = None):
     """Variant coefficient at a mask whose top coefficient is 1, rewritten
-    over variants two or four variables down.  Needs n >= 8."""
-    suffix = _checked(i, j, n, c, 1, 8)
-    w = sub_walsh or _sub_walsh_direct
-    b2, b3 = suffix.top(2), suffix.top(3)
-    c2, c4 = suffix.low(n - 2), suffix.low(n - 4)
+    over variants two or four variables down.  Needs n >= 8.  ``c`` is an
+    int or an int64 array, as for subfn_walsh_top0."""
+    c = _checked(i, j, n, c, 1, 8)
+    w = _int64_provider(sub_walsh)
+    b2, b3 = (c >> (n - 2)) & 1, (c >> (n - 3)) & 1
+    c2, c4 = c & ((1 << (n - 2)) - 1), c & ((1 << (n - 4)) - 1)
     if i == 0:
-        return _sign(b2) * w(1, j, n - 2, c2) + _sign(1 + b2) * w(2, j, n - 2, c2)
-    if i == 1:
-        return _sign(b2) * w(1, j, n - 2, c2) + _sign(1 + b2) * w(3, j, n - 2, c2)
-    if i == 2:
-        return _sign(b2) * w(1, j, n - 2, c2) + _sign(b2) * w(3, j, n - 2, c2)
-    return 2 * w(0, j, n - 2, c2) + 2 * _sign(b2 + b3) * w(0, j, n - 4, c4)
+        total = _sign(b2) * w(1, j, n - 2, c2) + _sign(1 + b2) * w(2, j, n - 2, c2)
+    elif i == 1:
+        total = _sign(b2) * w(1, j, n - 2, c2) + _sign(1 + b2) * w(3, j, n - 2, c2)
+    elif i == 2:
+        total = _sign(b2) * w(1, j, n - 2, c2) + _sign(b2) * w(3, j, n - 2, c2)
+    else:
+        total = 2 * w(0, j, n - 2, c2) + 2 * _sign(b2 + b3) * w(0, j, n - 4, c4)
+    return _result(total)
 
 
-def family_walsh_via_subfns(n: int, c: int, sub_walsh: SubWalsh | None = None) -> int:
+def family_walsh_via_subfns(n: int, c, sub_walsh: SubWalsh | None = None):
     """Stride-1 quartic family coefficient from seven variant coefficients
-    three variables down.  Needs n >= 7."""
+    three variables down.  Needs n >= 7.  ``c`` is an int or an int64
+    array, as for subfn_walsh_top0."""
     if n < 7:
         raise ValueError(f"decomposition needs n >= 7, got {n}")
-    if not 0 <= c < 1 << n:
-        raise IndexError(f"mask {c} out of range for n={n}")
-    suffix = MaskSuffix(n, c)
-    b1, b2, b3 = suffix.top(1), suffix.top(2), suffix.top(3)
-    c3 = suffix.low(n - 3)
-    w = sub_walsh or _sub_walsh_direct
-    return ((1 + _sign(b2)) * w(0, 0, n - 3, c3)
-            + _sign(b1) * w(0, 1, n - 3, c3)
-            + _sign(b2 + b1) * w(0, 2, n - 3, c3)
-            + _sign(b3) * w(1, 0, n - 3, c3)
-            + _sign(b3 + b1) * w(1, 1, n - 3, c3)
-            + _sign(b3 + b2) * w(2, 0, n - 3, c3)
-            + _sign(b3 + b2 + b1) * w(3, 3, n - 3, c3))
+    c = _masks(n, c)
+    b1, b2, b3 = (c >> (n - 1)) & 1, (c >> (n - 2)) & 1, (c >> (n - 3)) & 1
+    c3 = c & ((1 << (n - 3)) - 1)
+    w = _int64_provider(sub_walsh)
+    total = ((1 + _sign(b2)) * w(0, 0, n - 3, c3)
+             + _sign(b1) * w(0, 1, n - 3, c3)
+             + _sign(b2 + b1) * w(0, 2, n - 3, c3)
+             + _sign(b3) * w(1, 0, n - 3, c3)
+             + _sign(b3 + b1) * w(1, 1, n - 3, c3)
+             + _sign(b3 + b2) * w(2, 0, n - 3, c3)
+             + _sign(b3 + b2 + b1) * w(3, 3, n - 3, c3))
+    return _result(total)
 
 
 class MissingBaseEntry(LookupError):
@@ -241,24 +262,27 @@ def family_zero_value(n: int, base: SpectralBaseTable | None = None) -> int:
     return family_zero_recurrence(n, table)
 
 
+def _eight_magnitudes(values: np.ndarray) -> np.ndarray:
+    # int64: a magnitude may reach 2**28 at the hard cap, and 8 * 2**28 = 2**31
+    # overflows int32
+    return 8 * np.abs(values.astype(np.int64))
+
+
 def spectral_bound_check(n: int) -> VerificationReport:
     """Check 8*|variant coefficient| stays below the family zero value three
     variables up, over all 16 variants and all masks with c_1 set."""
     t0 = time.perf_counter()
     bound = family_zero_value(n + 3)
-    size = 1 << n
-    selector = (np.arange(size) & 2) != 0
+    masks = np.nonzero(np.arange(1 << n) & 2)[0]
     observed_max = 0
     witnesses: list[tuple[str, int, int]] = []
     for i in range(4):
         for j in range(4):
-            magnitudes = np.abs(walsh_transform(sub_function(i, j, n)).values[selector])
-            observed_max = max(observed_max, int(magnitudes.max()))
-            over = np.nonzero(8 * magnitudes >= bound)[0]
-            for k in over:
-                mask = int(np.nonzero(selector)[0][k])
-                witnesses.append((f"f{i}{j}:c={mask}", bound, 8 * int(magnitudes[k])))
-    log.info("bound n=%d: max 8|w| = %d against %d", n, 8 * observed_max, bound)
+            scaled = _eight_magnitudes(walsh_transform(sub_function(i, j, n)).values[masks])
+            observed_max = max(observed_max, int(scaled.max()))
+            for k in np.nonzero(scaled >= bound)[0]:
+                witnesses.append((f"f{i}{j}:c={int(masks[k])}", bound, int(scaled[k])))
+    log.info("bound n=%d: max 8|w| = %d against %d", n, observed_max, bound)
     status = "fail" if witnesses else "pass"
     elapsed = int((time.perf_counter() - t0) * 1000)
     return VerificationReport("bound", {"n": n}, status, witnesses, elapsed)

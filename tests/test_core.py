@@ -20,6 +20,7 @@ from rsbf import (
     table_values,
     variable_table,
     walsh_at,
+    walsh_at_many,
     walsh_transform,
     weight,
 )
@@ -140,6 +141,38 @@ def test_walsh_at_validates_mask():
     with pytest.raises(ValueError):
         walsh_at(tbl, LinearMask(3, 1))
     assert walsh_at(tbl, LinearMask(4, 0)) == 16
+    with pytest.raises(IndexError):
+        walsh_at_many(tbl, [0, 16])
+    with pytest.raises(IndexError):
+        walsh_at_many(tbl, [-1])
+    with pytest.raises(ValueError):
+        walsh_at_many(tbl, [[0, 1]])
+    with pytest.raises(TypeError):
+        walsh_at_many(tbl, [0.5])
+
+
+def test_walsh_at_many_matches_walsh_at(small_tables):
+    for tbl in small_tables:
+        masks = np.arange(tbl.size)[:: max(1, tbl.size // 64)]
+        got = walsh_at_many(tbl, masks)
+        assert got.dtype == np.int64
+        assert got.tolist() == [walsh_at(tbl, int(c)) for c in masks]
+        empty = walsh_at_many(tbl, np.array([], dtype=np.int64))
+        assert empty.dtype == np.int64 and empty.shape == (0,)
+
+
+def test_walsh_transform_is_exact_int32_at_full_range():
+    n = 20
+    for tbl, c, value in (
+        (constant_table(n, 0), 0, 1 << n),
+        (constant_table(n, 1), 0, -(1 << n)),
+        (linear_function(n, 0b1011), 0b1011, 1 << n),
+        (linear_function(n, (1 << n) - 1) ^ constant_table(n, 1), (1 << n) - 1, -(1 << n)),
+    ):
+        values = walsh_transform(tbl).values
+        assert values.dtype == np.int32
+        assert int(values[c]) == value
+        assert np.count_nonzero(values) == 1
 
 
 def test_spectrum_getitem_range():

@@ -6,13 +6,19 @@ import pytest
 from rsbf import (
     HarnessConfig,
     check_factorization,
+    check_family_identity,
     check_identity_grid,
     check_reference_table,
     counterexample_search,
     run_all,
     scan_family,
+    sub_function,
+    subfn_walsh_top0,
+    subfn_walsh_top1,
     sweep_cases,
+    walsh_transform,
 )
+from rsbf import core, harness, recurrences
 from rsbf.goldens import load_reference_table
 
 
@@ -50,6 +56,52 @@ def test_lemma_grid_oracles_agree():
     direct = check_identity_grid("lemma21", n_values=[8], oracle="direct")
     fast = check_identity_grid("lemma21", n_values=[8], oracle="transform")
     assert direct[0].status == fast[0].status == "pass"
+
+
+def test_direct_routes_never_call_the_butterfly(monkeypatch):
+    def refuse(table):
+        raise AssertionError("the direct route called walsh_transform")
+
+    for module in (core, recurrences, harness):
+        monkeypatch.setattr(module, "walsh_transform", refuse)
+    recurrences._sub_walsh_direct.cache_clear()
+    grid = check_identity_grid("lemma21", n_values=[8], oracle="direct")
+    assert [r.status for r in grid] == ["pass"]
+    family = check_family_identity(n_values=range(7, 10))
+    assert [r.status for r in family] == ["pass"] * 3
+
+
+def _loop_grid_witnesses(which, n, provider):
+    # the per-coefficient loop the array form replaced, kept as the reference
+    identity = subfn_walsh_top0 if which == "lemma21" else subfn_walsh_top1
+    half = 1 << (n - 1)
+    offset = half if which == "lemma22" else 0
+    witnesses = []
+    for i in range(4):
+        for j in range(4):
+            lhs_values = walsh_transform(sub_function(i, j, n)).values
+            for base in range(half):
+                c = base | offset
+                lhs = int(lhs_values[c])
+                rhs = identity(i, j, n, c, provider)
+                if lhs != rhs:
+                    witnesses.append((f"f{i}{j}:c={c}", lhs, rhs))
+    extra = len(witnesses) - 32
+    return witnesses[:32] + [("more-witnesses", extra, "truncated")]
+
+
+def test_grid_witnesses_keep_order_and_cap(monkeypatch):
+    transform_provider = harness._transform_provider
+
+    def wrong_provider():
+        right = transform_provider()
+        return lambda i, j, m, c: right(i, j, m, c) + (c % 3 == 1) - (i == 3) * (c % 5 == 0)
+
+    monkeypatch.setattr(harness, "_transform_provider", wrong_provider)
+    for which in ("lemma21", "lemma22"):
+        (report,) = check_identity_grid(which, n_values=[8], oracle="transform")
+        assert report.status == "fail"
+        assert report.witnesses == _loop_grid_witnesses(which, 8, wrong_provider())
 
 
 def test_sampled_grid_is_reproducible():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from rsbf import (
@@ -18,6 +19,8 @@ from rsbf import (
     walsh_transform,
     weight,
 )
+
+from rsbf.recurrences import _eight_magnitudes
 
 PAIRS = [(i, j) for i in range(4) for j in range(4)]
 
@@ -66,6 +69,47 @@ def test_family_identity_exhaustive_small():
         tbl = monomial_rsbf(MonomialRsbfSpec(n, 4, 1))
         for c in range(1 << n):
             assert family_walsh_via_subfns(n, c) == walsh_at(tbl, c)
+
+
+def test_identity_array_form_matches_scalar_form():
+    spectra = {}
+
+    def transform_provider(i, j, m, c):  # int32 values, as the sampled grids use
+        if (i, j, m) not in spectra:
+            spectra[(i, j, m)] = walsh_transform(sub_function(i, j, m)).values
+        return spectra[(i, j, m)][c]
+
+    for n in (8, 9):
+        half = 1 << (n - 1)
+        low, high = np.arange(half), np.arange(half, 2 * half)
+        for i, j in PAIRS:
+            for provider in (None, transform_provider):
+                got = subfn_walsh_top0(i, j, n, low, provider)
+                assert got.dtype == np.int64
+                assert got.tolist() == [subfn_walsh_top0(i, j, n, int(c), provider) for c in low]
+                got = subfn_walsh_top1(i, j, n, high, provider)
+                assert got.tolist() == [subfn_walsh_top1(i, j, n, int(c), provider) for c in high]
+        masks = np.arange(1 << n)
+        got = family_walsh_via_subfns(n, masks)
+        assert got.tolist() == [family_walsh_via_subfns(n, int(c)) for c in masks]
+    # above the whole-spectrum arity the default provider sums only the masks asked for
+    tbl = sub_function(1, 2, 16)
+    masks = np.array([5, 4097, 30000])
+    assert subfn_walsh_top0(1, 2, 16, masks).tolist() == [walsh_at(tbl, int(c)) for c in masks]
+    assert subfn_walsh_top1(1, 2, 16, 40000) == walsh_at(tbl, 40000)
+    assert subfn_walsh_top0(0, 0, 8, np.array([], dtype=np.int64)).shape == (0,)
+    with pytest.raises(ValueError):
+        subfn_walsh_top0(0, 0, 8, np.array([0, 128]))  # one mask has its top bit set
+    with pytest.raises(IndexError):
+        family_walsh_via_subfns(7, np.array([0, 128]))
+
+
+def test_bound_product_is_int64_at_the_hard_cap():
+    # 8 * 2**28 = 2**31 would wrap in int32; a synthetic spectrum slice
+    # stands in for the 2**28-entry transform
+    scaled = _eight_magnitudes(np.array([1 << 28, -(1 << 28), 3], dtype=np.int32))
+    assert scaled.dtype == np.int64
+    assert scaled.tolist() == [1 << 31, 1 << 31, 24]
 
 
 def test_identities_accept_value_provider():
