@@ -204,16 +204,6 @@ def table_from_values(n: int, values) -> TruthTable:
     return TruthTable(n, int.from_bytes(packed.tobytes(), "little"))
 
 
-@lru_cache(maxsize=1)
-def _byte_spectra() -> np.ndarray:
-    # row b: the 8-point spectrum of the three-variable table packed in byte b,
-    # by direct summation against the 8 x 8 sign matrix
-    x = np.arange(8)
-    signs = 1 - 2 * (np.bitwise_count(x[:, None] & x[None, :]) & 1).astype(np.int32)
-    outputs = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
-    return (1 - 2 * outputs.astype(np.int32)) @ signs
-
-
 def walsh_transform(table: TruthTable) -> WalshSpectrum:
     """Full spectrum by the in-place butterfly, O(n * 2**n) int32 ops.
 
@@ -221,15 +211,10 @@ def walsh_transform(table: TruthTable) -> WalshSpectrum:
     inputs, so no value, final or partial, exceeds 2**n <= 2**HARD_MAX_N
     = 2**28 < 2**31 in magnitude.
     """
-    if table.n >= 3:
-        # the first three stages in one lookup: byte k of the table holds
-        # inputs 8k..8k+7
-        raw = np.frombuffer(table.bits.to_bytes(table.size // 8, "little"), dtype=np.uint8)
-        v = _byte_spectra()[raw].reshape(-1)
-        half = 8
-    else:
-        v = 1 - 2 * table_values(table).astype(np.int32)
-        half = 1
+    v = table_values(table).astype(np.int32)
+    v *= -2
+    v += 1  # (-1)**f(x)
+    half = 1
     while half < v.shape[0]:
         pairs = v.reshape(-1, 2, half)
         a, b = pairs[:, 0, :], pairs[:, 1, :]

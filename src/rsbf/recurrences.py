@@ -45,26 +45,13 @@ SubWalsh = Callable[[int, int, int, Any], Any]
 
 log = logging.getLogger(__name__)
 
-# Whole direct spectra are kept up to this arity: one costs 4**12 pairs
-# (tens of milliseconds) and the 64 cached entries hold 2 MiB at most.
-# Above it the default provider sums only the distinct masks asked for.
-_WHOLE_SPECTRUM_MAX_N = 12
-
 
 def _sign(parity):
     return 1 - 2 * (parity & 1)
 
 
-@lru_cache(maxsize=64)
-def _sub_walsh_direct(i: int, j: int, n: int) -> np.ndarray:
-    values = walsh_at_many(sub_function(i, j, n), np.arange(1 << n))
-    values.flags.writeable = False
-    return values
-
-
 def _direct_provider(i: int, j: int, n: int, c):
-    if n <= _WHOLE_SPECTRUM_MAX_N:
-        return _sub_walsh_direct(i, j, n)[c]
+    # each distinct mask is summed once, whatever the arity
     masks, where = np.unique(c, return_inverse=True)
     return walsh_at_many(sub_function(i, j, n), masks)[where].reshape(np.shape(c))
 

@@ -162,6 +162,7 @@ def test_walsh_at_many_matches_walsh_at(small_tables):
 
 
 def test_walsh_transform_is_exact_int32_at_full_range():
+    # at n = 20 walsh_at_many also runs its input loop over several blocks
     n = 20
     for tbl, c, value in (
         (constant_table(n, 0), 0, 1 << n),
@@ -173,6 +174,8 @@ def test_walsh_transform_is_exact_int32_at_full_range():
         assert values.dtype == np.int32
         assert int(values[c]) == value
         assert np.count_nonzero(values) == 1
+        masks = [c, 0, 1, (1 << n) - 1]
+        assert walsh_at_many(tbl, masks).tolist() == values[masks].tolist()
 
 
 def test_spectrum_getitem_range():

@@ -64,7 +64,6 @@ def test_direct_routes_never_call_the_butterfly(monkeypatch):
 
     for module in (core, recurrences, harness):
         monkeypatch.setattr(module, "walsh_transform", refuse)
-    recurrences._sub_walsh_direct.cache_clear()
     grid = check_identity_grid("lemma21", n_values=[8], oracle="direct")
     assert [r.status for r in grid] == ["pass"]
     family = check_family_identity(n_values=range(7, 10))

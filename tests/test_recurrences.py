@@ -92,7 +92,7 @@ def test_identity_array_form_matches_scalar_form():
         masks = np.arange(1 << n)
         got = family_walsh_via_subfns(n, masks)
         assert got.tolist() == [family_walsh_via_subfns(n, int(c)) for c in masks]
-    # above the whole-spectrum arity the default provider sums only the masks asked for
+    # at n = 16 the default provider sums only the masks asked for
     tbl = sub_function(1, 2, 16)
     masks = np.array([5, 4097, 30000])
     assert subfn_walsh_top0(1, 2, 16, masks).tolist() == [walsh_at(tbl, int(c)) for c in masks]
