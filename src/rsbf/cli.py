@@ -185,10 +185,10 @@ def analyze(n, l, e, fmt, out, max_n, bits):
         "walsh_at_zero": spectrum[0],
         "max_walsh": value_signed,
         "max_walsh_mask": _mask_text(int(mask_signed), n, bits) if bits else int(mask_signed),
-        "max_abs_walsh": abs(value_abs),
+        "max_abs_walsh": value_abs,
         "max_abs_walsh_mask": _mask_text(int(mask_abs), n, bits) if bits else int(mask_abs),
         "nonlinearity_equals_weight": nl == wt,
-        "peak_at_zero": abs(value_abs) <= spectrum[0],
+        "peak_at_zero": value_abs <= spectrum[0],
     }
     if fmt == "json":
         _emit(_record_json(record), out)
@@ -221,26 +221,85 @@ def _full_spectrum_guard(n: int, out: str | None, force: bool) -> None:
         )
 
 
-def _render_spectrum(record: dict, values, fmt: str, n: int, bits: bool) -> str:
-    if fmt == "json":
-        record = dict(record)
-        record["values"] = [int(v) for v in values]
-        return _record_json(record)
-    if fmt == "csv":
-        import csv
-        import io
+# Full dumps are rendered this many rows at a time, so the whole text never
+# exists at once; one block's byte matrix is a few MiB.
+_BLOCK_ROWS = 1 << 16
 
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["mask", "value"])
-        for c, v in enumerate(values):
-            writer.writerow([_mask_text(c, n, bits), int(v)])
-        return buf.getvalue()
-    lines = [" ".join(f"{k}={v}" for k, v in record.items())]
-    if record.get("degenerate"):
-        lines.append("note: degenerate (n < l), indices wrap onto repeats")
-    lines += [f"{_mask_text(c, n, bits)} {int(v)}" for c, v in enumerate(values)]
-    return "\n".join(lines)
+
+def _decimal_columns(x):
+    """Decimal text of integers, one per row of a uint8 matrix: a sign
+    column ('-' or 0), then the digits right-aligned behind 0 bytes."""
+    import numpy as np
+
+    # spectra and masks stay within 2**HARD_MAX_N, so abs cannot overflow
+    # and uint32 holds every magnitude
+    rest = np.abs(x).astype(np.uint32, copy=False)
+    width = len(str(int(rest.max())))
+    m = np.zeros((x.size, width + 1), dtype=np.uint8)
+    m[x < 0, 0] = ord("-")
+    m[:, width] = rest % 10 + ord("0")
+    for col in range(width - 1, 0, -1):
+        rest //= 10
+        digit = (rest % 10).astype(np.uint8)
+        digit += ord("0")
+        digit *= rest != 0  # leading zeros become padding
+        m[:, col] = digit
+    return m
+
+
+def _render_spectrum(record: dict, values, fmt: str, n: int, bits: bool, out: str | None) -> None:
+    """Write a full spectrum to the file ``out``, or to stdout when None.
+
+    Rows go out in blocks.  A block is one uint8 matrix of mask, separator,
+    value and line-end columns, padded with 0 bytes that the write drops, so
+    the bytes equal per-row ``str`` formatting: JSON rows ``v,`` (the last
+    comma becomes ``]}``), CSV rows ``c,v`` ending in ``\\r\\n`` as the csv
+    module writes them, text rows ``c v``.
+    """
+    import contextlib
+
+    import numpy as np
+
+    if fmt == "json":
+        head = _record_json(record)[:-1] + ',"values":['
+        sep, end = None, b","
+    elif fmt == "csv":
+        head = "mask,value\r\n"
+        sep, end = b",", b"\r\n"
+    else:
+        head = " ".join(f"{k}={v}" for k, v in record.items()) + "\n"
+        if record.get("degenerate"):
+            head += "note: degenerate (n < l), indices wrap onto repeats\n"
+        sep, end = b" ", b"\n"
+
+    def constant(text: bytes, rows: int):
+        return np.broadcast_to(np.frombuffer(text, dtype=np.uint8), (rows, len(text)))
+
+    if out is not None:
+        sink = open(out, "wb")
+    else:  # stdout's byte stream, left open
+        sink = contextlib.nullcontext(click.get_binary_stream("stdout"))
+    with sink as fh:
+        fh.write(head.encode("ascii"))
+        for start in range(0, values.size, _BLOCK_ROWS):
+            block = values[start : start + _BLOCK_ROWS]
+            rows = block.size
+            columns = [_decimal_columns(block), constant(end, rows)]
+            if sep is not None:
+                masks = np.arange(start, start + rows, dtype=np.uint32)
+                if bits:
+                    shifts = np.arange(n, dtype=np.uint32)
+                    mask_text = ((masks[:, None] >> shifts) & 1).astype(np.uint8)
+                    mask_text += ord("0")
+                else:
+                    mask_text = _decimal_columns(masks)
+                columns[:0] = [mask_text, constant(sep, rows)]
+            m = np.concatenate(columns, axis=1)
+            data = m[m != 0].tobytes()
+            if fmt == "json" and start + rows == values.size:
+                data = data[:-1] + b"]}\n"
+            fh.write(data)
+        fh.flush()
 
 
 @main.command()
@@ -275,7 +334,7 @@ def spectrum(n, l, e, at, force, fmt, out, max_n, bits):
     _full_spectrum_guard(n, out, force)
     values = walsh_transform(tbl).values
     record = {"n": n, "l": l, "e": e, "degenerate": spec.degenerate}
-    _emit(_render_spectrum(record, values, fmt, n, bits), out)
+    _render_spectrum(record, values, fmt, n, bits, out)
 
 
 @main.command()
@@ -317,7 +376,7 @@ def subfn(i, j, n, at, force, fmt, out, max_n, bits):
     _full_spectrum_guard(n, out, force)
     values = walsh_transform(tbl).values
     record = {"i": i, "j": j, "n": n}
-    _emit(_render_spectrum(record, values, fmt, n, bits), out)
+    _render_spectrum(record, values, fmt, n, bits, out)
 
 
 def _stream_reports(reports, fmt: str, out: str | None) -> None:

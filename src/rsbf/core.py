@@ -299,15 +299,19 @@ def affine_nonlinearity(table: TruthTable) -> int:
 def spectrum_argmax(spectrum: WalshSpectrum) -> tuple[LinearMask, int, LinearMask, int]:
     """Peaks of a spectrum: (signed argmax, signed max, abs argmax, abs max).
 
-    Ties break toward the lowest mask.
+    Ties break toward the lowest mask.  The peak magnitude is the larger of
+    max and -min, read without a |W| copy of the spectrum.
     """
     vals = spectrum.values
-    k_signed = int(np.argmax(vals))
-    magnitudes = np.abs(vals)
-    k_abs = int(np.argmax(magnitudes))
+    k_max, k_min = int(np.argmax(vals)), int(np.argmin(vals))
+    top, bottom = int(vals[k_max]), -int(vals[k_min])
+    if top == bottom:
+        k_abs = min(k_max, k_min)
+    else:
+        k_abs = k_max if top > bottom else k_min
     return (
-        LinearMask(spectrum.n, k_signed),
-        int(vals[k_signed]),
+        LinearMask(spectrum.n, k_max),
+        top,
         LinearMask(spectrum.n, k_abs),
-        int(magnitudes[k_abs]),
+        max(top, bottom),
     )

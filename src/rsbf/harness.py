@@ -20,7 +20,15 @@ from pathlib import Path
 import numpy as np
 
 from . import goldens
-from .core import DEFAULT_MAX_N, HARD_MAX_N, walsh_at, walsh_at_many, walsh_transform, weight
+from .core import (
+    DEFAULT_MAX_N,
+    HARD_MAX_N,
+    spectrum_argmax,
+    walsh_at,
+    walsh_at_many,
+    walsh_transform,
+    weight,
+)
 from .families import (
     MonomialRsbfSpec,
     cycle_decompose,
@@ -32,7 +40,6 @@ from .recurrences import (
     SpectralBaseTable,
     family_walsh_via_subfns,
     family_zero_recurrence,
-    peak_at_zero,
     spectral_bound_check,
     subfn_walsh_top0,
     subfn_walsh_top1,
@@ -386,11 +393,11 @@ def _family_case(args: tuple[int, int, int]):
     tbl = monomial_rsbf(MonomialRsbfSpec(n, l, e))
     spectrum = walsh_transform(tbl)
     wt = weight(tbl)
-    nl = (tbl.size - int(spectrum.values.max())) // 2
-    peak = peak_at_zero(spectrum)
-    k_abs = int(np.argmax(np.abs(spectrum.values)))
-    abs_max = int(np.abs(spectrum.values[k_abs]))
-    return (n, l, e, wt, nl, peak, k_abs, abs_max, spectrum[0], _elapsed_ms(t0))
+    _, signed_max, k_abs, abs_max = spectrum_argmax(spectrum)
+    nl = (tbl.size - signed_max) // 2
+    zero_value = spectrum[0]
+    peak = abs_max <= zero_value
+    return (n, l, e, wt, nl, peak, int(k_abs), abs_max, zero_value, _elapsed_ms(t0))
 
 
 def scan_family(

@@ -281,4 +281,5 @@ def peak_at_zero(spectrum: WalshSpectrum) -> bool:
     The zero-mask value is compared signed, so a spectrum that is negative
     or zero there fails unless everything else vanishes too.
     """
-    return bool(np.all(np.abs(spectrum.values) <= int(spectrum.values[0])))
+    values = spectrum.values
+    return max(int(values.max()), -int(values.min())) <= int(values[0])

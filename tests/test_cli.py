@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 import rsbf.cli as cli_module
+from rsbf import MonomialRsbfSpec, monomial_rsbf, sub_function, walsh_transform
 from rsbf.cli import main
 
 
@@ -77,6 +78,93 @@ def test_subfn_full_spectrum_csv(runner):
     lines = result.output.strip().splitlines()
     assert lines[0] == "mask,value"
     assert len(lines) == 17
+
+
+def _reference_dump(record, values, fmt, n, bits):
+    """The full-spectrum output, formatted one row at a time."""
+    def mask(c):
+        return "".join(str((c >> k) & 1) for k in range(n)) if bits else str(c)
+
+    values = [int(v) for v in values]
+    if fmt == "json":
+        return json.dumps({**record, "values": values}, separators=(",", ":")) + "\n"
+    if fmt == "csv":
+        return "mask,value\r\n" + "".join(f"{mask(c)},{v}\r\n" for c, v in enumerate(values))
+    lines = [" ".join(f"{k}={v}" for k, v in record.items())]
+    if record.get("degenerate"):
+        lines.append("note: degenerate (n < l), indices wrap onto repeats")
+    lines += [f"{mask(c)} {v}" for c, v in enumerate(values)]
+    return "\n".join(lines) + "\n"
+
+
+def _family_dump(n, l, e):
+    spec = MonomialRsbfSpec(n, l, e)
+    argv = ["spectrum", "--n", str(n), "--l", str(l), "--e", str(e)]
+    record = {"n": n, "l": l, "e": e, "degenerate": spec.degenerate}
+    return argv, record, walsh_transform(monomial_rsbf(spec)).values
+
+
+def _subfn_dump(i, j, n):
+    argv = ["subfn", "--i", str(i), "--j", str(j), "--n", str(n)]
+    return argv, {"i": i, "j": j, "n": n}, walsh_transform(sub_function(i, j, n)).values
+
+
+DUMPS = {
+    "n1": lambda: _family_dump(1, 4, 1),  # values 0 and 2
+    "n3-degenerate": lambda: _family_dump(3, 4, 1),  # negatives and the note
+    "n9-e2": lambda: _family_dump(9, 4, 2),
+    "subfn-n6": lambda: _subfn_dump(1, 2, 6),  # negatives and zeros
+    "n17-two-blocks": lambda: _family_dump(17, 4, 1),
+}
+
+
+@pytest.mark.parametrize("bits", [False, True], ids=["decimal", "bits"])
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("dump", list(DUMPS))
+def test_full_dump_matches_row_formatter(runner, tmp_path, dump, fmt, bits):
+    argv, record, values = DUMPS[dump]()
+    n = argv[argv.index("--n") + 1]
+    argv = argv + ["--format", fmt] + (["--bits"] if bits else [])
+    expected = _reference_dump(record, values, fmt, int(n), bits).encode("ascii")
+    out = tmp_path / "dump"
+    to_file = runner.invoke(main, argv + ["--out", str(out)])
+    assert to_file.exit_code == 0
+    assert out.read_bytes() == expected
+    to_stdout = runner.invoke(main, argv)
+    assert to_stdout.exit_code == 0
+    assert to_stdout.stdout_bytes == expected
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_full_dump_blocks_of_any_size(runner, monkeypatch, fmt):
+    # 2**5 rows in blocks of 7: a short last block, and one of a single row
+    argv, record, values = _family_dump(5, 4, 2)
+    expected = _reference_dump(record, values, fmt, 5, True).encode("ascii")
+    for rows in (7, 31, 1):
+        monkeypatch.setattr(cli_module, "_BLOCK_ROWS", rows)
+        result = runner.invoke(main, argv + ["--format", fmt, "--bits"])
+        assert result.exit_code == 0
+        assert result.stdout_bytes == expected
+
+
+def test_json_dump_round_trips(runner):
+    argv, record, values = _family_dump(12, 4, 3)
+    result = runner.invoke(main, argv + ["--format", "json"])
+    assert result.exit_code == 0
+    assert json.loads(result.output) == {**record, "values": values.tolist()}
+
+
+def test_piped_stdout_equals_out_file(tmp_path):
+    # the real process stdout, not the test runner's capture
+    out = tmp_path / "dump.csv"
+    argv = [sys.executable, "-m", "rsbf", "subfn", "--i", "3", "--j", "1", "--n", "8",
+            "--format", "csv", "--bits"]
+    piped = subprocess.run(argv, capture_output=True, timeout=60)
+    written = subprocess.run(argv + ["--out", str(out)], capture_output=True, timeout=60)
+    assert piped.returncode == written.returncode == 0
+    assert written.stdout == b""
+    assert piped.stdout == out.read_bytes()
+    assert piped.stdout.startswith(b"mask,value\r\n00000000,")
 
 
 def test_usage_errors_exit_2(runner):

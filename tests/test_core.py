@@ -216,6 +216,27 @@ def test_spectrum_argmax_breaks_ties_low():
     assert (int(mask_a), value_a) == (15, 16)  # reported as a magnitude
 
 
+@pytest.mark.parametrize(
+    "values",
+    [
+        [1, -5, 0, 2, 0, 0, 5, 2],  # +M at a high mask, -M at a lower one
+        [2, 5, 0, 0, -5, 1, 0, 0],  # +M low, -M high
+        [0, 3, -7, 1, -2, 0, 0, 1],  # -M only
+        [-3, 0, 0, 0, 0, 0, 0, 0],  # all-zero tail below a negative zero mask
+        [4, 0, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0, 0],
+        [-8, -8, -2, -8, 0, 0, 0, 0],
+    ],
+)
+def test_spectrum_argmax_matches_abs_argmax(values):
+    # reference: the |W| copy and np.argmax, which take the first maximum
+    v = np.array(values, dtype=np.int32)
+    mask_s, value_s, mask_a, value_a = spectrum_argmax(WalshSpectrum(3, v))
+    k = int(np.argmax(np.abs(v)))
+    assert (int(mask_a), value_a) == (k, int(abs(v[k])))
+    assert (int(mask_s), value_s) == (int(np.argmax(v)), int(v.max()))
+
+
 @given(data=st.data())
 def test_transform_agrees_with_direct_summation_random(data):
     n = data.draw(st.integers(1, 9))

@@ -5,6 +5,7 @@ from rsbf import (
     MissingBaseEntry,
     MonomialRsbfSpec,
     SpectralBaseTable,
+    WalshSpectrum,
     family_walsh_via_subfns,
     family_zero_recurrence,
     family_zero_value,
@@ -173,3 +174,18 @@ def test_peak_at_zero():
     assert peak_at_zero(walsh_transform(monomial_rsbf(MonomialRsbfSpec(8, 4, 1))))
     # full stride collapses to parity, whose spike sits at the all-ones mask
     assert not peak_at_zero(walsh_transform(monomial_rsbf(MonomialRsbfSpec(8, 4, 8))))
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [5, -5, 0, 5, 0, 0, 0, 0],  # ties with the zero mask stay at zero
+        [4, -5, 0, 0, 0, 0, 0, 0],
+        [4, 0, 0, 0, 0, 0, 0, 5],
+        [-3, 0, 0, 0, 0, 0, 0, 0],  # negative zero mask, all-zero tail
+        [0, 0, 0, 0, 0, 0, 0, 0],
+    ],
+)
+def test_peak_at_zero_matches_abs_form(values):
+    v = np.array(values, dtype=np.int32)
+    assert peak_at_zero(WalshSpectrum(3, v)) == bool(np.all(np.abs(v) <= v[0]))
