@@ -24,47 +24,8 @@ from .core import (
     weight,
 )
 from .families import MonomialRsbfSpec, monomial_rsbf, sub_function
-from .harness import (
-    HarnessConfig,
-    check_bound,
-    check_factorization,
-    check_family_identity,
-    check_family_zero,
-    check_identity_grid,
-    check_reference_table,
-    check_subfn_zero,
-    counterexample_search,
-    run_all,
-    scan_family,
-    sweep_cases,
-)
-
-CHECK_TOKENS = (
-    "table1",
-    "table2",
-    "lemma21",
-    "lemma22",
-    "eq23",
-    "eq26",
-    "thm24",
-    "bound",
-    "theorem",
-    "conjecture",
-    "counterexample",
-    "factor",
-    "all",
-)
-
-# default (n window, e window) per degree for the sweep checks;
-# e window None means 1..n per arity
-_SCAN_DEFAULTS = {
-    2: ((2, 16), (1, 2)),
-    3: ((4, 16), (1, 4)),
-    4: ((4, 20), None),
-    5: ((5, 20), (1, 3)),
-    6: ((6, 20), (1, 3)),
-}
-_SCAN_FALLBACK = (1, 3)
+from .harness import SUITES, TABLE_SUITES, HarnessConfig, run_all, suite_windows
+from .report import write_jsonl
 
 
 class RangeType(click.ParamType):
@@ -109,14 +70,20 @@ def _family_spec(n: int, l: int, e: int, max_n: int) -> MonomialRsbfSpec:
         raise click.UsageError(str(exc)) from exc
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(record: dict, fmt: str, text: str, out: str | None) -> None:
+    """Write one record as JSON, as CSV, or as ``text``, ending in one line
+    end, to the file ``out`` or to stdout; both get the same bytes."""
+    if fmt == "json":
+        text = _record_json(record)
+    elif fmt == "csv":
+        text = _record_csv(record)
+    if not text.endswith("\n"):
+        text += "\n"
     if out is not None:
         with open(out, "w", encoding="ascii", newline="") as fh:
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
     else:
-        click.echo(text)
+        click.echo(text, nl=False)
 
 
 def _record_json(record: dict) -> str:
@@ -190,24 +157,19 @@ def analyze(n, l, e, fmt, out, max_n, bits):
         "nonlinearity_equals_weight": nl == wt,
         "peak_at_zero": value_abs <= spectrum[0],
     }
-    if fmt == "json":
-        _emit(_record_json(record), out)
-    elif fmt == "csv":
-        _emit(_record_csv(record), out)
-    else:
-        lines = [f"family member: n={n} l={l} e={e}"]
-        if spec.degenerate:
-            lines.append("note: degenerate (n < l), indices wrap onto repeats")
-        lines += [
-            f"weight             {record['weight']}",
-            f"nonlinearity       {record['nonlinearity']}",
-            f"walsh at zero      {record['walsh_at_zero']}",
-            f"max walsh          {record['max_walsh']} at mask {record['max_walsh_mask']}",
-            f"max |walsh|        {record['max_abs_walsh']} at mask {record['max_abs_walsh_mask']}",
-            f"nonlinearity == weight  {record['nonlinearity_equals_weight']}",
-            f"peak at zero            {record['peak_at_zero']}",
-        ]
-        _emit("\n".join(lines), out)
+    lines = [f"family member: n={n} l={l} e={e}"]
+    if spec.degenerate:
+        lines.append("note: degenerate (n < l), indices wrap onto repeats")
+    lines += [
+        f"weight             {record['weight']}",
+        f"nonlinearity       {record['nonlinearity']}",
+        f"walsh at zero      {record['walsh_at_zero']}",
+        f"max walsh          {record['max_walsh']} at mask {record['max_walsh_mask']}",
+        f"max |walsh|        {record['max_abs_walsh']} at mask {record['max_abs_walsh_mask']}",
+        f"nonlinearity == weight  {record['nonlinearity_equals_weight']}",
+        f"peak at zero            {record['peak_at_zero']}",
+    ]
+    _emit(record, fmt, "\n".join(lines), out)
 
 
 def _stdout_is_tty() -> bool:
@@ -323,13 +285,8 @@ def spectrum(n, l, e, at, force, fmt, out, max_n, bits):
             "at": _mask_text(at, n, bits) if bits else at,
             "value": walsh_at(tbl, at),
         }
-        if fmt == "json":
-            _emit(_record_json(record), out)
-        elif fmt == "csv":
-            _emit(_record_csv(record), out)
-        else:
-            note = " (degenerate: n < l)" if spec.degenerate else ""
-            _emit(f"walsh at {record['at']}: {record['value']}{note}", out)
+        note = " (degenerate: n < l)" if spec.degenerate else ""
+        _emit(record, fmt, f"walsh at {record['at']}: {record['value']}{note}", out)
         return
     _full_spectrum_guard(n, out, force)
     values = walsh_transform(tbl).values
@@ -366,12 +323,7 @@ def subfn(i, j, n, at, force, fmt, out, max_n, bits):
             "at": _mask_text(at, n, bits) if bits else at,
             "value": walsh_at(tbl, at),
         }
-        if fmt == "json":
-            _emit(_record_json(record), out)
-        elif fmt == "csv":
-            _emit(_record_csv(record), out)
-        else:
-            _emit(f"walsh at {record['at']}: {record['value']}", out)
+        _emit(record, fmt, f"walsh at {record['at']}: {record['value']}", out)
         return
     _full_spectrum_guard(n, out, force)
     values = walsh_transform(tbl).values
@@ -397,23 +349,21 @@ def _stream_reports(reports, fmt: str, out: str | None) -> None:
     click.echo(text)
     if out is not None:
         with open(out, "w", encoding="ascii") as fh:
-            for r in reports:
-                fh.write(r.to_json() + "\n")
+            write_jsonl(reports, fh)
 
 
-def _scan_windows(l: int, n_range, e_range):
-    default_n, default_e = _SCAN_DEFAULTS.get(l, ((max(l, 4), 20), _SCAN_FALLBACK))
-    return (n_range or default_n), (e_range if e_range is not None else default_e)
+def _readers(key: str) -> str:
+    return ", ".join(name for name in SUITES if key in suite_windows(name))
 
 
 @main.command()
-@click.argument("which", type=click.Choice(CHECK_TOKENS))
+@click.argument("which", type=click.Choice([*SUITES, "all"]))
 @click.option("--l", envvar="RSBF_L", type=int, default=None,
-              help="Degree for the sweep checks (theorem defaults to 4).")
+              help=f"Sweep degree, for {_readers('l')}.")
 @click.option("--n-range", envvar="RSBF_N_RANGE", type=RANGE, default=None,
-              help="Arity window A..B for the sweep checks.")
+              help=f"Arity window A..B, for {_readers('n_range')}.")
 @click.option("--e-range", envvar="RSBF_E_RANGE", type=RANGE, default=None,
-              help="Stride window A..B for the sweep checks.")
+              help=f"Stride window A..B, for {_readers('e_range')}.")
 @click.option("--workers", envvar="RSBF_WORKERS", type=click.IntRange(0), default=0,
               show_default=True, help="Process pool size; 0 means one per CPU.")
 @click.option("--max-n", envvar="RSBF_MAX_N", type=click.IntRange(1, HARD_MAX_N),
@@ -430,84 +380,41 @@ def _scan_windows(l: int, n_range, e_range):
 def check(ctx, which, l, n_range, e_range, workers, max_n, seed, fmt, out):
     """Run one verification suite (or all) and exit 0 only on a clean run.
 
-    The quadratic counterexample search inverts that: it exits 0 exactly
-    when a counterexample is found, because finding one is its job.
+    ``check NAME`` prints exactly the NAME lines of ``check all``; the
+    window flags override a suite's defaults and are refused by suites
+    that do not read them.  The quadratic counterexample search exits 0
+    exactly when a counterexample is found, because finding one is its job.
     """
-    import os as _os
+    names = list(SUITES) if which == "all" else [which]
+    window = {"l": l, "n_range": n_range, "e_range": e_range}
+    window = {key: value for key, value in window.items() if value is not None}
+    for key in window:
+        if not all(key in suite_windows(name) for name in names):
+            raise click.UsageError(f"--{key.replace('_', '-')} does not apply to check {which}")
+    if l is not None and l < 2:
+        raise click.UsageError("--l must be at least 2")
+    if l is not None and l >= 7:
+        click.echo(f"# degree {l} is exploratory; no expected outcome is pinned", err=True)
+    if fmt == "csv" and which not in TABLE_SUITES:
+        raise click.UsageError(f"--format csv only applies to {'/'.join(TABLE_SUITES)}")
+    if fmt == "csv" and out is None:
+        raise click.UsageError("--format csv needs --out for the table artifact")
 
-    pool = workers or (_os.cpu_count() or 1)
-    if fmt == "csv" and which not in ("table1", "table2"):
-        raise click.UsageError("--format csv only applies to table1/table2")
-
+    cfg = HarnessConfig(max_n=max_n, workers=workers, seed=seed)
+    result = run_all(cfg, only=names, **window)
+    if fmt == "csv":
+        with open(out, "w", encoding="ascii", newline="") as fh:
+            fh.write(result.tables[0].to_csv_text())
+        _stream_reports(result.reports, "json", None)
+    else:
+        _stream_reports(result.reports, fmt, out)
     if which == "all":
-        cfg = HarnessConfig(max_n=max_n, workers=pool, seed=seed, out_path=out)
-        result = run_all(cfg)
-        _stream_reports(result.reports, fmt, None)
         counts = result.counts()
         click.echo(
             f"# {counts['pass']} pass, {counts['fail']} fail, {counts['skipped']} skipped",
             err=True,
         )
-        ctx.exit(result.exit_code)
-
-    if which in ("table1", "table2"):
-        index = 1 if which == "table1" else 2
-        artifact, report = check_reference_table(index)
-        if fmt == "csv":
-            if out is None:
-                raise click.UsageError("--format csv needs --out for the table artifact")
-            with open(out, "w", encoding="ascii", newline="") as fh:
-                fh.write(artifact.to_csv_text())
-            click.echo(report.to_json())
-        else:
-            _stream_reports([report], fmt, out)
-        ctx.exit(0 if report.ok else 1)
-
-    if which in ("lemma21", "lemma22"):
-        ns = range(n_range[0], n_range[1] + 1) if n_range else None
-        reports = check_identity_grid(which, n_values=ns, seed=seed, max_n=max_n)
-    elif which == "eq23":
-        ns = range(n_range[0], n_range[1] + 1) if n_range else None
-        reports = check_family_identity(n_values=ns, max_n=max_n)
-    elif which == "eq26":
-        ns = range(n_range[0], n_range[1] + 1) if n_range else None
-        reports = check_subfn_zero(n_values=ns, max_n=max_n)
-    elif which == "thm24":
-        ns = range(n_range[0], n_range[1] + 1) if n_range else None
-        reports = check_family_zero(n_values=ns, max_n=max_n)
-    elif which == "bound":
-        ns = range(n_range[0], n_range[1] + 1) if n_range else None
-        reports = check_bound(n_values=ns, max_n=max_n)
-    elif which == "factor":
-        reports = check_factorization(max_n=max_n)
-    elif which == "counterexample" or (which in ("theorem", "conjecture") and l == 2):
-        nw, ew = _scan_windows(2, n_range, e_range)
-        case_reports, summary = counterexample_search(nw, ew, workers=pool, max_n=max_n)
-        reports = case_reports + [summary]
-        _stream_reports(reports, fmt, out)
-        ctx.exit(0 if summary.status == "pass" else 1)
-    else:
-        degree = l if l is not None else (4 if which == "theorem" else 5)
-        if degree < 2:
-            raise click.UsageError("--l must be at least 2")
-        if degree >= 7:
-            click.echo(f"# degree {degree} is exploratory; no expected outcome is pinned", err=True)
-        if which == "conjecture" and l is None:
-            reports = []
-            for degree in (5, 6):
-                nw, ew = _scan_windows(degree, n_range, e_range)
-                reports.extend(
-                    scan_family(sweep_cases(nw, ew, l=degree), workers=pool,
-                                max_n=max_n, check_name="conjecture")
-                )
-        else:
-            nw, ew = _scan_windows(degree, n_range, e_range)
-            name = "conjecture" if which == "conjecture" else "theorem"
-            reports = scan_family(sweep_cases(nw, ew, l=degree), workers=pool,
-                                  max_n=max_n, check_name=name)
-
-    _stream_reports(reports, fmt, out)
-    ctx.exit(0 if all(r.ok for r in reports) else 1)
+    ctx.exit(result.exit_code)
 
 
 if __name__ == "__main__":

@@ -41,7 +41,6 @@ __all__ = [
     "walsh_at",
     "walsh_at_many",
     "nonlinearity",
-    "affine_nonlinearity",
     "spectrum_argmax",
 ]
 
@@ -281,19 +280,10 @@ def nonlinearity(table: TruthTable) -> int:
     """Minimum distance to the 2**n linear functions.
 
     Constants and complements of linear functions are not in the reference
-    set; for the distance to the full affine class see affine_nonlinearity.
+    set.
     """
     s = walsh_transform(table)
     return (table.size - int(s.values.max())) // 2
-
-
-def affine_nonlinearity(table: TruthTable) -> int:
-    """Minimum distance to linear functions and their complements.
-
-    Side helper only; none of the verification suites use it.
-    """
-    s = walsh_transform(table)
-    return (table.size - int(np.abs(s.values).max())) // 2
 
 
 def spectrum_argmax(spectrum: WalshSpectrum) -> tuple[LinearMask, int, LinearMask, int]:

@@ -9,12 +9,14 @@ fields; sampled grids draw their masks from a seeded generator.
 
 from __future__ import annotations
 
+import inspect
 import logging
 import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -45,12 +47,14 @@ from .recurrences import (
     subfn_walsh_top1,
     subfn_zero_recurrence,
 )
-from .report import TableArtifact, VerificationReport, write_jsonl
+from .report import TableArtifact, VerificationReport
 
 __all__ = [
     "HarnessConfig",
     "RunResult",
     "SUITES",
+    "TABLE_SUITES",
+    "suite_windows",
     "check_reference_table",
     "check_identity_grid",
     "check_family_identity",
@@ -79,29 +83,15 @@ DECOMPOSITION_NS = range(7, 15)
 ZERO_RECURRENCE_NS = range(8, 23)
 BOUND_NS = range(4, 17)
 FACTOR_CASES = ((10, 2), (12, 3), (12, 4), (14, 2))
-SWEEP_N_RANGE = (4, 20)
-CUBIC_N_RANGE = (4, 16)
-CUBIC_E_RANGE = (1, 4)
-SURVEY_DEGREES = (5, 6)
-SURVEY_E_RANGE = (1, 3)
-COUNTEREXAMPLE_N_RANGE = (2, 16)
-COUNTEREXAMPLE_E_RANGE = (1, 2)
-
-SUITES = (
-    "table1",
-    "table2",
-    "lemma21",
-    "lemma22",
-    "eq23",
-    "eq26",
-    "thm24",
-    "bound",
-    "factor",
-    "theorem",
-    "cubic",
-    "conjecture",
-    "counterexample",
-)
+# (n window, e window) of a family sweep per degree l; an e window of None
+# means e = 1..n, and a degree not listed sweeps n = l..20, e = 1..3
+SWEEP_WINDOWS = {
+    2: ((2, 16), (1, 2)),
+    3: ((4, 16), (1, 4)),
+    4: ((4, 20), None),
+    5: ((5, 20), (1, 3)),
+    6: ((6, 20), (1, 3)),
+}
 
 
 def _elapsed_ms(t0: float) -> int:
@@ -377,7 +367,7 @@ def check_factorization(cases=FACTOR_CASES, max_n: int = DEFAULT_MAX_N) -> list[
     return reports
 
 
-def sweep_cases(n_range=SWEEP_N_RANGE, e_range=None, l: int = 4) -> list[tuple[int, int, int]]:
+def sweep_cases(n_range=SWEEP_WINDOWS[4][0], e_range=None, l: int = 4) -> list[tuple[int, int, int]]:
     """The (n, l, e) grid for a family sweep; e_range=None means 1..n."""
     lo, hi = n_range
     cases = []
@@ -385,6 +375,13 @@ def sweep_cases(n_range=SWEEP_N_RANGE, e_range=None, l: int = 4) -> list[tuple[i
         strides = range(1, n + 1) if e_range is None else range(e_range[0], e_range[1] + 1)
         cases.extend((n, l, e) for e in strides)
     return cases
+
+
+def _sweep_window(l: int, n_range=None, e_range=None):
+    """A degree-l sweep's (n window, e window): the given ones, else the
+    defaults from SWEEP_WINDOWS."""
+    default_n, default_e = SWEEP_WINDOWS.get(l, ((l, 20), (1, 3)))
+    return n_range or default_n, default_e if e_range is None else e_range
 
 
 def _family_case(args: tuple[int, int, int]):
@@ -440,19 +437,20 @@ def scan_family(
 
 
 def counterexample_search(
-    n_range=COUNTEREXAMPLE_N_RANGE,
-    e_range=COUNTEREXAMPLE_E_RANGE,
+    n_range=None,
+    e_range=None,
     workers: int = 1,
     max_n: int = DEFAULT_MAX_N,
 ) -> tuple[list[VerificationReport], VerificationReport]:
     """Quadratic sweep where a failing case is the expected finding.
 
+    Windows left as None take the l = 2 defaults from SWEEP_WINDOWS.
     Returns the per-case reports plus a summary that passes exactly when
     at least one case shows nonlinearity below weight; each finding keeps
     its witnesses in its own report line.
     """
-    lo, hi = n_range
-    cases = [(n, 2, e) for n in range(max(lo, 2), hi + 1) for e in range(e_range[0], e_range[1] + 1)]
+    (lo, hi), e_window = _sweep_window(2, n_range, e_range)
+    cases = sweep_cases((max(lo, 2), hi), e_window, l=2)
     reports = scan_family(cases, workers=workers, max_n=max_n, check_name="counterexample")
     found = [r for r in reports if r.status == "fail"]
     elapsed = sum(r.elapsed_ms for r in reports)
@@ -478,9 +476,11 @@ def _gating(report: VerificationReport) -> bool:
 
 @dataclass
 class RunResult:
-    """All reports of one run plus the aggregate verdict."""
+    """All reports of one run plus the aggregate verdict, and the tables
+    the reference-table suites recomputed."""
 
     reports: list[VerificationReport]
+    tables: list[TableArtifact] = field(default_factory=list)
 
     @property
     def failures(self) -> list[VerificationReport]:
@@ -503,15 +503,14 @@ class RunResult:
 
 @dataclass
 class HarnessConfig:
-    """Resource caps, parallelism, seeding, and output wiring for run_all."""
+    """Resource caps, parallelism, seeding, and reference-table overrides
+    for run_all."""
 
     max_n: int = DEFAULT_MAX_N
     workers: int = 0  # 0 means one per CPU
     seed: int = DEFAULT_SEED
-    out_path: str | None = None
     table1_path: str | None = None
     table2_path: str | None = None
-    sampled_grids: bool = True
 
     def __post_init__(self) -> None:
         if not 1 <= self.max_n <= HARD_MAX_N:
@@ -523,91 +522,96 @@ class HarnessConfig:
         return self.workers or (os.cpu_count() or 1)
 
 
-def run_all(config: HarnessConfig | None = None, only=None) -> RunResult:
-    """Every suite in a fixed order with the configured caps.
+# Suite runners, name -> runner(config, **windows), in run order.  A
+# runner's keyword parameters are the windows it reads (l, n_range,
+# e_range); one left out keeps its default.  Runners name the check
+# functions when called, through this module's globals, so rebinding one of
+# those names (as a tracer does) reaches every suite.
 
-    ``only`` restricts the run to a subset of SUITES (used by tests and by
-    the command line to slice the default sweep).
+
+def _arities(n_range):
+    return None if n_range is None else range(n_range[0], n_range[1] + 1)
+
+
+def _identity_suite(which: str, cfg: HarnessConfig, n_range=None) -> list[VerificationReport]:
+    # an explicit arity window is checked exhaustively only
+    if n_range is not None:
+        return check_identity_grid(which, n_values=_arities(n_range), max_n=cfg.max_n)
+    return check_identity_grid(which, max_n=cfg.max_n) + check_identity_grid(
+        which, n_values=GRID_SAMPLED_NS, samples=GRID_SAMPLES, seed=cfg.seed, max_n=cfg.max_n
+    )
+
+
+def _sweep(name: str, degrees, cfg: HarnessConfig, n_range=None, e_range=None):
+    reports = []
+    for l in degrees:
+        cases = sweep_cases(*_sweep_window(l, n_range, e_range), l=l)
+        reports += scan_family(cases, workers=cfg.resolved_workers(), max_n=cfg.max_n, check_name=name)
+    return reports
+
+
+def _counterexample(cfg: HarnessConfig, n_range=None, e_range=None) -> list[VerificationReport]:
+    workers = cfg.resolved_workers()
+    reports, summary = counterexample_search(n_range, e_range, workers=workers, max_n=cfg.max_n)
+    return reports + [summary]
+
+
+SUITES = {
+    "table1": lambda cfg: check_reference_table(1, cfg.table1_path),
+    "table2": lambda cfg: check_reference_table(2, cfg.table2_path),
+    "lemma21": partial(_identity_suite, "lemma21"),
+    "lemma22": partial(_identity_suite, "lemma22"),
+    "eq23": lambda cfg, n_range=None: check_family_identity(_arities(n_range), max_n=cfg.max_n),
+    "eq26": lambda cfg, n_range=None: check_subfn_zero(_arities(n_range), max_n=cfg.max_n),
+    "thm24": lambda cfg, n_range=None: check_family_zero(_arities(n_range), max_n=cfg.max_n),
+    "bound": lambda cfg, n_range=None: check_bound(_arities(n_range), max_n=cfg.max_n),
+    "factor": lambda cfg: check_factorization(max_n=cfg.max_n),
+    "theorem": lambda cfg, l=4, n_range=None, e_range=None: _sweep(
+        "theorem", (l,), cfg, n_range, e_range
+    ),
+    # the theorem's claim at degree 3, so its reports carry that label
+    "cubic": partial(_sweep, "theorem", (3,)),
+    "conjecture": lambda cfg, l=None, n_range=None, e_range=None: _sweep(
+        "conjecture", (5, 6) if l is None else (l,), cfg, n_range, e_range
+    ),
+    "counterexample": _counterexample,
+}
+# the suites whose run also yields the recomputed table
+TABLE_SUITES = ("table1", "table2")
+
+
+def suite_windows(name: str) -> tuple[str, ...]:
+    """The window keywords suite ``name`` reads (``l``, ``n_range``,
+    ``e_range``): its runner's parameters after the config."""
+    return tuple(inspect.signature(SUITES[name]).parameters)[1:]
+
+
+def run_all(config: HarnessConfig | None = None, only=None, **window) -> RunResult:
+    """The chosen suites (all by default) in SUITES order, with the
+    configured caps.
+
+    ``window`` overrides default windows, by the keywords of
+    ``suite_windows``; every chosen suite must read each one given.
     """
     cfg = config or HarnessConfig()
     chosen = set(SUITES) if only is None else set(only)
     unknown = chosen - set(SUITES)
     if unknown:
         raise ValueError(f"unknown suites: {sorted(unknown)}")
-    workers = cfg.resolved_workers()
-    reports: list[VerificationReport] = []
-
-    def run_suite(name: str, thunk) -> None:
+    for key in window:
+        unread = sorted(name for name in chosen if key not in suite_windows(name))
+        if unread:
+            raise ValueError(f"suites {unread} read no {key} window")
+    result = RunResult([])
+    for name, runner in SUITES.items():
         if name not in chosen:
-            return
+            continue
         t0 = time.perf_counter()
-        thunk()
+        # the table suites return (table, report), the others report lists
+        for record in runner(cfg, **window):
+            if isinstance(record, TableArtifact):
+                result.tables.append(record)
+            else:
+                result.reports.append(record)
         log.info("suite %s finished in %d ms", name, _elapsed_ms(t0))
-
-    run_suite("table1", lambda: reports.append(check_reference_table(1, cfg.table1_path)[1]))
-    run_suite("table2", lambda: reports.append(check_reference_table(2, cfg.table2_path)[1]))
-
-    def identity_suite(which: str) -> None:
-        reports.extend(check_identity_grid(which, max_n=cfg.max_n))
-        if cfg.sampled_grids:
-            reports.extend(
-                check_identity_grid(
-                    which,
-                    n_values=GRID_SAMPLED_NS,
-                    samples=GRID_SAMPLES,
-                    seed=cfg.seed,
-                    max_n=cfg.max_n,
-                )
-            )
-
-    run_suite("lemma21", lambda: identity_suite("lemma21"))
-    run_suite("lemma22", lambda: identity_suite("lemma22"))
-    run_suite("eq23", lambda: reports.extend(check_family_identity(max_n=cfg.max_n)))
-    base = SpectralBaseTable.from_reference()
-    run_suite("eq26", lambda: reports.extend(check_subfn_zero(base=base, max_n=cfg.max_n)))
-    run_suite("thm24", lambda: reports.extend(check_family_zero(base=base, max_n=cfg.max_n)))
-    run_suite("bound", lambda: reports.extend(check_bound(max_n=cfg.max_n)))
-    run_suite("factor", lambda: reports.extend(check_factorization(max_n=cfg.max_n)))
-    run_suite(
-        "theorem",
-        lambda: reports.extend(
-            scan_family(sweep_cases(), workers=workers, max_n=cfg.max_n, check_name="theorem")
-        ),
-    )
-    run_suite(
-        "cubic",
-        lambda: reports.extend(
-            scan_family(
-                sweep_cases(CUBIC_N_RANGE, CUBIC_E_RANGE, l=3),
-                workers=workers,
-                max_n=cfg.max_n,
-                check_name="theorem",
-            )
-        ),
-    )
-
-    def survey_suite() -> None:
-        for l in SURVEY_DEGREES:
-            reports.extend(
-                scan_family(
-                    sweep_cases((l, 20), SURVEY_E_RANGE, l=l),
-                    workers=workers,
-                    max_n=cfg.max_n,
-                    check_name="conjecture",
-                )
-            )
-
-    run_suite("conjecture", survey_suite)
-
-    def counterexample_suite() -> None:
-        case_reports, summary = counterexample_search(workers=workers, max_n=cfg.max_n)
-        reports.extend(case_reports)
-        reports.append(summary)
-
-    run_suite("counterexample", counterexample_suite)
-
-    result = RunResult(reports)
-    if cfg.out_path:
-        with open(cfg.out_path, "w", encoding="ascii") as fh:
-            write_jsonl(result.reports, fh)
     return result

@@ -1,13 +1,25 @@
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 import rsbf.cli as cli_module
-from rsbf import MonomialRsbfSpec, monomial_rsbf, sub_function, walsh_transform
+from rsbf import (
+    SUITES,
+    MonomialRsbfSpec,
+    RunResult,
+    VerificationReport,
+    monomial_rsbf,
+    sub_function,
+    walsh_transform,
+)
 from rsbf.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture()
@@ -176,6 +188,20 @@ def test_usage_errors_exit_2(runner):
     assert runner.invoke(main, ["check", "bound", "--n-range", "9..4"]).exit_code == 2
     assert runner.invoke(main, ["check", "bound", "--n-range", "abc"]).exit_code == 2
     assert runner.invoke(main, ["check", "nosuch"]).exit_code == 2
+    assert runner.invoke(main, ["check", "theorem", "--l", "1"]).exit_code == 2
+    # a window flag the chosen suite does not read is refused by name
+    for argv, flag in [
+        (["check", "all", "--n-range", "4..5"], "--n-range"),
+        (["check", "all", "--e-range", "1..2"], "--e-range"),
+        (["check", "all", "--l", "5"], "--l"),
+        (["check", "factor", "--n-range", "10..12"], "--n-range"),
+        (["check", "table1", "--l", "4"], "--l"),
+        (["check", "cubic", "--l", "3"], "--l"),
+        (["check", "bound", "--e-range", "1..2"], "--e-range"),
+    ]:
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 2, argv
+        assert f"{flag} does not apply to check {argv[1]}" in result.output
 
 
 def test_max_n_is_an_adjustable_cap(runner):
@@ -281,6 +307,77 @@ def test_check_out_writes_jsonl(runner, tmp_path):
     lines = out.read_text().splitlines()
     assert len(lines) == 4
     assert all(json.loads(line)["check"] == "factor" for line in lines)
+    for line in lines:
+        parsed = json.loads(line)
+        assert list(parsed.keys()) == ["check", "params", "status", "witnesses", "elapsed_ms"]
+
+
+def _without_elapsed(stdout):
+    records = [json.loads(line) for line in stdout.splitlines()]
+    for record in records:
+        del record["elapsed_ms"]
+    return records
+
+
+def test_check_name_is_its_slice_of_check_all(runner, tmp_path):
+    small = ["--max-n", "10", "--workers", "1"]
+    out = tmp_path / "all.jsonl"
+    everything = runner.invoke(main, ["check", "all", *small, "--out", str(out)])
+    assert out.read_text() == everything.stdout
+    singles = []
+    for name in SUITES:
+        result = runner.invoke(main, ["check", name, *small])
+        records = _without_elapsed(result.stdout)
+        reports = [VerificationReport(**r) for r in records]
+        assert result.exit_code == RunResult(reports).exit_code, name
+        singles += records
+    assert singles == _without_elapsed(everything.stdout)
+    reports = [VerificationReport(**r) for r in singles]
+    assert everything.exit_code == RunResult(reports).exit_code == 1
+
+
+def test_check_l_sets_only_the_degree(runner):
+    result = runner.invoke(
+        main, ["check", "theorem", "--l", "2", "--n-range", "2..4", "--workers", "1"]
+    )
+    assert result.exit_code == 1
+    records = [json.loads(line) for line in result.stdout.splitlines()]
+    assert {(r["check"], r["params"]["l"]) for r in records} == {("theorem", 2)}
+    assert len(records) == 6  # e = 1..2 at each n, no counterexample summary
+    noted = runner.invoke(
+        main, ["check", "conjecture", "--l", "7", "--n-range", "7..7", "--e-range", "1..1"]
+    )
+    assert "degree 7 is exploratory" in noted.stderr
+    assert json.loads(noted.stdout)["params"] == {"n": 7, "l": 7, "e": 1}
+
+
+def test_suite_names_agree_with_registry():
+    names = list(SUITES) + ["all"]
+    assert list(main.commands["check"].params[0].type.choices) == names
+    section = README.read_text(encoding="utf-8").split("### Verification suites")[1]
+    rows = re.findall(r"^\| `([a-z0-9]+)` ", section, flags=re.M)
+    assert rows == names
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--n", "6"],
+        ["spectrum", "--n", "6", "--at", "5"],
+        ["subfn", "--i", "1", "--j", "2", "--n", "6", "--at", "5", "--bits"],
+    ],
+    ids=["analyze", "spectrum-at", "subfn-at"],
+)
+def test_single_record_stdout_equals_out_file(runner, tmp_path, argv, fmt):
+    out = tmp_path / "record"
+    to_file = runner.invoke(main, argv + ["--format", fmt, "--out", str(out)])
+    to_stdout = runner.invoke(main, argv + ["--format", fmt])
+    assert to_file.exit_code == to_stdout.exit_code == 0
+    assert to_file.stdout_bytes == b""
+    data = out.read_bytes()
+    assert to_stdout.stdout_bytes == data
+    assert data.endswith(b"\r\n" if fmt == "csv" else b"\n") and not data.endswith(b"\n\n")
 
 
 def test_module_entry_point_smoke():

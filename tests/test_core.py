@@ -8,7 +8,6 @@ from rsbf import (
     LinearMask,
     TruthTable,
     WalshSpectrum,
-    affine_nonlinearity,
     constant_table,
     distance,
     evaluate,
@@ -189,18 +188,6 @@ def test_nonlinearity_is_distance_to_nearest_linear():
     for tbl in [linear_function(5, 9), monomial_table(5, [0, 1]), constant_table(5, 1)]:
         brute = min(distance(tbl, linear_function(5, c)) for c in range(32))
         assert nonlinearity(tbl) == brute
-
-
-def test_affine_nonlinearity_also_checks_complements():
-    tbl = constant_table(4, 1)
-    assert nonlinearity(tbl) == 8  # nearest plain linear function is far
-    assert affine_nonlinearity(tbl) == 0  # but the complement of zero is exact
-    quad = monomial_table(4, [0, 1])
-    brute = min(
-        min(distance(quad, linear_function(4, c)), 16 - distance(quad, linear_function(4, c)))
-        for c in range(16)
-    )
-    assert affine_nonlinearity(quad) == brute
 
 
 def test_spectrum_argmax_breaks_ties_low():

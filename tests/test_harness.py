@@ -1,4 +1,3 @@
-import json
 import logging
 
 import pytest
@@ -173,6 +172,9 @@ def test_counterexample_summary_fails_when_nothing_ran():
 def test_run_all_rejects_unknown_suite():
     with pytest.raises(ValueError):
         run_all(HarnessConfig(), only=["tablez"])
+    # a window every chosen suite must read, checked before anything runs
+    with pytest.raises(ValueError, match="table1"):
+        run_all(HarnessConfig(), only=["bound", "table1"], n_range=(4, 5))
 
 
 def test_config_validation():
@@ -185,20 +187,13 @@ def test_config_validation():
     assert HarnessConfig(workers=0).resolved_workers() >= 1
 
 
-def test_run_all_subset_is_deterministic(tmp_path):
-    out = tmp_path / "reports.jsonl"
-    cfg = HarnessConfig(out_path=str(out))
-    first = run_all(cfg, only=["table1", "table2", "bound", "factor"])
+def test_run_all_subset_is_deterministic():
+    first = run_all(HarnessConfig(), only=["table1", "table2", "bound", "factor"])
     second = run_all(HarnessConfig(), only=["table1", "table2", "bound", "factor"])
     strip = lambda rs: [(r.check, r.params, r.status, r.witnesses) for r in rs]
     assert strip(first.reports) == strip(second.reports)
     assert first.exit_code == 0
-
-    lines = out.read_text().splitlines()
-    assert len(lines) == len(first.reports)
-    for line in lines:
-        parsed = json.loads(line)
-        assert list(parsed.keys()) == ["check", "params", "status", "witnesses", "elapsed_ms"]
+    assert [table.name for table in first.tables] == ["table1", "table2"]
 
 
 def test_quadratic_findings_do_not_gate_run_all():
