@@ -24,7 +24,14 @@ from .core import (
     weight,
 )
 from .families import MonomialRsbfSpec, monomial_rsbf, sub_function
-from .harness import SUITES, TABLE_SUITES, HarnessConfig, run_all, suite_windows
+from .harness import (
+    SUITES,
+    TABLE_SUITES,
+    HarnessConfig,
+    run_all,
+    suite_windows,
+    window_floor,
+)
 from .report import write_jsonl
 
 
@@ -388,11 +395,15 @@ def check(ctx, which, l, n_range, e_range, workers, max_n, seed, fmt, out):
     names = list(SUITES) if which == "all" else [which]
     window = {"l": l, "n_range": n_range, "e_range": e_range}
     window = {key: value for key, value in window.items() if value is not None}
-    for key in window:
+    # every window is checked against every chosen suite before any runs
+    for key, value in window.items():
+        flag = f"--{key.replace('_', '-')}"
         if not all(key in suite_windows(name) for name in names):
-            raise click.UsageError(f"--{key.replace('_', '-')} does not apply to check {which}")
-    if l is not None and l < 2:
-        raise click.UsageError("--l must be at least 2")
+            raise click.UsageError(f"{flag} does not apply to check {which}")
+        low, text = (value, str(value)) if key == "l" else (value[0], f"{value[0]}..{value[1]}")
+        floor = max(window_floor(name, key) for name in names)
+        if low < floor:
+            raise click.UsageError(f"check {which} takes {flag} from {floor} up, got {text}")
     if l is not None and l >= 7:
         click.echo(f"# degree {l} is exploratory; no expected outcome is pinned", err=True)
     if fmt == "csv" and which not in TABLE_SUITES:

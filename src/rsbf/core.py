@@ -203,8 +203,36 @@ def table_from_values(n: int, values) -> TruthTable:
     return TruthTable(n, int.from_bytes(packed.tobytes(), "little"))
 
 
+# The butterfly's low stages pair runs of only 1, 2, 4, ... entries, which
+# NumPy handles in short strided loops.  So the spectrum is viewed as rows of
+# _TILE_WIDTH entries, and up to _TILE_ROWS rows at a time are copied
+# transposed into one int32 tile; there stage half pairs contiguous runs of
+# half * rows entries.  The tile, 2**12 * 64 * 4 bytes = 1 MiB at most and
+# 4 * 2**n bytes for n <= 12, is the only memory the tiling adds to the
+# spectrum and the unpacked table, and it is small enough to stay in cache
+# while its stages run.
+_TILE_WIDTH = 1 << 12
+_TILE_ROWS = 64
+
+
+def _stages(v: np.ndarray, half: int, stop: int) -> None:
+    """In place on the flat array v, butterfly stages pairing runs of
+    half, 2 * half, ... entries, up to runs of stop / 2."""
+    while half < stop:
+        pairs = v.reshape(-1, 2, half)
+        a, b = pairs[:, 0, :], pairs[:, 1, :]
+        a += b  # a + b
+        b *= -2
+        b += a  # a + b - 2b = a - b
+        half <<= 1
+
+
 def walsh_transform(table: TruthTable) -> WalshSpectrum:
     """Full spectrum by the in-place butterfly, O(n * 2**n) int32 ops.
+
+    Stages below _TILE_WIDTH run on transposed tiles of the (rows, width)
+    view, the rest on the whole array (Bailey's four-step layout); the
+    stages commute, so the order does not change the result.
 
     int32 is exact: after stage k every entry is a signed count of 2**k
     inputs, so no value, final or partial, exceeds 2**n <= 2**HARD_MAX_N
@@ -213,14 +241,18 @@ def walsh_transform(table: TruthTable) -> WalshSpectrum:
     v = table_values(table).astype(np.int32)
     v *= -2
     v += 1  # (-1)**f(x)
-    half = 1
-    while half < v.shape[0]:
-        pairs = v.reshape(-1, 2, half)
-        a, b = pairs[:, 0, :], pairs[:, 1, :]
-        a += b  # a + b
-        b *= -2
-        b += a  # a + b - 2b = a - b
-        half <<= 1
+    size = v.shape[0]
+    width = min(size, _TILE_WIDTH)
+    grid = v.reshape(-1, width)
+    tile = np.empty(width * min(grid.shape[0], _TILE_ROWS), dtype=np.int32)
+    for r0 in range(0, grid.shape[0], _TILE_ROWS):
+        block = grid[r0 : r0 + _TILE_ROWS]
+        rows = block.shape[0]
+        t = tile[: width * rows]
+        t.reshape(width, rows)[...] = block.T
+        _stages(t, rows, width * rows)
+        block[...] = t.reshape(width, rows).T
+    _stages(v, width, size)
     return WalshSpectrum(table.n, v)
 
 

@@ -9,6 +9,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
+import numpy as np
+
 from .core import (
     TruthTable,
     _check_arity,
@@ -161,22 +163,29 @@ def _aligned_spectrum(t: int, l: int):
     return walsh_transform(monomial_rsbf(MonomialRsbfSpec(t, l, 1)))
 
 
-def factored_walsh(spec: MonomialRsbfSpec, mask) -> int:
-    """Walsh coefficient as a product of one factor per rotation cycle.
+def factored_walsh(spec: MonomialRsbfSpec, masks):
+    """Walsh coefficients as products of one factor per rotation cycle.
 
     Monomials never mix variables from different orbits, so the function
     splits into independent stride-1 copies on t variables each and the
     transform multiplies, with each factor's mask bits read in orbit order.
+    ``masks`` is one int, giving an int, or an integer array, giving an
+    int64 array of its shape; each factor is at most 2**t in magnitude, so
+    no partial product exceeds 2**n <= 2**28.
     """
-    c = operator.index(mask)
-    if not 0 <= c < 1 << spec.n:
-        raise IndexError(f"mask {c} out of range for n={spec.n}")
+    scalar = np.ndim(masks) == 0
+    c = np.asarray(operator.index(masks) if scalar else masks)
+    if c.dtype.kind not in "iu":
+        raise TypeError(f"masks must be integers, got {c.dtype}")
+    if c.size and (c.min() < 0 or c.max() >= 1 << spec.n):
+        raise IndexError(f"masks out of range for n={spec.n}")
+    c = c.astype(np.int64, copy=False)
     dec = cycle_decompose(spec.n, spec.e)
-    base = _aligned_spectrum(dec.t, spec.l)
-    product = 1
+    base = _aligned_spectrum(dec.t, spec.l).values
+    product = np.ones_like(c)
     for cycle in dec.cycles:
-        sub = 0
+        sub = np.zeros_like(c)
         for pos, var in enumerate(cycle):
             sub |= ((c >> var) & 1) << pos
         product *= base[sub]
-    return product
+    return int(product) if scalar else product

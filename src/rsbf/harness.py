@@ -55,6 +55,7 @@ __all__ = [
     "SUITES",
     "TABLE_SUITES",
     "suite_windows",
+    "window_floor",
     "check_reference_table",
     "check_identity_grid",
     "check_family_identity",
@@ -342,13 +343,10 @@ def check_factorization(cases=FACTOR_CASES, max_n: int = DEFAULT_MAX_N) -> list[
             continue
         t0 = time.perf_counter()
         spec = MonomialRsbfSpec(n, 4, e)
+        masks = np.arange(1 << n)
         values = walsh_transform(monomial_rsbf(spec)).values
-        witnesses = []
-        for c in range(1 << n):
-            got = factored_walsh(spec, c)
-            expected = int(values[c])
-            if got != expected:
-                witnesses.append((c, expected, got))
+        # (c, expected, got) in mask order
+        witnesses = _differences(masks, values, factored_walsh(spec, masks))
         dec = cycle_decompose(n, e)
         aligned = walsh_transform(monomial_rsbf(MonomialRsbfSpec(dec.t, 4, 1))).values
         zero_value = int(aligned[0])
@@ -586,12 +584,29 @@ def suite_windows(name: str) -> tuple[str, ...]:
     return tuple(inspect.signature(SUITES[name]).parameters)[1:]
 
 
+# Lowest arity each suite's n window may start at: the identity grids and
+# the zero-mask recurrences need n >= 8, the seven-term decomposition n >= 7
+# and the bound's family values n >= 4.  The sweeps take any n >= 1.
+_N_FLOORS = {"lemma21": 8, "lemma22": 8, "eq23": 7, "eq26": 8, "thm24": 8, "bound": 4}
+
+
+def window_floor(name: str, key: str) -> int:
+    """Lowest value suite ``name`` takes for window ``key``; a range must
+    start there or above.  A degree is at least 2, a stride at least 1."""
+    if key == "l":
+        return 2
+    if key == "e_range":
+        return 1
+    return _N_FLOORS.get(name, 1)
+
+
 def run_all(config: HarnessConfig | None = None, only=None, **window) -> RunResult:
     """The chosen suites (all by default) in SUITES order, with the
     configured caps.
 
     ``window`` overrides default windows, by the keywords of
-    ``suite_windows``; every chosen suite must read each one given.
+    ``suite_windows``; every chosen suite must read each one given, and
+    each must start at or above ``window_floor`` for every chosen suite.
     """
     cfg = config or HarnessConfig()
     chosen = set(SUITES) if only is None else set(only)
@@ -602,6 +617,11 @@ def run_all(config: HarnessConfig | None = None, only=None, **window) -> RunResu
         unread = sorted(name for name in chosen if key not in suite_windows(name))
         if unread:
             raise ValueError(f"suites {unread} read no {key} window")
+        low = window[key] if key == "l" else window[key][0]
+        for name in sorted(chosen):
+            floor = window_floor(name, key)
+            if low < floor:
+                raise ValueError(f"{name} takes {key} from {floor} up, got {low}")
     result = RunResult([])
     for name, runner in SUITES.items():
         if name not in chosen:

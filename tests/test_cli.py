@@ -202,6 +202,23 @@ def test_usage_errors_exit_2(runner):
         result = runner.invoke(main, argv)
         assert result.exit_code == 2, argv
         assert f"{flag} does not apply to check {argv[1]}" in result.output
+    # a window below a suite's domain is refused by name before any suite runs
+    for argv, message in [
+        (["check", "bound", "--n-range", "0..2"], "check bound takes --n-range from 4 up, got 0..2"),
+        (["check", "counterexample", "--n-range", "2..3", "--e-range", "0..1"],
+         "check counterexample takes --e-range from 1 up, got 0..1"),
+        (["check", "eq26", "--n-range", "7..9"], "check eq26 takes --n-range from 8 up, got 7..9"),
+        (["check", "lemma21", "--n-range", "4..8"], "check lemma21 takes --n-range from 8 up"),
+        (["check", "eq23", "--n-range", "6..6"], "check eq23 takes --n-range from 7 up"),
+        (["check", "thm24", "--n-range", "4..8"], "check thm24 takes --n-range from 8 up"),
+        (["check", "theorem", "--n-range", "0..3", "--e-range", "1..1"],
+         "check theorem takes --n-range from 1 up"),
+        (["check", "conjecture", "--l", "1"], "check conjecture takes --l from 2 up, got 1"),
+    ]:
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 2, argv
+        assert message in result.output, argv
+        assert "Traceback" not in result.output
 
 
 def test_max_n_is_an_adjustable_cap(runner):

@@ -1,3 +1,6 @@
+import random
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,12 +9,14 @@ from hypothesis import strategies as st
 from rsbf import (
     HARD_MAX_N,
     LinearMask,
+    MonomialRsbfSpec,
     TruthTable,
     WalshSpectrum,
     constant_table,
     distance,
     evaluate,
     linear_function,
+    monomial_rsbf,
     monomial_table,
     nonlinearity,
     spectrum_argmax,
@@ -175,6 +180,44 @@ def test_walsh_transform_is_exact_int32_at_full_range():
         assert np.count_nonzero(values) == 1
         masks = [c, 0, 1, (1 << n) - 1]
         assert walsh_at_many(tbl, masks).tolist() == values[masks].tolist()
+
+
+@pytest.mark.parametrize("n", range(11, 19))
+def test_tiled_transform_matches_direct_summation(n):
+    # The low stages run on tiles of 2**12-entry rows, 64 rows at a time:
+    # n = 11, 12 fill one tile, n = 13..17 one short block of 2..32 rows,
+    # n = 18 one full block.  Masks 2**12 - 1 and 2**12 straddle the tile.
+    rng = random.Random(n)
+    tile = 1 << 12
+    edges = {0, 1, tile - 1, tile, (1 << n) - 1}
+    masks = sorted({c for c in edges if c < 1 << n} | set(rng.sample(range(1 << n), 64)))
+    member = monomial_rsbf(MonomialRsbfSpec(n, 4, 1 + n % 3))
+    for tbl in (TruthTable(n, rng.getrandbits(1 << n)), member):
+        values = walsh_transform(tbl).values
+        assert values.dtype == np.int32
+        assert values[masks].tolist() == walsh_at_many(tbl, masks).tolist()
+        assert int(values[0]) == tbl.size - 2 * weight(tbl)
+        wide = values.astype(np.int64)
+        assert int(np.dot(wide, wide)) == 4**n
+
+
+def test_walsh_transform_working_memory():
+    # NumPy reports its buffers to tracemalloc.  The transform may hold the
+    # int32 spectrum (4 bytes an input), the unpacked table (1 byte), the
+    # packed bytes (1/8 byte) and one tile of at most 1 MiB, plus 64 KiB of
+    # slack for small objects; a second full-size buffer, such as a
+    # whole-array transpose (4 MiB at n = 20), does not fit.
+    n = 20
+    tbl = TruthTable(n, random.Random(n).getrandbits(1 << n))
+    size = 1 << n
+    tracemalloc.start()
+    try:
+        spectrum = walsh_transform(tbl)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spectrum.values.nbytes == 4 * size
+    assert peak < 4 * size + size + size // 8 + (1 << 20) + (64 << 10)
 
 
 def test_spectrum_getitem_range():

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from rsbf import (
     sub_function,
     tail_products,
     walsh_at,
+    walsh_at_many,
 )
 
 
@@ -193,6 +195,25 @@ def test_factored_walsh_matches_direct():
         tbl = monomial_rsbf(spec)
         for c in range(1 << n):
             assert factored_walsh(spec, c) == walsh_at(tbl, c)
+
+
+def test_factored_walsh_array_form_matches_scalar_and_direct():
+    for n, l, e in [(6, 4, 2), (9, 4, 3), (10, 4, 5), (12, 4, 3), (8, 3, 2), (7, 4, 7)]:
+        spec = MonomialRsbfSpec(n, l, e)
+        masks = np.arange(1 << n)
+        got = factored_walsh(spec, masks)
+        assert got.dtype == np.int64 and got.shape == masks.shape
+        assert got.tolist() == [factored_walsh(spec, c) for c in range(1 << n)]
+        assert got.tolist() == walsh_at_many(monomial_rsbf(spec), masks).tolist()
+    spec = MonomialRsbfSpec(8, 4, 2)
+    assert type(factored_walsh(spec, np.int64(5))) is int
+    assert factored_walsh(spec, np.array([], dtype=np.int64)).shape == (0,)
+    with pytest.raises(IndexError):
+        factored_walsh(spec, 256)
+    with pytest.raises(IndexError):
+        factored_walsh(spec, np.array([0, -1]))
+    with pytest.raises(TypeError):
+        factored_walsh(spec, np.array([0.5]))
 
 
 def test_factored_walsh_other_degrees():

@@ -126,6 +126,21 @@ def test_factorization_logs_peak_survey(caplog):
     assert any("signed-strict=True" in record.getMessage() for record in caplog.records)
 
 
+def test_factorization_witnesses_keep_order_and_cap(monkeypatch):
+    right = harness.factored_walsh
+
+    def wrong(spec, masks):
+        return right(spec, masks) + (masks % 3 == 1)
+
+    monkeypatch.setattr(harness, "factored_walsh", wrong)
+    (report,) = check_factorization(cases=((10, 2),))
+    spec = harness.MonomialRsbfSpec(10, 4, 2)
+    values = walsh_transform(harness.monomial_rsbf(spec)).values
+    witnesses = [(c, int(values[c]), int(values[c]) + 1) for c in range(1 << 10) if c % 3 == 1]
+    assert report.status == "fail"
+    assert report.witnesses == witnesses[:32] + [("more-witnesses", len(witnesses) - 32, "truncated")]
+
+
 def test_scan_family_workers_match_serial():
     cases = sweep_cases((4, 9), None, 4)
     serial = scan_family(cases, workers=1)
@@ -175,6 +190,11 @@ def test_run_all_rejects_unknown_suite():
     # a window every chosen suite must read, checked before anything runs
     with pytest.raises(ValueError, match="table1"):
         run_all(HarnessConfig(), only=["bound", "table1"], n_range=(4, 5))
+    # and a window below a chosen suite's domain, also before anything runs
+    with pytest.raises(ValueError, match="bound takes n_range from 4 up"):
+        run_all(HarnessConfig(), only=["bound"], n_range=(0, 2))
+    with pytest.raises(ValueError, match="counterexample takes e_range from 1 up"):
+        run_all(HarnessConfig(), only=["counterexample"], n_range=(2, 3), e_range=(0, 1))
 
 
 def test_config_validation():
