@@ -377,7 +377,7 @@ def _readers(key: str) -> str:
               default=DEFAULT_MAX_N, show_default=True,
               help="Skip cases above this arity.")
 @click.option("--seed", envvar="RSBF_SEED", type=int, default=0, show_default=True,
-              help="Seed for the sampled identity grids.")
+              help="Seed for the sampled identity grids and the sweep spot checks.")
 @click.option("--format", "fmt", envvar="RSBF_FORMAT",
               type=click.Choice(["json", "text", "csv"]), default="json", show_default=True,
               help="json streams one report per line; csv only for the table checks.")

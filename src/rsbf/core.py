@@ -186,11 +186,14 @@ def linear_function(n: int, c: int) -> TruthTable:
     return TruthTable(mask.n, bits)
 
 
+def _packed_bytes(table: TruthTable) -> np.ndarray:
+    # little-endian, so input x is bit x % 8 of byte x // 8
+    return np.frombuffer(table.bits.to_bytes((table.size + 7) // 8, "little"), dtype=np.uint8)
+
+
 def table_values(table: TruthTable) -> np.ndarray:
     """Outputs as a uint8 vector ordered by packed input."""
-    nbytes = (table.size + 7) // 8
-    raw = np.frombuffer(table.bits.to_bytes(nbytes, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little")[: table.size]
+    return np.unpackbits(_packed_bytes(table), bitorder="little")[: table.size]
 
 
 def table_from_values(n: int, values) -> TruthTable:
@@ -266,9 +269,10 @@ def walsh_at_many(table: TruthTable, masks) -> np.ndarray:
     inputs, as an int64 vector.
 
     Deliberately independent of walsh_transform so the butterfly can be
-    checked against it.  Costs O(len(masks) * 2**n).  Beyond the unpacked
-    table (one byte per input) and the answer, it works in blocks whose
-    temporaries stay at about 1 MiB whatever the arity.
+    checked against it.  Costs O(len(masks) * 2**n).  Beyond the packed
+    table bytes and the answer, it works in blocks of inputs, unpacking one
+    block at a time, whose temporaries stay at about 1 MiB whatever the
+    arity.
     """
     c = np.asarray(masks)
     if c.ndim != 1:
@@ -283,12 +287,14 @@ def walsh_at_many(table: TruthTable, masks) -> np.ndarray:
     # popcount of (x | f(x) << n) & (c | 1 << n) has the parity of f(x) + c.x.
     # Bit n <= 28 fits uint32.
     marked_masks = c.astype(np.uint32) | np.uint32(1 << n)
-    f = table_values(table)
+    raw = _packed_bytes(table)
     ones = np.zeros(c.size, dtype=np.int64)
     width = min(size, _DIRECT_BLOCK)
     rows = _DIRECT_BLOCK // width
     for x0 in range(0, size, width):
-        marked = f[x0 : x0 + width].astype(np.uint32) << n
+        # a block starts on a byte boundary: x0 is 0 or a multiple of width >= 8
+        f = np.unpackbits(raw[x0 // 8 : (x0 + width + 7) // 8], bitorder="little")[:width]
+        marked = f.astype(np.uint32) << n
         marked |= np.arange(x0, x0 + width, dtype=np.uint32)
         for r0 in range(0, c.size, rows):
             odd = np.bitwise_count(marked_masks[r0 : r0 + rows, None] & marked)

@@ -14,10 +14,12 @@ import logging
 import os
 import random
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +35,7 @@ from .core import (
 )
 from .families import (
     MonomialRsbfSpec,
+    _aligned_spectrum,
     cycle_decompose,
     factored_walsh,
     monomial_rsbf,
@@ -93,6 +96,11 @@ SWEEP_WINDOWS = {
     5: ((5, 20), (1, 3)),
     6: ((6, 20), (1, 3)),
 }
+# sweep cases up to this arity are also run through the full transform and
+# compared field by field with the factored route
+CROSS_CHECK_MAX_N = 16
+# a sweep factor's tied peak masks are searched this many coefficients at a time
+_TIE_BLOCK = 1 << 16
 
 
 def _elapsed_ms(t0: float) -> int:
@@ -348,10 +356,12 @@ def check_factorization(cases=FACTOR_CASES, max_n: int = DEFAULT_MAX_N) -> list[
         # (c, expected, got) in mask order
         witnesses = _differences(masks, values, factored_walsh(spec, masks))
         dec = cycle_decompose(n, e)
-        aligned = walsh_transform(monomial_rsbf(MonomialRsbfSpec(dec.t, 4, 1))).values
+        # the factor factored_walsh just used, read by max and min with no |S| copy
+        aligned = _aligned_spectrum(dec.t, 4).values
         zero_value = int(aligned[0])
-        signed_strict = bool(np.all(aligned[1:] < zero_value)) if dec.t > 1 else False
-        abs_within = bool(np.all(np.abs(aligned[1:]) <= zero_value)) if dec.t > 1 else False
+        top, bottom = int(aligned[1:].max()), int(aligned[1:].min())
+        signed_strict = dec.t > 1 and top < zero_value
+        abs_within = dec.t > 1 and max(top, -bottom) <= zero_value
         log.info(
             "factor (n=%d,e=%d): t=%d signed-strict=%s abs-within=%s",
             n, e, dec.t, signed_strict, abs_within,
@@ -383,6 +393,8 @@ def _sweep_window(l: int, n_range=None, e_range=None):
 
 
 def _family_case(args: tuple[int, int, int]):
+    """(n, l, e, weight, nl, peak ok, k_abs, abs_max, W(0), ms) of one sweep
+    case from its full 2**n transform: the cross-check route."""
     n, l, e = args
     t0 = time.perf_counter()
     tbl = monomial_rsbf(MonomialRsbfSpec(n, l, e))
@@ -395,16 +407,128 @@ def _family_case(args: tuple[int, int, int]):
     return (n, l, e, wt, nl, peak, int(k_abs), abs_max, zero_value, _elapsed_ms(t0))
 
 
+class _Factor(NamedTuple):
+    """What a sweep keeps of one stride-1 factor spectrum S on t variables."""
+
+    zero: int  # S(0), from the transform
+    table_zero: int  # 2**t - 2 * weight of the factor's own table
+    top: int  # max S
+    bottom: int  # min S
+    # placement -> the mask with |S| = peak that places lowest under it; None
+    # when the peak is S(0), since then no case on this factor fails its
+    # peak check and none reads a tie
+    lowest_ties: dict | None
+    seconds: float
+
+    @property
+    def peak(self) -> int:
+        return max(self.top, -self.bottom)
+
+
+def _place(m, cycle: tuple[int, ...]):
+    """Factor mask(s) m with bit j moved to variable cycle[j] of the case;
+    a placed mask is below 2**n <= 2**28, so int64 arrays hold it."""
+    return sum(((m >> j) & 1) << v for j, v in enumerate(cycle))
+
+
+def _factor_summary(t: int, l: int, placements) -> _Factor:
+    """One transform of the stride-1 degree-l function on t variables,
+    reduced to what the sweep cases built on it read.
+
+    ``placements`` are the first cycles of those cases.  Tied masks are
+    searched a block at a time, so no full-size temporary sits beside the
+    spectrum, and the spectrum is gone when the task returns.
+    """
+    t0 = time.perf_counter()
+    tbl = monomial_rsbf(MonomialRsbfSpec(t, l, 1))
+    values = walsh_transform(tbl).values
+    zero, top, bottom = int(values[0]), int(values.max()), int(values.min())
+    peak = max(top, -bottom)
+    lowest_ties = None
+    if peak != zero:
+        found: dict = {cycle: [] for cycle in placements}  # (placed, mask) per block
+        for x0 in range(0, values.size, _TIE_BLOCK):
+            block = values[x0 : x0 + _TIE_BLOCK]
+            ties = np.flatnonzero((block == peak) | (block == -peak)) + x0
+            if ties.size:
+                for cycle, best in found.items():
+                    placed = _place(ties, cycle)
+                    k = int(np.argmin(placed))
+                    best.append((int(placed[k]), int(ties[k])))
+        lowest_ties = {cycle: min(best)[1] for cycle, best in found.items()}
+    return _Factor(zero, tbl.size - 2 * weight(tbl), top, bottom, lowest_ties,
+                   time.perf_counter() - t0)
+
+
+def _factored_case(case: tuple[int, int, int], factor: _Factor) -> tuple:
+    """(weight, nl, peak ok, k_abs, abs_max, W(0)) of case (n, l, e) from
+    its factor; k_abs is None where the case passes its peak check.
+
+    The spectrum is the s-fold product of the factor's, one factor per
+    rotation cycle, so W(0) = S(0)**s and the peak magnitude is peak**s.
+    """
+    n, _, e = case
+    dec = cycle_decompose(n, e)
+    zero_value = factor.zero**dec.s
+    # the largest product of s independent factors comes from the running
+    # largest and smallest partial products
+    hi = lo = 1
+    for _ in range(dec.s):
+        products = (hi * factor.top, hi * factor.bottom, lo * factor.top, lo * factor.bottom)
+        hi, lo = max(products), min(products)
+    abs_max = factor.peak**dec.s
+    peak = abs_max <= zero_value
+    k_abs = None
+    if not peak:
+        # the cycles own disjoint mask bits and cycle k is cycle 0 moved up k
+        # bits, so the lowest tied mask takes cycle 0's lowest placed tie on
+        # every cycle
+        tie = factor.lowest_ties[dec.cycles[0]]
+        k_abs = sum(_place(tie, cycle) for cycle in dec.cycles)
+    size = 1 << n
+    return ((size - zero_value) // 2, (size - hi) // 2, peak, k_abs, abs_max, zero_value)
+
+
+def _table_zero(case: tuple[int, int, int]) -> tuple[int, float]:
+    """(2**n - 2 * weight, seconds) of the case's own stride-e table: W(0)
+    with no transform."""
+    n, l, e = case
+    t0 = time.perf_counter()
+    tbl = monomial_rsbf(MonomialRsbfSpec(n, l, e))
+    return tbl.size - 2 * weight(tbl), time.perf_counter() - t0
+
+
+def _factor_tasks(cases) -> dict:
+    """(t, l) -> the first cycles of the cases built on that factor, the
+    placements its summary ranks tied masks under."""
+    placements: dict = {}
+    for n, l, e in cases:
+        dec = cycle_decompose(n, e)
+        placements.setdefault((dec.t, l), set()).add(dec.cycles[0])
+    return {key: tuple(sorted(cycles)) for key, cycles in placements.items()}
+
+
+_ROUTE_FIELDS = ("weight", "nl", "peak", "k_abs", "abs_max", "zero")
+
+
 def scan_family(
     cases,
     workers: int = 1,
     max_n: int = DEFAULT_MAX_N,
     check_name: str = "theorem",
+    seed: int = DEFAULT_SEED,
 ) -> list[VerificationReport]:
     """Measure weight, nonlinearity, and peak location for each (n, l, e).
 
     A case passes when nonlinearity equals weight and no coefficient
-    magnitude beats the zero-mask value.  Results come back sorted by
+    magnitude beats the zero-mask value.  Every case is built from its
+    stride-1 cycle factor, transformed once per distinct (t, l).  Three
+    independent checks back that route, and a disagreement in any of them
+    fails the case with a ``route:`` witness: each factor's S(0) against
+    the popcount of its own table; every case with n <= CROSS_CHECK_MAX_N
+    against its full transform, field by field; and, for each arity above
+    that, one case drawn from ``seed`` whose W(0) is checked against the
+    popcount of its own stride-e table.  Results come back sorted by
     (l, n, e) regardless of worker count.
     """
     reports = []
@@ -414,22 +538,63 @@ def scan_family(
             reports.append(_skip(check_name, {"n": n, "l": l, "e": e}, max_n, n))
         else:
             todo.append((n, l, e))
-    if workers > 1 and len(todo) > 1:
-        # largest arity first, one case per task, so the big cases spread
-        # over the workers and the small ones fill in behind them
-        todo.sort(key=lambda case: case[0], reverse=True)
+    factor_of = {(n, l, e): (cycle_decompose(n, e).t, l) for n, l, e in todo}
+    above: dict = {}  # n -> its cases, for each n above the cross-check cap
+    for case in todo:
+        if case[0] > CROSS_CHECK_MAX_N:
+            above.setdefault(case[0], []).append(case)
+    spots = sorted(random.Random(seed * 1_000_003 + n).choice(group) for n, group in above.items())
+    factors: dict = {}  # (t, l) -> _Factor
+    full: dict = {}  # case -> _family_case tuple, for n <= CROSS_CHECK_MAX_N
+    spot: dict = {}  # case -> _table_zero result, for the drawn cases
+    # (size, function, arguments, result dict, key), factors before checks
+    # of the same size so a transform never runs behind a big table build
+    jobs = [(t, _factor_summary, (t, l, cycles), factors, (t, l))
+            for (t, l), cycles in _factor_tasks(todo).items()]
+    jobs += [(case[0], _family_case, (case,), full, case)
+             for case in todo if case[0] <= CROSS_CHECK_MAX_N]
+    jobs += [(case[0], _table_zero, (case,), spot, case) for case in spots]
+    if workers > 1 and len(jobs) > 1:
+        # largest arity first, one task at a time, so the big transforms
+        # spread over the workers and the small tasks fill in behind them
+        jobs.sort(key=lambda job: job[0], reverse=True)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_family_case, todo, chunksize=1))
+            futures = [(sink, key, pool.submit(fn, *args)) for _, fn, args, sink, key in jobs]
+            for sink, key, future in futures:
+                sink[key] = future.result()
     else:
-        results = [_family_case(args) for args in todo]
-    for n, l, e, wt, nl, peak, k_abs, abs_max, zero_value, ms in results:
+        for _, fn, args, sink, key in jobs:
+            sink[key] = fn(*args)
+    uses = Counter(factor_of[case] for case in todo)
+    for case in todo:
+        n, l, e = case
+        key = factor_of[case]
+        factor = factors[key]
+        factored = _factored_case(case, factor)
+        wt, nl, peak, k_abs, abs_max, zero_value = factored
         witnesses = []
         if nl != wt:
             witnesses.append(("weight-vs-nonlinearity", wt, nl))
         if not peak:
             witnesses.append((f"peak:c={k_abs}", zero_value, abs_max))
+        # each factor's time is shared among the cases built on it
+        seconds = factor.seconds / uses[key]
+        if factor.zero != factor.table_zero:
+            witnesses.append((f"route:factor-zero:t={key[0]}", factor.table_zero, factor.zero))
+        if case in full:
+            *fields, ms = full[case][3:]
+            seconds += ms / 1000
+            for name, want, got in zip(_ROUTE_FIELDS, fields, factored):
+                if got is not None and want != got:
+                    witnesses.append((f"route:{name}", want, got))
+        if case in spot:
+            table_zero, spot_s = spot[case]
+            seconds += spot_s
+            if table_zero != zero_value:
+                witnesses.append(("route:popcount-zero", table_zero, zero_value))
         status = "fail" if witnesses else "pass"
-        reports.append(VerificationReport(check_name, {"n": n, "l": l, "e": e}, status, witnesses, ms))
+        reports.append(VerificationReport(check_name, {"n": n, "l": l, "e": e}, status,
+                                          witnesses, int(seconds * 1000)))
     reports.sort(key=lambda r: (r.params["l"], r.params["n"], r.params["e"]))
     return reports
 
@@ -439,6 +604,7 @@ def counterexample_search(
     e_range=None,
     workers: int = 1,
     max_n: int = DEFAULT_MAX_N,
+    seed: int = DEFAULT_SEED,
 ) -> tuple[list[VerificationReport], VerificationReport]:
     """Quadratic sweep where a failing case is the expected finding.
 
@@ -449,7 +615,9 @@ def counterexample_search(
     """
     (lo, hi), e_window = _sweep_window(2, n_range, e_range)
     cases = sweep_cases((max(lo, 2), hi), e_window, l=2)
-    reports = scan_family(cases, workers=workers, max_n=max_n, check_name="counterexample")
+    reports = scan_family(
+        cases, workers=workers, max_n=max_n, check_name="counterexample", seed=seed
+    )
     found = [r for r in reports if r.status == "fail"]
     elapsed = sum(r.elapsed_ms for r in reports)
     if found:
@@ -544,13 +712,16 @@ def _sweep(name: str, degrees, cfg: HarnessConfig, n_range=None, e_range=None):
     reports = []
     for l in degrees:
         cases = sweep_cases(*_sweep_window(l, n_range, e_range), l=l)
-        reports += scan_family(cases, workers=cfg.resolved_workers(), max_n=cfg.max_n, check_name=name)
+        reports += scan_family(
+            cases, workers=cfg.resolved_workers(), max_n=cfg.max_n, check_name=name, seed=cfg.seed
+        )
     return reports
 
 
 def _counterexample(cfg: HarnessConfig, n_range=None, e_range=None) -> list[VerificationReport]:
-    workers = cfg.resolved_workers()
-    reports, summary = counterexample_search(n_range, e_range, workers=workers, max_n=cfg.max_n)
+    reports, summary = counterexample_search(
+        n_range, e_range, workers=cfg.resolved_workers(), max_n=cfg.max_n, seed=cfg.seed
+    )
     return reports + [summary]
 
 

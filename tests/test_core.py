@@ -163,6 +163,9 @@ def test_walsh_at_many_matches_walsh_at(small_tables):
         assert got.tolist() == [walsh_at(tbl, int(c)) for c in masks]
         empty = walsh_at_many(tbl, np.array([], dtype=np.int64))
         assert empty.dtype == np.int64 and empty.shape == (0,)
+    # n <= 2: one packed byte holds the whole table; x0 and x0 x1 by hand
+    assert walsh_at_many(TruthTable(1, 0b10), np.arange(2)).tolist() == [0, 2]
+    assert walsh_at_many(TruthTable(2, 0b1000), np.arange(4)).tolist() == [2, 2, 2, -2]
 
 
 def test_walsh_transform_is_exact_int32_at_full_range():

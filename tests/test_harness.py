@@ -1,20 +1,26 @@
 import logging
+import random
 
+import numpy as np
 import pytest
 
 from rsbf import (
     HarnessConfig,
+    TruthTable,
     check_factorization,
     check_family_identity,
     check_identity_grid,
     check_reference_table,
     counterexample_search,
+    cycle_decompose,
     run_all,
     scan_family,
     sub_function,
     subfn_walsh_top0,
     subfn_walsh_top1,
     sweep_cases,
+    table_from_values,
+    table_values,
     walsh_transform,
 )
 from rsbf import core, harness, recurrences
@@ -142,11 +148,116 @@ def test_factorization_witnesses_keep_order_and_cap(monkeypatch):
 
 
 def test_scan_family_workers_match_serial():
-    cases = sweep_cases((4, 9), None, 4)
-    serial = scan_family(cases, workers=1)
-    pooled = scan_family(cases, workers=2)
     strip = lambda rs: [(r.check, r.params, r.status, r.witnesses) for r in rs]
-    assert strip(serial) == strip(pooled)
+    # the second window crosses the full-route cross-check cap of n = 16
+    for cases in (sweep_cases((4, 9), None, 4), sweep_cases((15, 18), (1, 4), 4)):
+        serial = scan_family(cases, workers=1)
+        pooled = scan_family(cases, workers=2)
+        assert strip(serial) == strip(pooled)
+
+
+def test_factored_cases_match_the_full_route():
+    # every default-window case up to the cross-check cap, l = 2..6, plus
+    # n = 17, 18 at every stride; (6, 4, 3) has three 2-variable cycles, on
+    # each of which the monomials x0 x1 and x1 x0 cancel to 0
+    cases = [
+        case
+        for l in range(2, 7)
+        for case in sweep_cases(*harness._sweep_window(l), l=l)
+        if case[0] <= harness.CROSS_CHECK_MAX_N
+    ]
+    cases += sweep_cases((17, 18), None, 4)
+    assert (6, 4, 3) in cases
+    factors = {
+        key: harness._factor_summary(*key, cycles)
+        for key, cycles in harness._factor_tasks(cases).items()
+    }
+    failing = 0
+    for case in cases:
+        n, l, e = case
+        factor = factors[(cycle_decompose(n, e).t, l)]
+        wt, nl, peak, k_abs, abs_max, zero = harness._factored_case(case, factor)
+        _, _, _, *full, _ = harness._family_case(case)
+        assert [wt, nl, peak, abs_max, zero] == full[:3] + full[4:], case
+        if not peak:
+            failing += 1
+            assert k_abs == full[3], case
+    assert failing > 17  # the e = n parity cases and the quadratic findings
+
+
+def test_factored_route_holds_for_any_factor(monkeypatch):
+    # The factored route reads only the cycle structure, so it must match the
+    # full route for any function on t variables repeated over the cycles.
+    # Random factors put the peak off S(0), give negative extremes, and tie
+    # masks that rank differently under different strides.
+    rng = random.Random(11)
+    factors = {t: TruthTable(t, rng.getrandbits(1 << t)) for t in range(1, 13)}
+
+    def member(spec):
+        dec = cycle_decompose(spec.n, spec.e)
+        g = table_values(factors[dec.t])
+        x = np.arange(1 << spec.n)
+        h = np.zeros(1 << spec.n, dtype=np.uint8)
+        for cycle in dec.cycles:
+            h ^= g[sum(((x >> v) & 1) << j for j, v in enumerate(cycle))]
+        return table_from_values(spec.n, h)
+
+    monkeypatch.setattr(harness, "monomial_rsbf", member)
+    reports = scan_family([(n, 4, e) for n in range(2, 13) for e in range(1, n + 1)])
+    witnesses = [w for r in reports for w in r.witnesses]
+    assert [w for w in witnesses if w[0].startswith("route:")] == []
+    assert sum(w[0].startswith("peak:") for w in witnesses) > 40
+
+
+def test_wrong_factor_fails_cross_checked_case(monkeypatch):
+    right = harness._factor_summary
+
+    def wrong(t, l, placements):
+        factor = right(t, l, placements)
+        if t == 10:
+            return factor._replace(top=factor.top - 2)
+        if t == 9:
+            return factor._replace(zero=factor.zero + 2)
+        return factor
+
+    cases = [(8, 4, 1), (9, 4, 1), (10, 4, 1)]
+    # _family_case gives (n, l, e, weight, nl, peak, k_abs, abs_max, W(0), ms)
+    zero, nl = harness._family_case(cases[1])[8], harness._family_case(cases[2])[4]
+    monkeypatch.setattr(harness, "_factor_summary", wrong)
+    eight, nine, ten = scan_family(cases)
+    assert eight.status == "pass"
+    assert ("route:factor-zero:t=9", zero, zero + 2) in nine.witnesses
+    assert ("route:zero", zero, zero + 2) in nine.witnesses
+    assert ("route:nl", nl, nl + 1) in ten.witnesses
+
+
+def test_seeded_spot_check_catches_wrong_zero_above_cap(monkeypatch):
+    right = harness._factor_summary
+
+    def wrong(t, l, placements):
+        # wrong in a way the factor cannot see: its own popcount agrees
+        factor = right(t, l, placements)
+        return factor._replace(zero=factor.zero + 2, table_zero=factor.table_zero + 2)
+
+    monkeypatch.setattr(harness, "_factor_summary", wrong)
+    cases = sweep_cases((17, 18), (1, 4), 4)
+
+    def spotted(seed):
+        reports = scan_family(cases, seed=seed)
+        assert all(r.status == "fail" for r in reports)
+        return [
+            (r.params["n"], r.params["e"], w)
+            for r in reports
+            for w in r.witnesses
+            if w[0] == "route:popcount-zero"
+        ]
+
+    first = spotted(3)
+    assert [n for n, _, _ in first] == [17, 18]  # one case per arity
+    for n, e, (_, want, got) in first:
+        spec = harness.MonomialRsbfSpec(n, 4, e)
+        assert want == (1 << n) - 2 * harness.weight(harness.monomial_rsbf(spec)) != got
+    assert spotted(3) == first
 
 
 def test_full_stride_cases_fail_and_nothing_else_does():
