@@ -186,14 +186,11 @@ def linear_function(n: int, c: int) -> TruthTable:
     return TruthTable(mask.n, bits)
 
 
-def _packed_bytes(table: TruthTable) -> np.ndarray:
-    # little-endian, so input x is bit x % 8 of byte x // 8
-    return np.frombuffer(table.bits.to_bytes((table.size + 7) // 8, "little"), dtype=np.uint8)
-
-
 def table_values(table: TruthTable) -> np.ndarray:
     """Outputs as a uint8 vector ordered by packed input."""
-    return np.unpackbits(_packed_bytes(table), bitorder="little")[: table.size]
+    # little-endian, so input x is bit x % 8 of byte x // 8
+    raw = np.frombuffer(table.bits.to_bytes((table.size + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, bitorder="little")[: table.size]
 
 
 def table_from_values(n: int, values) -> TruthTable:
@@ -259,9 +256,16 @@ def walsh_transform(table: TruthTable) -> WalshSpectrum:
     return WalshSpectrum(table.n, v)
 
 
-# Direct sums run over blocks of this many (mask, input) pairs, which keeps
-# each temporary at 1 MiB or less.
-_DIRECT_BLOCK = 1 << 18
+# _LOW[b] is the table of x -> b.x over the 64 inputs of one word, for a
+# six-bit mask b: bit x of the word is the parity of b & x.  It is built in
+# NumPy, which leaves no Python-int garbage in the heap at import.
+_SIX_BITS = np.arange(64, dtype=np.uint64)
+_LOW = np.packbits(
+    np.bitwise_count(_SIX_BITS[:, None] & _SIX_BITS) & 1, axis=1, bitorder="little"
+).view("<u8")[:, 0]
+# Direct sums run over blocks of this many (mask, word) pairs, so the uint64
+# work array and the uint64 word indices take 512 KiB each at most.
+_WORD_BLOCK = 1 << 16
 
 
 def walsh_at_many(table: TruthTable, masks) -> np.ndarray:
@@ -269,10 +273,11 @@ def walsh_at_many(table: TruthTable, masks) -> np.ndarray:
     inputs, as an int64 vector.
 
     Deliberately independent of walsh_transform so the butterfly can be
-    checked against it.  Costs O(len(masks) * 2**n).  Beyond the packed
-    table bytes and the answer, it works in blocks of inputs, unpacking one
-    block at a time, whose temporaries stay at about 1 MiB whatever the
-    arity.
+    checked against it; it never calls the transform.  The sum is
+    word-packed: 64 inputs at a time, one XOR and one popcount per
+    (mask, word) pair, so it costs O(len(masks) * 2**n / 64) word
+    operations.  Its working memory is the packed table bytes plus at most
+    1 MiB of block temporaries, beside the per-mask arrays and the answer.
     """
     c = np.asarray(masks)
     if c.ndim != 1:
@@ -283,34 +288,47 @@ def walsh_at_many(table: TruthTable, masks) -> np.ndarray:
             raise TypeError(f"masks must be integers, got {c.dtype}")
         if c.min() < 0 or c.max() >= size:
             raise IndexError(f"masks out of range for n={n}")
-    # Input x carries f(x) in bit n and every mask carries a 1 there, so the
-    # popcount of (x | f(x) << n) & (c | 1 << n) has the parity of f(x) + c.x.
-    # Bit n <= 28 fits uint32.
-    marked_masks = c.astype(np.uint32) | np.uint32(1 << n)
-    raw = _packed_bytes(table)
+    # Word k of the little-endian table holds inputs 64k .. 64k + 63.  At
+    # x = 64k + j, c.x = (c & 63).j + (c >> 6).k, so over word k the linear
+    # function is _LOW[c & 63], complemented when (c >> 6).k is odd.  A
+    # table under one word (n <= 5) has k = 0 only, so no complement, and
+    # its unused high bits are zero, so _LOW is cut to the valid bits.
+    nwords = (size + 63) // 64
+    words = np.frombuffer(table.bits.to_bytes(8 * nwords, "little"), dtype="<u8")
+    c = c.astype(np.uint64)
+    low = _LOW[c & np.uint64(63)] & np.uint64((1 << min(size, 64)) - 1)
+    high = c >> np.uint64(6)
+    # ones counts the inputs where f(x) + c.x is odd: at most 2**n <= 2**28.
+    # One work array and one vector of word indices serve every block.
     ones = np.zeros(c.size, dtype=np.int64)
-    width = min(size, _DIRECT_BLOCK)
-    rows = _DIRECT_BLOCK // width
-    for x0 in range(0, size, width):
-        # a block starts on a byte boundary: x0 is 0 or a multiple of width >= 8
-        f = np.unpackbits(raw[x0 // 8 : (x0 + width + 7) // 8], bitorder="little")[:width]
-        marked = f.astype(np.uint32) << n
-        marked |= np.arange(x0, x0 + width, dtype=np.uint32)
+    width = min(nwords, _WORD_BLOCK)
+    rows = _WORD_BLOCK // width
+    k = np.arange(width, dtype=np.uint64)
+    work = np.empty((min(rows, c.size), width), dtype=np.uint64)
+    for k0 in range(0, nwords, width):
         for r0 in range(0, c.size, rows):
-            odd = np.bitwise_count(marked_masks[r0 : r0 + rows, None] & marked)
-            odd &= 1
-            ones[r0 : r0 + rows] += odd.sum(axis=1, dtype=np.uint32)
+            r1 = min(r0 + rows, c.size)
+            t = work[: r1 - r0]
+            np.bitwise_and(high[r0:r1, None], k, out=t)
+            np.bitwise_count(t, out=t)
+            t &= np.uint64(1)
+            np.negative(t, out=t)  # all ones where the word is complemented
+            t ^= words[k0 : k0 + width]
+            t ^= low[r0:r1, None]
+            np.bitwise_count(t, out=t)
+            ones[r0:r1] += t.view(np.int64).sum(axis=1)  # counts 0..64
+        k += np.uint64(width)
     return size - 2 * ones
 
 
 def walsh_at(table: TruthTable, mask) -> int:
     """One Walsh coefficient by direct summation over all inputs; see
-    walsh_at_many."""
+    walsh_at_many, which raises IndexError for a mask out of range."""
     if isinstance(mask, LinearMask) and mask.n != table.n:
         raise ValueError(f"arity mismatch: {mask.n} vs {table.n}")
-    c = operator.index(mask)
-    if not 0 <= c < table.size:
-        raise IndexError(f"mask {c} out of range for n={table.n}")
+    # clamped into -1 .. 2**n, a mask out of range stays out of range but
+    # fits int64, however large the Python int
+    c = max(-1, min(operator.index(mask), table.size))
     return int(walsh_at_many(table, [c])[0])
 
 

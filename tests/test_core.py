@@ -155,21 +155,57 @@ def test_walsh_at_validates_mask():
         walsh_at_many(tbl, [0.5])
 
 
-def test_walsh_at_many_matches_walsh_at(small_tables):
+def _pure_python_walsh(tbl, masks):
+    # W(c) = sum over x of (-1)**(f(x) + c.x), one input at a time
+    values = [evaluate(tbl, x) for x in range(tbl.size)]
+    return [sum(1 - 2 * ((v + (c & x).bit_count()) & 1) for x, v in enumerate(values)) for c in masks]
+
+
+def test_walsh_at_many_matches_pure_python_sum(small_tables):
     for tbl in small_tables:
-        masks = np.arange(tbl.size)[:: max(1, tbl.size // 64)]
-        got = walsh_at_many(tbl, masks)
-        assert got.dtype == np.int64
-        assert got.tolist() == [walsh_at(tbl, int(c)) for c in masks]
         empty = walsh_at_many(tbl, np.array([], dtype=np.int64))
         assert empty.dtype == np.int64 and empty.shape == (0,)
+        if tbl.n > 8:
+            continue
+        got = walsh_at_many(tbl, np.arange(tbl.size))
+        assert got.dtype == np.int64
+        assert got.tolist() == _pure_python_walsh(tbl, range(tbl.size))
+    # word edges: n <= 5 is under one 64-input word, n = 6 fills it, n = 7
+    # takes two; all-ones tables show any input counted past the table's end
+    rng = random.Random(64)
+    for n in range(1, 8):
+        for tbl in (TruthTable(n, rng.getrandbits(1 << n)), constant_table(n, 1)):
+            assert walsh_at_many(tbl, np.arange(1 << n)).tolist() == _pure_python_walsh(tbl, range(1 << n))
+    # n = 12: masks on both sides of the low six bits, and high bits only
+    n = 12
+    masks = [0, 63, 64, (1 << n) - 1, (1 << n) - 64]
+    for tbl in (TruthTable(n, rng.getrandbits(1 << n)), monomial_rsbf(MonomialRsbfSpec(n, 4, 1))):
+        assert walsh_at_many(tbl, masks).tolist() == _pure_python_walsh(tbl, masks)
     # n <= 2: one packed byte holds the whole table; x0 and x0 x1 by hand
     assert walsh_at_many(TruthTable(1, 0b10), np.arange(2)).tolist() == [0, 2]
     assert walsh_at_many(TruthTable(2, 0b1000), np.arange(4)).tolist() == [2, 2, 2, -2]
 
 
+def test_walsh_at_many_spans_word_blocks():
+    # At n = 23 the 2**17 words take two blocks of word indices.  The
+    # reference is W(c) = 2**n - 2 * distance(f, c.x), a big-int popcount.
+    # Masks with bit 22 set complement every word of the second block.
+    n = 23
+    rng = random.Random(n)
+    masks = [0, 1, 63, 64, (1 << 22) - 1, 1 << 22, (1 << 22) | 0b101, (1 << n) - 64, (1 << n) - 1]
+    for tbl in (TruthTable(n, rng.getrandbits(1 << n)), linear_function(n, (1 << 22) | 0b101)):
+        expected = [tbl.size - 2 * distance(tbl, linear_function(n, c)) for c in masks]
+        assert walsh_at_many(tbl, masks).tolist() == expected
+
+
+def test_walsh_at_rejects_any_int_out_of_range():
+    tbl = constant_table(4, 0)
+    for mask in (1 << 64, 1 << 70, -(1 << 70)):
+        with pytest.raises(IndexError):
+            walsh_at(tbl, mask)
+
+
 def test_walsh_transform_is_exact_int32_at_full_range():
-    # at n = 20 walsh_at_many also runs its input loop over several blocks
     n = 20
     for tbl, c, value in (
         (constant_table(n, 0), 0, 1 << n),
@@ -221,6 +257,27 @@ def test_walsh_transform_working_memory():
         tracemalloc.stop()
     assert spectrum.values.nbytes == 4 * size
     assert peak < 4 * size + size + size // 8 + (1 << 20) + (64 << 10)
+
+
+def test_walsh_at_many_working_memory():
+    # NumPy reports its buffers to tracemalloc.  The oracle may hold the
+    # packed table bytes (1/8 byte an input), its block temporaries (1 MiB:
+    # a uint64 work array and uint64 word indices of 2**16 entries each) and
+    # the int64 answer, plus 64 KiB of slack for small objects and the
+    # per-mask arrays (8 bytes a mask each).  A whole-table unpack (4 MiB at
+    # n = 22) or a second copy of the packed table (512 KiB) does not fit.
+    n = 22
+    rng = random.Random(n)
+    tbl = TruthTable(n, rng.getrandbits(1 << n))
+    masks = np.array(rng.sample(range(1 << n), 256), dtype=np.int64)
+    tracemalloc.start()
+    try:
+        got = walsh_at_many(tbl, masks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.nbytes == 8 * 256
+    assert peak < (1 << n) // 8 + (1 << 20) + got.nbytes + (64 << 10)
 
 
 def test_spectrum_getitem_range():
