@@ -5,6 +5,9 @@ the output at input x.  An input packs the assignment (x_0, ..., x_{n-1}) as
 sum x_i * 2**i, so x_0 is always the least significant bit.  Coefficient
 masks of linear functions use the same packing.
 
+Tables are built from their monomials on uint64 words (``anf_table``), and
+the butterfly reads the packed bytes directly, with no unpacked table.
+
 All spectral values are exact integers; nothing in this module produces a
 float.
 """
@@ -13,7 +16,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -31,6 +33,7 @@ __all__ = [
     "evaluate",
     "weight",
     "distance",
+    "anf_table",
     "variable_table",
     "constant_table",
     "monomial_table",
@@ -131,25 +134,48 @@ def distance(f: TruthTable, g: TruthTable) -> int:
     return (f.bits ^ _same_arity(f, g).bits).bit_count()
 
 
-@lru_cache(maxsize=None)
-def _variable_bits(n: int, v: int) -> int:
-    # table of x -> x_v: the block 0^(2^v) 1^(2^v), doubled up to 2^n bits
-    block = 1 << v
-    pattern = ((1 << block) - 1) << block
-    span = block << 1
-    size = 1 << n
-    while span < size:
-        pattern |= pattern << span
-        span <<= 1
-    return pattern
+# _LOW[b] is the table of x -> b.x over the 64 inputs of one word, for a
+# six-bit mask b: bit x of the word is the parity of b & x.  It is built in
+# NumPy, which leaves no Python-int garbage in the heap at import.
+_SIX_BITS = np.arange(64, dtype=np.uint64)
+_LOW = np.packbits(
+    np.bitwise_count(_SIX_BITS[:, None] & _SIX_BITS) & 1, axis=1, bitorder="little"
+).view("<u8")[:, 0]
+
+
+def anf_table(n: int, monomials) -> TruthTable:
+    """XOR of ``monomials``, each an iterable of variable indices.
+
+    Repeated indices collapse (x * x = x), equal monomials cancel in pairs,
+    and the empty monomial is the constant 1.  The table is built on the
+    2**(n-6) little-endian uint64 words of the packed bits (one word, cut
+    to the 2**n valid bits, when n < 6), one NumPy op per monomial, so its
+    working memory is the words, their bytes and the packed int.
+    """
+    _check_arity(n)
+    # Word k holds inputs 64k .. 64k + 63, so a variable v >= 6 is bit v - 6
+    # of k: axis n - 1 - v of the (2,) * (n - 6) cube of words.  A variable
+    # v < 6 varies inside each word, where x_v is the parity of (1 << v) & x.
+    words = np.zeros(1 << max(n - 6, 0), dtype="<u8")
+    cube = words.reshape((2,) * max(n - 6, 0))
+    valid = np.uint64((1 << min(1 << n, 64)) - 1)
+    for monomial in monomials:
+        word = valid
+        where = [slice(None)] * cube.ndim
+        for v in monomial:
+            if not 0 <= v < n:
+                raise ValueError(f"variable index {v} out of range for n={n}")
+            if v < 6:
+                word &= _LOW[1 << v]
+            else:
+                where[n - 1 - v] = 1
+        cube[tuple(where)] ^= word
+    return TruthTable(n, int.from_bytes(words.tobytes(), "little"))
 
 
 def variable_table(n: int, v: int) -> TruthTable:
     """Truth table of the projection x -> x_v."""
-    _check_arity(n)
-    if not 0 <= v < n:
-        raise ValueError(f"variable index {v} out of range for n={n}")
-    return TruthTable(n, _variable_bits(n, v))
+    return anf_table(n, [(v,)])
 
 
 def constant_table(n: int, value: int) -> TruthTable:
@@ -165,25 +191,13 @@ def monomial_table(n: int, indices) -> TruthTable:
 
     Repeated indices collapse (x * x = x); the empty product is constant 1.
     """
-    _check_arity(n)
-    bits = (1 << (1 << n)) - 1
-    for v in set(indices):
-        if not 0 <= v < n:
-            raise ValueError(f"variable index {v} out of range for n={n}")
-        bits &= _variable_bits(n, v)
-    return TruthTable(n, bits)
+    return anf_table(n, [indices])
 
 
 def linear_function(n: int, c: int) -> TruthTable:
     """Truth table of x -> c.x for the given coefficient mask."""
     mask = c if isinstance(c, LinearMask) else LinearMask(n, c)
-    bits = 0
-    c = mask.c
-    while c:
-        v = (c & -c).bit_length() - 1
-        bits ^= _variable_bits(mask.n, v)
-        c &= c - 1
-    return TruthTable(mask.n, bits)
+    return anf_table(mask.n, [(v,) for v in range(mask.n) if mask.c >> v & 1])
 
 
 def table_values(table: TruthTable) -> np.ndarray:
@@ -204,13 +218,16 @@ def table_from_values(n: int, values) -> TruthTable:
 
 
 # The butterfly's low stages pair runs of only 1, 2, 4, ... entries, which
-# NumPy handles in short strided loops.  So the spectrum is viewed as rows of
-# _TILE_WIDTH entries, and up to _TILE_ROWS rows at a time are copied
-# transposed into one int32 tile; there stage half pairs contiguous runs of
-# half * rows entries.  The tile, 2**12 * 64 * 4 bytes = 1 MiB at most and
-# 4 * 2**n bytes for n <= 12, is the only memory the tiling adds to the
-# spectrum and the unpacked table, and it is small enough to stay in cache
-# while its stages run.
+# NumPy handles in short strided loops.  So the first three stages come
+# from _BYTE_SPECTRA, one 8-entry row per table byte, and the spectrum is
+# viewed as rows of _TILE_WIDTH entries, up to _TILE_ROWS rows at a time
+# copied transposed into one int32 tile; there stage half pairs contiguous
+# runs of half * rows entries.  The tile, 2**12 * 64 * 4 bytes = 1 MiB at
+# most and 4 * 2**n bytes for n <= 12, and one block's byte indices cast
+# to intp, 2**12 * 64 / 8 * 8 bytes = 256 KiB at most, are all the memory
+# the transform adds to the spectrum and the packed table bytes; there is
+# no unpacked table, and the tile is small enough to stay in cache while
+# its stages run.
 _TILE_WIDTH = 1 << 12
 _TILE_ROWS = 64
 
@@ -227,42 +244,57 @@ def _stages(v: np.ndarray, half: int, stop: int) -> None:
         half <<= 1
 
 
+# _BYTE_SPECTRA[b] is the spectrum of the byte b read as a table of three
+# variables, input x at bit x: the first three butterfly stages run on the
+# (-1)**bit rows of all 256 bytes.  It is built by the butterfly alone and
+# shares nothing with the direct oracle.
+_BYTE_SPECTRA = np.arange(256, dtype=np.int32)[:, None] >> np.arange(8, dtype=np.int32)
+_BYTE_SPECTRA = 1 - 2 * (_BYTE_SPECTRA & 1)
+_stages(_BYTE_SPECTRA.reshape(-1), 1, 8)
+
+
 def walsh_transform(table: TruthTable) -> WalshSpectrum:
     """Full spectrum by the in-place butterfly, O(n * 2**n) int32 ops.
 
-    Stages below _TILE_WIDTH run on transposed tiles of the (rows, width)
-    view, the rest on the whole array (Bailey's four-step layout); the
-    stages commute, so the order does not change the result.
+    The packed table bytes are read once: each byte's 8-entry spectrum is
+    looked up in _BYTE_SPECTRA, a tile block at a time, so no unpacked
+    table is ever made.  The remaining stages below _TILE_WIDTH run on
+    transposed tiles of the (rows, width) view, the rest on the whole array
+    (Bailey's four-step layout); the stages commute, so the order does not
+    change the result.
 
     int32 is exact: after stage k every entry is a signed count of 2**k
     inputs, so no value, final or partial, exceeds 2**n <= 2**HARD_MAX_N
     = 2**28 < 2**31 in magnitude.
     """
-    v = table_values(table).astype(np.int32)
-    v *= -2
-    v += 1  # (-1)**f(x)
-    size = v.shape[0]
-    width = min(size, _TILE_WIDTH)
+    size = table.size
+    # A table under one byte (n <= 2) is repeated across it; the byte's
+    # spectrum at c < 2**n is then reps times the table's own, exactly.
+    reps = 8 // min(size, 8)
+    bits = table.bits if reps == 1 else table.bits * (0xFF // ((1 << size) - 1))
+    raw = np.frombuffer(bits.to_bytes(size * reps // 8, "little"), dtype=np.uint8)
+    v = np.empty(size * reps, dtype=np.int32)
+    width = min(v.shape[0], _TILE_WIDTH)
     grid = v.reshape(-1, width)
     tile = np.empty(width * min(grid.shape[0], _TILE_ROWS), dtype=np.int32)
+    row_bytes = width // 8
     for r0 in range(0, grid.shape[0], _TILE_ROWS):
         block = grid[r0 : r0 + _TILE_ROWS]
         rows = block.shape[0]
+        # mode="clip" lets take write straight into the block; the default
+        # "raise" buffers out, a second spectrum
+        byte_rows = raw[r0 * row_bytes : (r0 + rows) * row_bytes]
+        np.take(_BYTE_SPECTRA, byte_rows, axis=0, out=block.reshape(-1, 8), mode="clip")
         t = tile[: width * rows]
         t.reshape(width, rows)[...] = block.T
-        _stages(t, rows, width * rows)
+        _stages(t, 8 * rows, width * rows)
         block[...] = t.reshape(width, rows).T
-    _stages(v, width, size)
+    _stages(v, width, v.shape[0])
+    if reps > 1:
+        v = v[:size] // reps
     return WalshSpectrum(table.n, v)
 
 
-# _LOW[b] is the table of x -> b.x over the 64 inputs of one word, for a
-# six-bit mask b: bit x of the word is the parity of b & x.  It is built in
-# NumPy, which leaves no Python-int garbage in the heap at import.
-_SIX_BITS = np.arange(64, dtype=np.uint64)
-_LOW = np.packbits(
-    np.bitwise_count(_SIX_BITS[:, None] & _SIX_BITS) & 1, axis=1, bitorder="little"
-).view("<u8")[:, 0]
 # Direct sums run over blocks of this many (mask, word) pairs, so the uint64
 # work array and the uint64 word indices take 512 KiB each at most.
 _WORD_BLOCK = 1 << 16

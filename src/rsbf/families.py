@@ -11,13 +11,7 @@ from math import gcd
 
 import numpy as np
 
-from .core import (
-    TruthTable,
-    _check_arity,
-    constant_table,
-    monomial_table,
-    walsh_transform,
-)
+from .core import TruthTable, _check_arity, anf_table, walsh_transform
 
 __all__ = [
     "MonomialRsbfSpec",
@@ -81,16 +75,25 @@ class CycleDecomposition:
     cycles: tuple[tuple[int, ...], ...]
 
 
+def _chain(n: int) -> list:
+    return [range(i, i + 4) for i in range(n - 3)]
+
+
+def _tail(first: int, last: int, count: int) -> list:
+    return [range(first + r, last + 1) for r in range(count)]
+
+
+# the head corrections of variant j are the first j of these
+_HEADS = ((0, 1, 2), (0, 1), (0,))
+
+
 @lru_cache(maxsize=None)
 def quartic_chain(n: int) -> TruthTable:
     """XOR of the n-3 windows x_i x_{i+1} x_{i+2} x_{i+3}, no wraparound."""
     _check_arity(n)
     if n < 4:
         raise ValueError(f"chain needs at least 4 variables, got {n}")
-    acc = constant_table(n, 0)
-    for i in range(n - 3):
-        acc ^= monomial_table(n, (i, i + 1, i + 2, i + 3))
-    return acc
+    return anf_table(n, _chain(n))
 
 
 def tail_products(first: int, last: int, count: int, n: int) -> TruthTable:
@@ -104,24 +107,14 @@ def tail_products(first: int, last: int, count: int, n: int) -> TruthTable:
         raise ValueError(f"window {first}..{last} out of range for n={n}")
     if not 0 <= count <= last - first + 1:
         raise ValueError(f"term count {count} exceeds window {first}..{last}")
-    acc = constant_table(n, 0)
-    for r in range(count):
-        acc ^= monomial_table(n, range(first + r, last + 1))
-    return acc
+    return anf_table(n, _tail(first, last, count))
 
 
 @lru_cache(maxsize=None)
 def sub_function(i: int, j: int, n: int) -> TruthTable:
     """The chain plus the (i, j)-indexed tail and head corrections."""
     SubFunctionId(i, j, n)  # range checks
-    acc = quartic_chain(n) ^ tail_products(n - 3, n - 1, i, n)
-    if j >= 1:
-        acc ^= monomial_table(n, (0, 1, 2))
-    if j >= 2:
-        acc ^= monomial_table(n, (0, 1))
-    if j >= 3:
-        acc ^= monomial_table(n, (0,))
-    return acc
+    return anf_table(n, _chain(n) + _tail(n - 3, n - 1, i) + list(_HEADS[:j]))
 
 
 def monomial_rsbf(spec: MonomialRsbfSpec) -> TruthTable:
@@ -130,10 +123,8 @@ def monomial_rsbf(spec: MonomialRsbfSpec) -> TruthTable:
     Repeated indices inside one monomial collapse (x * x = x); identical
     monomials then cancel in pairs under XOR.
     """
-    acc = constant_table(spec.n, 0)
-    for i in range(spec.n):
-        acc ^= monomial_table(spec.n, ((i + k * spec.e) % spec.n for k in range(spec.l)))
-    return acc
+    n, l, e = spec.n, spec.l, spec.e
+    return anf_table(n, [[(i + k * e) % n for k in range(l)] for i in range(n)])
 
 
 def rotate_input(x: int, n: int, shift: int) -> int:

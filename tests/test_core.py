@@ -12,6 +12,7 @@ from rsbf import (
     MonomialRsbfSpec,
     TruthTable,
     WalshSpectrum,
+    anf_table,
     constant_table,
     distance,
     evaluate,
@@ -74,6 +75,54 @@ def test_monomial_table_is_product():
     # repeats collapse, empty product is the constant one
     assert monomial_table(4, [1, 1, 1]) == variable_table(4, 1)
     assert monomial_table(3, []) == constant_table(3, 1)
+
+
+def _anf_bits(n, monomials):
+    # the XOR of monomial products at every input, packed bit x = input x
+    bits = 0
+    for x in range(1 << n):
+        value = 0
+        for monomial in monomials:
+            value ^= all((x >> v) & 1 for v in monomial)
+        bits |= value << x
+    return bits
+
+
+def test_anf_table_matches_pure_python_evaluation():
+    rng = random.Random(6)
+    for n in range(1, 11):
+        for _ in range(8):
+            monomials = [
+                [rng.randrange(n) for _ in range(rng.randint(0, min(n, 6)))]
+                for _ in range(rng.randint(0, 10))
+            ]
+            if monomials and rng.random() < 0.5:
+                monomials.append(monomials[rng.randrange(len(monomials))])  # cancels
+            assert anf_table(n, monomials).bits == _anf_bits(n, monomials)
+    # n <= 5 is under one 64-input word, n = 6 fills it, n = 7 takes two;
+    # repeated indices, a repeated monomial, the empty monomial and the
+    # empty list at each
+    for n in range(1, 8):
+        everything = list(range(n))
+        for monomials in (
+            [],
+            [[]],
+            [[], []],
+            [everything],
+            [[v] for v in everything],
+            [[n - 1, n - 1, 0], [0]],
+            [everything, [], everything[::-1]],
+        ):
+            assert anf_table(n, monomials).bits == _anf_bits(n, monomials)
+    # variables on both sides of v = 6, in one monomial and apart
+    n = 10
+    for monomials in ([[2, 7]], [[5, 6, 9], [0, 8], [6], [3]], [[9, 0, 9, 0], [6, 5, 4, 3, 2, 1]]):
+        assert anf_table(n, monomials).bits == _anf_bits(n, monomials)
+    assert anf_table(3, [[]]) == constant_table(3, 1)
+    assert anf_table(8, [[1, 7], [7, 1, 1]]) == constant_table(8, 0)
+    for bad in (n, -1):
+        with pytest.raises(ValueError):
+            anf_table(n, [[0], [bad]])
 
 
 def test_linear_function_is_mask_parity():
@@ -161,6 +210,15 @@ def _pure_python_walsh(tbl, masks):
     return [sum(1 - 2 * ((v + (c & x).bit_count()) & 1) for x, v in enumerate(values)) for c in masks]
 
 
+def test_walsh_transform_matches_pure_python_sum_on_every_small_table():
+    # every function of n = 1, 2 (under one packed byte) and n = 3 (one byte)
+    for n in (1, 2, 3):
+        masks = range(1 << n)
+        for bits in range(1 << (1 << n)):
+            tbl = TruthTable(n, bits)
+            assert walsh_transform(tbl).values.tolist() == _pure_python_walsh(tbl, masks)
+
+
 def test_walsh_at_many_matches_pure_python_sum(small_tables):
     for tbl in small_tables:
         empty = walsh_at_many(tbl, np.array([], dtype=np.int64))
@@ -242,10 +300,13 @@ def test_tiled_transform_matches_direct_summation(n):
 
 def test_walsh_transform_working_memory():
     # NumPy reports its buffers to tracemalloc.  The transform may hold the
-    # int32 spectrum (4 bytes an input), the unpacked table (1 byte), the
-    # packed bytes (1/8 byte) and one tile of at most 1 MiB, plus 64 KiB of
-    # slack for small objects; a second full-size buffer, such as a
-    # whole-array transpose (4 MiB at n = 20), does not fit.
+    # int32 spectrum (4 bytes an input), the packed bytes (1/8 byte), one
+    # tile of at most 1 MiB and one block's byte indices cast to intp
+    # (2**15 of them, 256 KiB), plus 64 KiB of slack for small objects.
+    # Measured at n = 20: 1.376 MiB above the spectrum, against 1.4375 MiB
+    # allowed.  An unpacked table or an unblocked take's indices (1 MiB
+    # each at n = 20), or take buffering its out (a second spectrum, 4 MiB)
+    # does not fit.
     n = 20
     tbl = TruthTable(n, random.Random(n).getrandbits(1 << n))
     size = 1 << n
@@ -256,7 +317,7 @@ def test_walsh_transform_working_memory():
     finally:
         tracemalloc.stop()
     assert spectrum.values.nbytes == 4 * size
-    assert peak < 4 * size + size + size // 8 + (1 << 20) + (64 << 10)
+    assert peak < 4 * size + size // 8 + (1 << 20) + (256 << 10) + (64 << 10)
 
 
 def test_walsh_at_many_working_memory():
@@ -278,6 +339,23 @@ def test_walsh_at_many_working_memory():
         tracemalloc.stop()
     assert got.nbytes == 8 * 256
     assert peak < (1 << n) // 8 + (1 << 20) + got.nbytes + (64 << 10)
+
+
+def test_monomial_rsbf_build_working_memory():
+    # NumPy reports its buffers to tracemalloc.  A build may hold the uint64
+    # words of the table, their bytes and the packed int (1/8 byte an input
+    # each), plus 128 KiB of slack for small objects.  Measured at n = 22:
+    # 1,610,133 B against 1,703,936 B allowed.  A 2**n-bit pattern of one
+    # variable (512 KiB at n = 22) held beside the words does not fit.
+    n = 22
+    tracemalloc.start()
+    try:
+        tbl = monomial_rsbf(MonomialRsbfSpec(n, 4, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tbl.n == n
+    assert peak < 3 * (1 << n) // 8 + (128 << 10)
 
 
 def test_spectrum_getitem_range():

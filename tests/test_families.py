@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -135,6 +136,23 @@ def test_family_matches_reference_evaluator():
                 tbl = monomial_rsbf(MonomialRsbfSpec(n, l, e))
                 for x in range(1 << n):
                     assert evaluate(tbl, x) == _eval_family(n, l, e, x)
+
+
+def test_large_builders_match_reference_evaluator():
+    # n = 13..20 put variables far above the six that vary inside one
+    # uint64 word; 256 seeded inputs per table
+    rng = random.Random(1320)
+    for n in range(13, 21):
+        xs = [rng.getrandbits(n) for _ in range(256)]
+        chain = quartic_chain(n)
+        assert [evaluate(chain, x) for x in xs] == [_eval_chain(n, x) for x in xs]
+        for i in range(4):
+            for j in range(4):
+                tbl = sub_function(i, j, n)
+                assert [evaluate(tbl, x) for x in xs] == [_eval_subfn(i, j, n, x) for x in xs]
+        for l, e in ((4, 1), (4, 2), (4, 3), (3, 5), (5, n - 1)):
+            tbl = monomial_rsbf(MonomialRsbfSpec(n, l, e))
+            assert [evaluate(tbl, x) for x in xs] == [_eval_family(n, l, e, x) for x in xs]
 
 
 def test_family_spec_validation():
