@@ -190,59 +190,149 @@ def _full_spectrum_guard(n: int, out: str | None, force: bool) -> None:
         )
 
 
-# Full dumps are rendered this many rows at a time, so the whole text never
-# exists at once; one block's byte matrix is a few MiB.
-_BLOCK_ROWS = 1 << 16
+# Full dumps are rendered and written this many rows at a time, so the whole
+# text never exists at once.  A block holds its byte matrix and keep mask (a
+# byte a column each), 24 bytes a row of integer scratch, its output and the
+# compaction's index of at most _COMPACT_BYTES entries: about 0.7 MiB for a
+# JSON dump and 1.25 MiB for text --bits at n = 20.  Blocks of 2**13 rows
+# render as fast as 2**14 or 2**15 (measured) in less memory.
+_BLOCK_ROWS = 1 << 13
+_COMPACT_BYTES = 1 << 15
 
 
-def _decimal_columns(x):
-    """Decimal text of integers, one per row of a uint8 matrix: a sign
-    column ('-' or 0), then the digits right-aligned behind 0 bytes."""
+def _group_tables():
+    """ASCII text of every four-digit group, as one uint32 word per group.
+
+    Rows 0..9999 keep a group's leading zeros (it has digits above it);
+    rows 10000..19999 are the top group of a number, with its leading zeros
+    as 0 bytes.  The first table is for the units group, whose top group 0 is
+    "0"; in the second an empty top group is four 0 bytes.
+    """
     import numpy as np
 
-    # spectra and masks stay within 2**HARD_MAX_N, so abs cannot overflow
-    # and uint32 holds every magnitude
-    rest = np.abs(x).astype(np.uint32, copy=False)
-    width = len(str(int(rest.max())))
-    m = np.zeros((x.size, width + 1), dtype=np.uint8)
-    m[x < 0, 0] = ord("-")
-    m[:, width] = rest % 10 + ord("0")
-    for col in range(width - 1, 0, -1):
-        rest //= 10
-        digit = (rest % 10).astype(np.uint8)
-        digit += ord("0")
-        digit *= rest != 0  # leading zeros become padding
-        m[:, col] = digit
-    return m
+    digits = np.arange(ord("0"), ord("0") + 10, dtype=np.uint8)
+    text = np.empty((2, 10, 10, 10, 10, 4), dtype=np.uint8)
+    for k in range(4):
+        text[..., k] = digits.reshape([10 if j == k else 1 for j in range(4)])
+    top = text[1]
+    top[0, ..., 0] = 0
+    top[0, 0, ..., 1] = 0
+    top[0, 0, 0, :, 2] = 0
+    units = text.view(np.uint32).reshape(-1)
+    upper = units.copy()
+    upper[10000] = 0
+    return units, upper
+
+
+def _block_renderer(values, fmt: str, n: int, bits: bool):
+    """A function that returns the bytes of the rows from ``start`` on, up
+    to ``_BLOCK_ROWS`` of them, as a list of uint8 arrays.
+
+    A block is one uint8 matrix of mask, separator, sign, value and line-end
+    columns, numbers right-aligned behind 0 bytes that the compaction drops.
+    The matrix, its keep mask and the integer scratch vectors are allocated
+    here, once, with the constant columns filled in, so a block allocates
+    only its output.
+    """
+    import numpy as np
+
+    if fmt == "json":
+        mask_cols, sep, end = 0, b"", b","
+    else:
+        mask_cols = n if bits else 4 * -(-len(str(values.size - 1)) // 4)
+        sep, end = (b",", b"\r\n") if fmt == "csv" else (b" ", b"\n")
+    sign = mask_cols + len(sep)
+    # the widest number, read with no |W| copy of the spectrum
+    peak = max(int(values.max()), -int(values.min()))
+    value_cols = 4 * -(-len(str(peak)) // 4)
+    cols = sign + 1 + value_cols + len(end)
+    rows = min(_BLOCK_ROWS, values.size)
+    m = np.zeros((rows, cols), dtype=np.uint8)
+    m[:, mask_cols:sign] = np.frombuffer(sep, dtype=np.uint8)
+    m[:, cols - len(end) :] = np.frombuffer(end, dtype=np.uint8)
+    keep = np.empty(rows * cols, dtype=bool)
+    mag, quo, word = (np.empty(rows, dtype=np.uint32) for _ in range(3))
+    idx = np.empty(rows, dtype=np.intp)
+    offsets = np.arange(rows, dtype=np.uint32)
+    tables = _group_tables()
+
+    def groups(first: int, width: int) -> list:
+        """uint32 views of a field's 4-column groups, units group first."""
+        starts = range(first + width - 4, first - 1, -4)
+        return [m[:, c : c + 4].view(np.uint32)[:, 0] for c in starts]
+
+    value_groups = groups(sign + 1, value_cols)
+    mask_groups = groups(0, mask_cols) if fmt != "json" and not bits else []
+
+    def decimal(r, field: list) -> None:
+        """Write the uint32 magnitudes ``r`` (changed) right-aligned into
+        ``field``, the groups of one field."""
+        q, i, w = quo[: r.size], idx[: r.size], word[: r.size]
+        for g, group in enumerate(field):
+            np.floor_divide(r, 10000, out=q)
+            np.multiply(q, 10000, out=i)
+            np.maximum(i, 10000, out=i)
+            # the group's value, less 10000 in a number's top group:
+            # mode="wrap" reads those from the tables' second half
+            np.subtract(r, i, out=i)
+            np.take(tables[g > 0], i, out=w, mode="wrap")
+            group[: r.size] = w
+            r, q = q, r
+
+    def render(start: int) -> list:
+        block = values[start : start + rows]
+        size = block.size
+        r = mag[:size]
+        if fmt != "json":
+            np.add(offsets[:size], start, out=r)  # the masks
+            if bits:
+                q = quo[:size]
+                for k in range(n):
+                    np.right_shift(r, k, out=q)
+                    np.bitwise_and(q, 1, out=q)
+                    np.add(q, ord("0"), out=m[:size, k], casting="unsafe")
+            else:
+                decimal(r, mask_groups)
+        minus = keep[:size]  # scratch until the keep mask is made
+        np.less(block, 0, out=minus)
+        np.multiply(minus.view(np.uint8), ord("-"), out=m[:size, sign])
+        # |W| <= 2**HARD_MAX_N, so abs cannot overflow and uint32 holds it
+        np.abs(block, out=r.view(np.int32))
+        decimal(r, value_groups)
+        flat = m[:size].reshape(-1)
+        kept = keep[: flat.size]
+        np.not_equal(flat, 0, out=kept)
+        if fmt == "json" and start + size == values.size:
+            kept[-1] = False  # the last comma; "]}" follows it
+        # np.compress holds an intp index of the bytes it keeps, 8 bytes
+        # each, so it goes over the block _COMPACT_BYTES at a time
+        return [
+            np.compress(kept[k : k + _COMPACT_BYTES], flat[k : k + _COMPACT_BYTES])
+            for k in range(0, flat.size, _COMPACT_BYTES)
+        ]
+
+    return render
 
 
 def _render_spectrum(record: dict, values, fmt: str, n: int, bits: bool, out: str | None) -> None:
     """Write a full spectrum to the file ``out``, or to stdout when None.
 
-    Rows go out in blocks.  A block is one uint8 matrix of mask, separator,
-    value and line-end columns, padded with 0 bytes that the write drops, so
-    the bytes equal per-row ``str`` formatting: JSON rows ``v,`` (the last
-    comma becomes ``]}``), CSV rows ``c,v`` ending in ``\\r\\n`` as the csv
+    Rows are rendered and written ``_BLOCK_ROWS`` at a time.  The bytes
+    equal per-row ``str`` formatting: JSON rows ``v,`` (the last comma
+    becomes ``]}``), CSV rows ``c,v`` ending in ``\\r\\n`` as the csv
     module writes them, text rows ``c v``.
     """
     import contextlib
 
-    import numpy as np
-
     if fmt == "json":
         head = _record_json(record)[:-1] + ',"values":['
-        sep, end = None, b","
     elif fmt == "csv":
         head = "mask,value\r\n"
-        sep, end = b",", b"\r\n"
     else:
         head = " ".join(f"{k}={v}" for k, v in record.items()) + "\n"
         if record.get("degenerate"):
             head += "note: degenerate (n < l), indices wrap onto repeats\n"
-        sep, end = b" ", b"\n"
-
-    def constant(text: bytes, rows: int):
-        return np.broadcast_to(np.frombuffer(text, dtype=np.uint8), (rows, len(text)))
+    render = _block_renderer(values, fmt, n, bits)
 
     if out is not None:
         sink = open(out, "wb")
@@ -251,23 +341,10 @@ def _render_spectrum(record: dict, values, fmt: str, n: int, bits: bool, out: st
     with sink as fh:
         fh.write(head.encode("ascii"))
         for start in range(0, values.size, _BLOCK_ROWS):
-            block = values[start : start + _BLOCK_ROWS]
-            rows = block.size
-            columns = [_decimal_columns(block), constant(end, rows)]
-            if sep is not None:
-                masks = np.arange(start, start + rows, dtype=np.uint32)
-                if bits:
-                    shifts = np.arange(n, dtype=np.uint32)
-                    mask_text = ((masks[:, None] >> shifts) & 1).astype(np.uint8)
-                    mask_text += ord("0")
-                else:
-                    mask_text = _decimal_columns(masks)
-                columns[:0] = [mask_text, constant(sep, rows)]
-            m = np.concatenate(columns, axis=1)
-            data = m[m != 0].tobytes()
-            if fmt == "json" and start + rows == values.size:
-                data = data[:-1] + b"]}\n"
-            fh.write(data)
+            for piece in render(start):
+                fh.write(piece)
+        if fmt == "json":
+            fh.write(b"]}\n")
         fh.flush()
 
 
@@ -372,7 +449,7 @@ def _readers(key: str) -> str:
 @click.option("--e-range", envvar="RSBF_E_RANGE", type=RANGE, default=None,
               help=f"Stride window A..B, for {_readers('e_range')}.")
 @click.option("--workers", envvar="RSBF_WORKERS", type=click.IntRange(0), default=0,
-              show_default=True, help="Process pool size; 0 means one per CPU.")
+              show_default=True, help="Process pool size; 0 means one per usable CPU.")
 @click.option("--max-n", envvar="RSBF_MAX_N", type=click.IntRange(1, HARD_MAX_N),
               default=DEFAULT_MAX_N, show_default=True,
               help="Skip cases above this arity.")

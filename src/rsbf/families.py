@@ -87,7 +87,6 @@ def _tail(first: int, last: int, count: int) -> list:
 _HEADS = ((0, 1, 2), (0, 1), (0,))
 
 
-@lru_cache(maxsize=None)
 def quartic_chain(n: int) -> TruthTable:
     """XOR of the n-3 windows x_i x_{i+1} x_{i+2} x_{i+3}, no wraparound."""
     _check_arity(n)

@@ -673,7 +673,7 @@ class HarnessConfig:
     for run_all."""
 
     max_n: int = DEFAULT_MAX_N
-    workers: int = 0  # 0 means one per CPU
+    workers: int = 0  # 0 means one per usable CPU
     seed: int = DEFAULT_SEED
     table1_path: str | None = None
     table2_path: str | None = None
@@ -685,7 +685,16 @@ class HarnessConfig:
             raise ValueError("workers cannot be negative")
 
     def resolved_workers(self) -> int:
-        return self.workers or (os.cpu_count() or 1)
+        return self.workers or usable_cpus()
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask (taskset, cpusets)
+    where the platform reports one, else the machine's CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 # Suite runners, name -> runner(config, **windows), in run order.  A

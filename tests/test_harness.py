@@ -25,6 +25,7 @@ from rsbf import (
 )
 from rsbf import core, harness, recurrences
 from rsbf.goldens import load_reference_table
+from rsbf.harness import usable_cpus
 
 
 def test_reference_tables_pass():
@@ -316,6 +317,19 @@ def test_config_validation():
     with pytest.raises(ValueError):
         HarnessConfig(workers=-1)
     assert HarnessConfig(workers=0).resolved_workers() >= 1
+
+
+def test_usable_cpus_follow_the_affinity_mask(monkeypatch):
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+    assert usable_cpus() == 1
+    assert HarnessConfig(workers=0).resolved_workers() == 1
+    assert HarnessConfig(workers=3).resolved_workers() == 3
+    # platforms without the affinity call fall back to the CPU count
+    monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+    assert usable_cpus() == 8
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+    assert usable_cpus() == 1
 
 
 def test_run_all_subset_is_deterministic():
