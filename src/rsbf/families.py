@@ -148,7 +148,9 @@ def cycle_decompose(n: int, e: int) -> CycleDecomposition:
     return CycleDecomposition(n, e, s, t, cycles)
 
 
-@lru_cache(maxsize=None)
+# one entry: the factor suite reads each (t, l) twice in a row, and a
+# stride-1 spectrum at t = 28 is 1 GiB, too much to keep for the process
+@lru_cache(maxsize=1)
 def _aligned_spectrum(t: int, l: int):
     return walsh_transform(monomial_rsbf(MonomialRsbfSpec(t, l, 1)))
 

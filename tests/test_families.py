@@ -22,6 +22,7 @@ from rsbf import (
     walsh_at,
     walsh_at_many,
 )
+from rsbf import families
 
 
 def _bits(x, n):
@@ -232,6 +233,16 @@ def test_factored_walsh_array_form_matches_scalar_and_direct():
         factored_walsh(spec, np.array([0, -1]))
     with pytest.raises(TypeError):
         factored_walsh(spec, np.array([0.5]))
+
+
+def test_aligned_spectrum_cache_keeps_one_factor():
+    families._aligned_spectrum.cache_clear()
+    for n, l, e in [(10, 4, 2), (12, 3, 3), (10, 4, 2)]:
+        spec = MonomialRsbfSpec(n, l, e)
+        masks = np.arange(1 << n)
+        got = factored_walsh(spec, masks)
+        assert families._aligned_spectrum.cache_info().currsize <= 1
+        assert got.tolist() == walsh_at_many(monomial_rsbf(spec), masks).tolist()
 
 
 def test_factored_walsh_other_degrees():
