@@ -18,8 +18,9 @@ import click
 from .core import (
     DEFAULT_MAX_N,
     HARD_MAX_N,
-    spectrum_argmax,
+    SpectrumPeaks,
     walsh_at,
+    walsh_blocks,
     walsh_transform,
     weight,
 )
@@ -145,8 +146,8 @@ def analyze(n, l, e, fmt, out, max_n, bits):
     """Weight, nonlinearity, and spectral peaks of one family member."""
     spec = _family_spec(n, l, e, max_n)
     tbl = monomial_rsbf(spec)
-    spectrum = walsh_transform(tbl)
-    mask_signed, value_signed, mask_abs, value_abs = spectrum_argmax(spectrum)
+    peaks = SpectrumPeaks.of(n, walsh_blocks(tbl))
+    mask_signed, value_signed, mask_abs, value_abs = peaks.argmax()
     wt = weight(tbl)
     nl = (tbl.size - value_signed) // 2
     record = {
@@ -156,13 +157,13 @@ def analyze(n, l, e, fmt, out, max_n, bits):
         "degenerate": spec.degenerate,
         "weight": wt,
         "nonlinearity": nl,
-        "walsh_at_zero": spectrum[0],
+        "walsh_at_zero": peaks.zero,
         "max_walsh": value_signed,
         "max_walsh_mask": _mask_text(int(mask_signed), n, bits) if bits else int(mask_signed),
         "max_abs_walsh": value_abs,
         "max_abs_walsh_mask": _mask_text(int(mask_abs), n, bits) if bits else int(mask_abs),
         "nonlinearity_equals_weight": nl == wt,
-        "peak_at_zero": value_abs <= spectrum[0],
+        "peak_at_zero": value_abs <= peaks.zero,
     }
     lines = [f"family member: n={n} l={l} e={e}"]
     if spec.degenerate:

@@ -109,7 +109,9 @@ def tail_products(first: int, last: int, count: int, n: int) -> TruthTable:
     return anf_table(n, _tail(first, last, count))
 
 
-@lru_cache(maxsize=None)
+# check-all fills 208 entries (n <= 16); the bound keeps a library caller's
+# sweep over many arities from growing the cache for the life of the process
+@lru_cache(maxsize=256)
 def sub_function(i: int, j: int, n: int) -> TruthTable:
     """The chain plus the (i, j)-indexed tail and head corrections."""
     SubFunctionId(i, j, n)  # range checks

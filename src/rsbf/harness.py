@@ -28,9 +28,11 @@ from . import goldens
 from .core import (
     DEFAULT_MAX_N,
     HARD_MAX_N,
+    SpectrumPeaks,
     spectrum_argmax,
     walsh_at,
     walsh_at_many,
+    walsh_blocks,
     walsh_transform,
     weight,
 )
@@ -101,7 +103,8 @@ SWEEP_WINDOWS = {
 # sweep cases up to this arity are also run through the full transform and
 # compared field by field with the factored route
 CROSS_CHECK_MAX_N = 16
-# a sweep factor's tied peak masks are searched this many coefficients at a time
+# a sweep factor's tied peak masks and squares are taken this many
+# coefficients at a time
 _TIE_BLOCK = 1 << 16
 
 
@@ -417,6 +420,8 @@ class _Factor(NamedTuple):
     table_zero: int  # 2**t - 2 * weight of the factor's own table
     top: int  # max S
     bottom: int  # min S
+    power: int  # sum of S(c)**2, 4**t by Parseval's relation
+    direct: tuple  # S at the lowest masks of top and bottom, by direct sums
     # placement -> the mask with |S| = peak that places lowest under it; None
     # when the peak is S(0), since then no case on this factor fails its
     # peak check and none reads a tie
@@ -436,31 +441,50 @@ def _place(m, cycle: tuple[int, ...]):
 
 def _factor_summary(t: int, l: int, placements) -> _Factor:
     """One transform of the stride-1 degree-l function on t variables,
-    reduced to what the sweep cases built on it read.
+    reduced block by block to what the sweep cases built on it read.
 
-    ``placements`` are the first cycles of those cases.  Tied masks are
-    searched a block at a time, so no full-size temporary sits beside the
-    spectrum, and the spectrum is gone when the task returns.
+    ``placements`` are the first cycles of those cases.  The spectrum is
+    read as walsh_blocks yields it, so above its blocking threshold no full
+    int32 spectrum is made; tied masks and squares are taken _TIE_BLOCK
+    coefficients at a time, so no full-size temporary sits beside a block.
+    For each placement the lowest placed tie of the running peak is kept,
+    and dropped when a later block holds a larger peak.  The direct oracle
+    then sums the factor's own table at the signed argmax and argmin.
     """
     t0 = time.perf_counter()
     tbl = monomial_rsbf(MonomialRsbfSpec(t, l, 1))
-    values = walsh_transform(tbl).values
-    zero, top, bottom = int(values[0]), int(values.max()), int(values.min())
-    peak = max(top, -bottom)
-    lowest_ties = None
-    if peak != zero:
-        found: dict = {cycle: [] for cycle in placements}  # (placed, mask) per block
-        for x0 in range(0, values.size, _TIE_BLOCK):
-            block = values[x0 : x0 + _TIE_BLOCK]
-            ties = np.flatnonzero((block == peak) | (block == -peak)) + x0
+    peaks = SpectrumPeaks(t)
+    # A right spectrum's squares sum to 4**t <= 2**56, so no partial sum
+    # wraps int64.  One wrong coefficient (|S| < 2**31) moves the sum by a
+    # nonzero amount under 2**62 in magnitude, never a multiple of 2**64,
+    # so it cannot wrap back onto 4**t either.
+    power = 0
+    peak = -1
+    best: dict = {}  # placement -> (placed, mask) of the running peak's lowest tie
+    for offset, block in walsh_blocks(tbl):
+        block_peak = peaks.add(offset, block)
+        if block_peak > peak:
+            peak, best = block_peak, {}
+        # ties are searched only off S(0): when S(0) is the peak no case on
+        # this factor fails its peak check, and none reads a tie
+        search = block_peak == peak and peak != peaks.zero
+        for x0 in range(0, block.size, _TIE_BLOCK):
+            sub = block[x0 : x0 + _TIE_BLOCK]
+            wide = sub.astype(np.int64)
+            power += int(np.dot(wide, wide))
+            if not search:
+                continue
+            ties = np.flatnonzero((sub == peak) | (sub == -peak)) + (offset + x0)
             if ties.size:
-                for cycle, best in found.items():
+                for cycle in placements:
                     placed = _place(ties, cycle)
                     k = int(np.argmin(placed))
-                    best.append((int(placed[k]), int(ties[k])))
-        lowest_ties = {cycle: min(best)[1] for cycle, best in found.items()}
-    return _Factor(zero, tbl.size - 2 * weight(tbl), top, bottom, lowest_ties,
-                   time.perf_counter() - t0)
+                    found = (int(placed[k]), int(ties[k]))
+                    best[cycle] = min(best.get(cycle, found), found)
+    lowest_ties = None if peak == peaks.zero else {cycle: best[cycle][1] for cycle in placements}
+    direct = walsh_at_many(tbl, [peaks.k_top, peaks.k_bottom]).tolist()
+    return _Factor(peaks.zero, tbl.size - 2 * weight(tbl), peaks.top, peaks.bottom, power,
+                   tuple(direct), lowest_ties, time.perf_counter() - t0)
 
 
 def _factored_case(case: tuple[int, int, int], factor: _Factor) -> tuple:
@@ -525,10 +549,12 @@ def scan_family(
 
     A case passes when nonlinearity equals weight and no coefficient
     magnitude beats the zero-mask value.  Every case is built from its
-    stride-1 cycle factor, transformed once per distinct (t, l).  Three
+    stride-1 cycle factor, transformed once per distinct (t, l).  These
     independent checks back that route, and a disagreement in any of them
     fails the case with a ``route:`` witness: each factor's S(0) against
-    the popcount of its own table; every case with n <= CROSS_CHECK_MAX_N
+    the popcount of its own table; each factor's sum of squares against
+    4**t (Parseval); each factor's signed max and min against direct sums
+    of its own table at their masks; every case with n <= CROSS_CHECK_MAX_N
     against its full transform, field by field; and, for each arity above
     that, one case drawn from ``seed`` whose W(0) is checked against the
     popcount of its own stride-e table.  Results come back sorted by
@@ -582,8 +608,14 @@ def scan_family(
             witnesses.append((f"peak:c={k_abs}", zero_value, abs_max))
         # each factor's time is shared among the cases built on it
         seconds = factor.seconds / uses[key]
+        t = key[0]
         if factor.zero != factor.table_zero:
-            witnesses.append((f"route:factor-zero:t={key[0]}", factor.table_zero, factor.zero))
+            witnesses.append((f"route:factor-zero:t={t}", factor.table_zero, factor.zero))
+        if factor.power != 4**t:
+            witnesses.append((f"route:parseval:t={t}", 4**t, factor.power))
+        for want, got in zip(factor.direct, (factor.top, factor.bottom)):
+            if want != got:
+                witnesses.append((f"route:direct:t={t}", want, got))
         if case in full:
             *fields, ms = full[case][3:]
             seconds += ms / 1000

@@ -16,8 +16,10 @@ from rsbf import (
     RunResult,
     VerificationReport,
     monomial_rsbf,
+    spectrum_argmax,
     sub_function,
     walsh_transform,
+    weight,
 )
 from rsbf.cli import main
 
@@ -56,6 +58,46 @@ def test_analyze_csv_single_row(runner):
     lines = result.output.strip().splitlines()
     assert lines[0].startswith("n,l,e,degenerate,weight,nonlinearity")
     assert len(lines) == 2
+
+
+@pytest.mark.parametrize("l, e", [(4, 1), (2, 1), (3, 7)])
+def test_analyze_reads_blocks_into_the_same_record(runner, l, e):
+    # n = 21 is read in 8 blocks; the record must be the one the full
+    # spectrum gives.  At l = 2, S(0) = 0 and +M (mask 1) ties -M (mask 7).
+    n = 21
+    tbl = monomial_rsbf(MonomialRsbfSpec(n, l, e))
+    spectrum = walsh_transform(tbl)
+    mask_s, value_s, mask_a, value_a = spectrum_argmax(spectrum)
+    nl = (tbl.size - value_s) // 2
+    want = {
+        "n": n, "l": l, "e": e, "degenerate": False, "weight": weight(tbl), "nonlinearity": nl,
+        "walsh_at_zero": spectrum[0], "max_walsh": value_s, "max_walsh_mask": int(mask_s),
+        "max_abs_walsh": value_a, "max_abs_walsh_mask": int(mask_a),
+        "nonlinearity_equals_weight": nl == weight(tbl), "peak_at_zero": value_a <= spectrum[0],
+    }
+    argv = ["analyze", "--n", str(n), "--l", str(l), "--e", str(e), "--format", "json"]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 0
+    assert result.output == json.dumps(want, separators=(",", ":")) + "\n"
+
+
+def test_analyze_working_memory(runner):
+    # NumPy reports its buffers to tracemalloc.  analyze --n 22 may hold
+    # the int8 store (1 byte a mask), the table's words, bytes and packed
+    # int (1/8 byte a mask each), one int32 block and one tile (1 MiB
+    # each), plus 256 KiB of slack.  Measured: 6,969,118 B against
+    # 8,126,464 B allowed; a full int32 spectrum (16 MiB) does not fit.
+    n = 22
+    runner.invoke(main, ["analyze", "--n", "8"])  # first-call imports and caches
+    tracemalloc.start()
+    try:
+        result = runner.invoke(main, ["analyze", "--n", str(n), "--format", "json"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert json.loads(result.output)["nonlinearity_equals_weight"] is True
+    size = 1 << n
+    assert peak < size + 3 * size // 8 + (2 << 20) + (256 << 10)
 
 
 def test_spectrum_small_degenerate(runner):

@@ -10,6 +10,7 @@ from rsbf import (
     HARD_MAX_N,
     LinearMask,
     MonomialRsbfSpec,
+    SpectrumPeaks,
     TruthTable,
     WalshSpectrum,
     anf_table,
@@ -26,9 +27,11 @@ from rsbf import (
     variable_table,
     walsh_at,
     walsh_at_many,
+    walsh_blocks,
     walsh_transform,
     weight,
 )
+from rsbf import core
 
 
 def test_truth_table_validation():
@@ -320,6 +323,71 @@ def test_walsh_transform_working_memory():
     assert peak < 4 * size + size // 8 + (1 << 20) + (256 << 10) + (64 << 10)
 
 
+def _read_blocks(blocks):
+    """(offsets, copies of the blocks) of one walsh_blocks stream; a block
+    is only valid until the next is yielded, so each is copied."""
+    offsets, parts = [], []
+    for offset, block in blocks:
+        assert block.dtype == np.int32
+        offsets.append(offset)
+        parts.append(block.copy())
+    return offsets, parts
+
+
+@pytest.mark.parametrize("n", range(1, 23))
+def test_walsh_blocks_concatenate_to_the_transform(n):
+    # The public route, and the int8 route at every depth k it can take
+    # here: k = n - 18 is 0, 1, 2 at n = 18, 19, 20, and k = min(6, n)
+    # makes 2**k blocks of 1 .. 2**(n - 6) entries.
+    rng = random.Random(n)
+    member = monomial_rsbf(MonomialRsbfSpec(n, 4, 1 + n % 3))
+    depths = sorted({0, 1, min(core._INT8_STAGES, n), min(core._INT8_STAGES, max(0, n - 18))})
+    for tbl in (TruthTable(n, rng.getrandbits(1 << n)), member):
+        full = walsh_transform(tbl).values
+        counts = []
+        for blocks in [walsh_blocks(tbl)] + [core._blocks(tbl, k) for k in depths]:
+            offsets, parts = _read_blocks(blocks)
+            span = parts[0].size
+            assert offsets == list(range(0, 1 << n, span))
+            assert {part.size for part in parts} == {span}
+            assert np.array_equal(np.concatenate(parts), full)
+            counts.append(len(parts))
+        # one block up to the threshold, blocks of 2**18 masks above it
+        assert counts[0] == (1 if n <= core._BLOCKED_ABOVE else 1 << (n - 18))
+        assert counts[1:] == [1 << k for k in depths]
+        assert nonlinearity(tbl) == (tbl.size - int(full.max())) // 2
+
+
+def test_walsh_blocks_at_n24_against_direct_sums_and_parseval():
+    # No full spectrum is made here: the blocks are read one at a time, the
+    # values at seeded masks kept, and the squares summed.  The int8 store
+    # (2**24 B), one block and one tile (1 MiB each) and this test's int64
+    # copies of a block (2 MiB, two while one replaces the other) fit in
+    # the bound with 1.25 MiB to spare; a full int32 spectrum (64 MiB) does
+    # not.  Measured: 23.07 MB against 24.38 MB allowed.
+    n = 24
+    rng = random.Random(n)
+    tbl = monomial_rsbf(MonomialRsbfSpec(n, 4, 1))
+    span = 1 << 18
+    masks = sorted({0, span - 1, span, (1 << n) - 1} | set(rng.sample(range(1 << n), 60)))
+    got = {}
+    power = 0
+    tracemalloc.start()
+    try:
+        for offset, block in walsh_blocks(tbl):
+            assert block.size == span
+            got.update((c, int(block[c - offset])) for c in masks if offset <= c < offset + span)
+            wide = block.astype(np.int64)
+            power += int(np.dot(wide, wide))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert power == 4**n
+    assert [got[c] for c in masks] == walsh_at_many(tbl, masks).tolist()
+    assert got[0] == tbl.size - 2 * weight(tbl)
+    assert peak < (1 << n) + 2 * (4 * span) + 2 * (8 * span) + (1280 << 10)
+
+
 def test_walsh_at_many_working_memory():
     # NumPy reports its buffers to tracemalloc.  The oracle may hold the
     # packed table bytes (1/8 byte an input), its block temporaries (1 MiB:
@@ -403,6 +471,42 @@ def test_spectrum_argmax_matches_abs_argmax(values):
     k = int(np.argmax(np.abs(v)))
     assert (int(mask_a), value_a) == (k, int(abs(v[k])))
     assert (int(mask_s), value_s) == (int(np.argmax(v)), int(v.max()))
+
+
+def test_spectrum_peaks_keep_the_lowest_mask_across_blocks():
+    # +M and -M in different blocks, in both orders, and ties of the
+    # signed max or min in later blocks, which must not replace the first
+    M = 9
+    streams = [
+        [[1, 0, -M, 2], [M, 0, 3, -M]],  # -M first: abs argmax is mask 2
+        [[1, M, 0, 2], [-M, 0, 3, M]],  # +M first: abs argmax is mask 1
+        [[1, -M, 0], [M], [0, -M, M, 0]],  # uneven blocks
+        [[-M, 0], [M, M], [-M, -M], [0, 1]],
+    ]
+    for stream in streams:
+        values = np.array([v for block in stream for v in block], dtype=np.int32)
+        blocks, offset = [], 0
+        for block in stream:
+            blocks.append((offset, np.array(block, dtype=np.int32)))
+            offset += len(block)
+        peaks = SpectrumPeaks.of(3, blocks)
+        want = spectrum_argmax(WalshSpectrum(3, values))
+        got = peaks.argmax()
+        assert [int(x) for x in got] == [int(x) for x in want], stream
+        assert peaks.zero == int(values[0])
+        assert (peaks.k_top, peaks.k_bottom) == (int(np.argmax(values)), int(np.argmin(values)))
+
+
+@given(data=st.data())
+def test_spectrum_peaks_match_spectrum_argmax_random(data):
+    n = data.draw(st.integers(1, 6))
+    values = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=1 << n, max_size=1 << n)),
+                      dtype=np.int32)
+    cuts = sorted(data.draw(st.sets(st.integers(1, (1 << n) - 1), max_size=4)))
+    bounds = [0, *cuts, 1 << n]
+    blocks = [(a, values[a:b]) for a, b in zip(bounds, bounds[1:])]
+    got = SpectrumPeaks.of(n, blocks).argmax()
+    assert [int(x) for x in got] == [int(x) for x in spectrum_argmax(WalshSpectrum(n, values))]
 
 
 @given(data=st.data())

@@ -245,6 +245,12 @@ def test_aligned_spectrum_cache_keeps_one_factor():
         assert got.tolist() == walsh_at_many(monomial_rsbf(spec), masks).tolist()
 
 
+def test_sub_function_cache_is_bounded():
+    # check-all fills 208 entries (n <= 16), which must all stay
+    maxsize = families.sub_function.cache_info().maxsize
+    assert maxsize is not None and maxsize >= 208
+
+
 def test_factored_walsh_other_degrees():
     for n, l, e in [(6, 3, 2), (8, 3, 2), (6, 2, 2)]:
         spec = MonomialRsbfSpec(n, l, e)

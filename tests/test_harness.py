@@ -1,5 +1,6 @@
 import logging
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -259,6 +260,150 @@ def test_seeded_spot_check_catches_wrong_zero_above_cap(monkeypatch):
         spec = harness.MonomialRsbfSpec(n, 4, e)
         assert want == (1 << n) - 2 * harness.weight(harness.monomial_rsbf(spec)) != got
     assert spotted(3) == first
+
+
+def _full_reduction(t, l, placements):
+    """What _factor_summary must report, from the whole int32 spectrum."""
+    tbl = harness.monomial_rsbf(harness.MonomialRsbfSpec(t, l, 1))
+    values = walsh_transform(tbl).values
+    wide = values.astype(np.int64)
+    top, bottom = int(values.max()), int(values.min())
+    peak = max(top, -bottom)
+    lowest_ties = None
+    if peak != values[0]:
+        ties = np.flatnonzero(np.abs(wide) == peak)
+        lowest_ties = {cycle: int(ties[np.argmin(harness._place(ties, cycle))])
+                       for cycle in placements}
+    return (int(values[0]), tbl.size - 2 * harness.weight(tbl), top, bottom, int(np.dot(wide, wide)),
+            (top, bottom), lowest_ties)
+
+
+@pytest.mark.parametrize("small_blocks", [False, True])
+@pytest.mark.parametrize("l", range(2, 7))
+def test_factor_summary_matches_full_spectrum_reduction(monkeypatch, l, small_blocks):
+    # t = 17..21: one block up to the blocking threshold and 8 blocks at
+    # t = 21; with small blocks (2**14 masks from t = 17), every t runs
+    # blocked, 8 to 64 blocks.  l = 2 has S(0) = 0 and its peak (1024 at
+    # t = 19) tied at a quarter of the masks, in every block.
+    if small_blocks:
+        monkeypatch.setattr(core, "_BLOCK_BITS", 14)
+        monkeypatch.setattr(core, "_BLOCKED_ABOVE", 16)
+    for t in range(17, 22):
+        # first cycles as strides place them: spread s apart, and reversed
+        placements = tuple(tuple(s * (u * j % t) for j in range(t))
+                           for s, u in ((1, 1), (3, 1), (1, t - 1)))
+        got = harness._factor_summary(t, l, placements)
+        assert tuple(got[:-1]) == _full_reduction(t, l, placements), (t, l)
+        assert got.power == 4**t
+    if l == 2:
+        assert harness._factor_summary(19, 2, (tuple(range(19)),))[:4] == (0, 0, 1024, -1024)
+
+
+def test_factor_summary_ties_follow_the_running_peak(monkeypatch):
+    # Synthetic spectra of t = 5 in 4 blocks with values in -3..3, half of
+    # them with a first block in -2..2: the peak then often first shows in
+    # a later block, where the ties kept so far must be dropped, and ties
+    # fall in several blocks.
+    t = 5
+    placements = (tuple(range(t)), (0, 3, 1, 4, 2), (4, 3, 2, 1, 0))
+    rng = np.random.default_rng(5)
+    monkeypatch.setattr(harness, "monomial_rsbf", lambda spec: TruthTable(t, 0))
+    grew = 0
+    for i in range(200):
+        values = rng.integers(-3, 4, 1 << t).astype(np.int32)
+        if i % 2:
+            values[:8] = np.clip(values[:8], -2, 2)
+        monkeypatch.setattr(harness, "walsh_blocks",
+                            lambda table: ((x, values[x : x + 8]) for x in range(0, 1 << t, 8)))
+        factor = harness._factor_summary(t, 4, placements)
+        peak = int(np.abs(values).max())
+        grew += peak > np.abs(values[:8]).max()
+        assert (factor.zero, factor.top, factor.bottom) == (values[0], values.max(), values.min())
+        if peak == values[0]:
+            assert factor.lowest_ties is None
+            continue
+        ties = np.flatnonzero(np.abs(values) == peak)
+        assert factor.lowest_ties == {
+            cycle: int(ties[np.argmin(harness._place(ties, cycle))]) for cycle in placements
+        }
+    assert grew > 50
+
+
+def test_factor_summary_working_memory():
+    # NumPy reports its buffers to tracemalloc.  At t = 22 the blocked
+    # route may hold the int8 store (1 byte a mask), the packed table, its
+    # bytes while they unpack and the words of its build (1/8 byte a mask
+    # each, not all at once), one int32 block and one tile (1 MiB each) and
+    # the int64 squares of one tie block (512 KiB), plus 256 KiB of slack.
+    # Measured: 7,906,336 B against 8,126,464 B allowed, under the 16 MiB
+    # of a full int32 spectrum, which does not fit.
+    t = 22
+    placements = (tuple(range(t)),)
+    tracemalloc.start()
+    try:
+        factor = harness._factor_summary(t, 4, placements)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert factor.power == 4**t
+    size = 1 << t
+    assert peak < size + 2 * size // 8 + (2 << 20) + (512 << 10) + (256 << 10) < 4 * size
+
+
+def _blocks_then(mutate):
+    """walsh_blocks with mutate(list of block copies) run on its output."""
+    right = core.walsh_blocks
+
+    def wrong(table):
+        blocks = [(offset, block.copy()) for offset, block in right(table)]
+        mutate(blocks)
+        return iter(blocks)
+
+    return wrong
+
+
+def test_parseval_fails_a_factor_with_one_wrong_coefficient(monkeypatch):
+    # one coefficient moved by 2 in the last block of the t = 21 factor:
+    # Parseval's sum moves by 4 v + 4, and every case on it fails
+    case = (21, 4, 1)
+    mask = (1 << 21) - 5
+
+    def flip(blocks):
+        offset, block = blocks[-1]
+        block[mask - offset] += 2
+
+    value = int(walsh_transform(harness.monomial_rsbf(harness.MonomialRsbfSpec(*case[:1], 4, 1)))
+                .values[mask])
+    assert scan_family([case])[0].status == "pass"
+    monkeypatch.setattr(harness, "walsh_blocks", _blocks_then(flip))
+    (report,) = scan_family([case])
+    assert report.status == "fail"
+    assert ("route:parseval:t=21", 4**21, 4**21 + 4 * value + 4) in report.witnesses
+
+
+def test_direct_sums_fail_a_factor_with_blocks_out_of_place(monkeypatch):
+    # A random t = 21 factor, whose signed max lies outside block 0, with
+    # that block swapped with its neighbour: every value, so S(0) and
+    # Parseval's sum, stays, but the max is reported at a mask where the
+    # direct oracle disagrees.
+    t = 21
+    factor = TruthTable(t, random.Random(t).getrandbits(1 << t))
+    monkeypatch.setattr(harness, "monomial_rsbf", lambda spec: factor)
+    route = lambda report: [w for w in report.witnesses if w[0].startswith("route:")]
+    assert route(scan_family([(t, 4, 1)])[0]) == []
+    values = walsh_transform(factor).values
+    b = int(np.argmax(values)) >> 18
+    other = b + 1 if b + 1 < 8 else b - 1
+    assert 0 not in (b, other)
+
+    def swap(blocks):
+        (x, u), (y, v) = blocks[b], blocks[other]
+        blocks[b], blocks[other] = (x, v), (y, u)
+
+    monkeypatch.setattr(harness, "walsh_blocks", _blocks_then(swap))
+    (report,) = scan_family([(t, 4, 1)])
+    assert [w[0] for w in route(report)] == ["route:direct:t=21"]
+    assert route(report)[0][2] == int(values.max())
 
 
 def test_full_stride_cases_fail_and_nothing_else_does():
