@@ -450,7 +450,9 @@ def _readers(key: str) -> str:
 @click.option("--e-range", envvar="RSBF_E_RANGE", type=RANGE, default=None,
               help=f"Stride window A..B, for {_readers('e_range')}.")
 @click.option("--workers", envvar="RSBF_WORKERS", type=click.IntRange(0), default=0,
-              show_default=True, help="Process pool size; 0 means one per usable CPU.")
+              show_default=True,
+              help="Process pool size: check all spreads whole suites over it, one sweep "
+                   "suite its factor jobs; 1 runs in process, 0 means one per usable CPU.")
 @click.option("--max-n", envvar="RSBF_MAX_N", type=click.IntRange(1, HARD_MAX_N),
               default=DEFAULT_MAX_N, show_default=True,
               help="Skip cases above this arity.")

@@ -1,6 +1,10 @@
 import logging
+import multiprocessing
+import pickle
 import random
+import time
 import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -484,6 +488,94 @@ def test_run_all_subset_is_deterministic():
     assert strip(first.reports) == strip(second.reports)
     assert first.exit_code == 0
     assert [table.name for table in first.tables] == ["table1", "table2"]
+
+
+def _without_elapsed(reports):
+    return [(r.check, r.params, r.status, r.witnesses) for r in reports]
+
+
+def test_check_all_pooled_equals_in_process():
+    serial = run_all(HarnessConfig(max_n=10, workers=1))
+    pooled = run_all(HarnessConfig(max_n=10, workers=2))
+    assert _without_elapsed(pooled.reports) == _without_elapsed(serial.reports)
+    assert pooled.tables == serial.tables
+    assert pooled.exit_code == serial.exit_code == 1
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records the size asked for and
+    runs each task at submit, in this process; ``lag`` delays every
+    result, as a parent waiting on a busy pool would see it."""
+
+    def __init__(self, sizes: list, lag: float = 0.0):
+        self.sizes, self.lag = sizes, lag
+
+    def __call__(self, max_workers):
+        self.sizes.append(max_workers)
+        return self
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        lag, plain = self.lag, future.result
+        future.result = lambda: time.sleep(lag) or plain()
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+def test_pools_are_capped_at_their_task_count(monkeypatch):
+    sizes: list = []
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _InlinePool(sizes))
+    cases = sweep_cases((4, 6), (1, 2), 4)
+    reports = scan_family(cases, workers=10**6)
+    # one job per distinct factor plus one full-route job per case (n <= 16)
+    assert sizes == [len(harness._factor_tasks(cases)) + len(cases)]
+    assert _without_elapsed(reports) == _without_elapsed(scan_family(cases, workers=1))
+    sizes.clear()
+    chosen = ["table2", "bound", "theorem"]
+    result = run_all(HarnessConfig(max_n=8, workers=10**6), only=chosen)
+    # one pool of one process per suite; the theorem sweep inside its task
+    # runs in process, so no second pool opens
+    assert sizes == [3]
+    serial = run_all(HarnessConfig(max_n=8, workers=1), only=chosen)
+    assert _without_elapsed(result.reports) == _without_elapsed(serial.reports)
+
+
+def test_suite_log_time_is_the_suites_own(monkeypatch, caplog):
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _InlinePool([], lag=0.25))
+    with caplog.at_level(logging.INFO, logger="rsbf.harness"):
+        run_all(HarnessConfig(workers=2), only=["table2", "eq26"])
+    times = {}
+    for record in caplog.records:
+        if record.getMessage().startswith("suite "):
+            name, ms = record.args
+            times[name] = ms
+    # each suite runs in a few ms; the parent's 250 ms waits are not counted
+    assert set(times) == {"table2", "eq26"}
+    assert all(ms < 200 for ms in times.values())
+
+
+def test_pooled_suite_failure_reaches_the_caller(tmp_path):
+    missing = str(tmp_path / "no-such-table.csv")
+    errors = []
+    for workers in (1, 2):
+        cfg = HarnessConfig(workers=workers, table1_path=missing)
+        with pytest.raises(OSError) as caught:
+            run_all(cfg, only=["table1", "table2"])
+        errors.append((type(caught.value), str(caught.value)))
+    assert errors[0] == errors[1]
+    assert errors[0][0] is FileNotFoundError
+    assert multiprocessing.active_children() == []
+
+
+def test_suite_tasks_are_picklable():
+    assert sorted(harness.LONGEST_FIRST) == sorted(harness.SUITES)
+    cfg = HarnessConfig(max_n=10, workers=1)
+    for name in harness.SUITES:
+        task = (harness._run_suite, name, cfg, {})
+        assert pickle.loads(pickle.dumps(task)) == task
 
 
 def test_quadratic_findings_do_not_gate_run_all():
