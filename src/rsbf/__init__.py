@@ -16,16 +16,8 @@ from .core import (
     TruthTable,
     WalshSpectrum,
     anf_table,
-    constant_table,
-    distance,
-    evaluate,
-    linear_function,
-    monomial_table,
     nonlinearity,
     spectrum_argmax,
-    table_from_values,
-    table_values,
-    variable_table,
     walsh_at,
     walsh_at_many,
     walsh_blocks,
@@ -40,9 +32,7 @@ from .families import (
     factored_walsh,
     monomial_rsbf,
     quartic_chain,
-    rotate_input,
     sub_function,
-    tail_products,
 )
 from .harness import (
     SUITES,
@@ -66,13 +56,12 @@ from .recurrences import (
     family_walsh_via_subfns,
     family_zero_recurrence,
     family_zero_value,
-    peak_at_zero,
     spectral_bound_check,
     subfn_walsh_top0,
     subfn_walsh_top1,
     subfn_zero_recurrence,
 )
-from .report import TableArtifact, VerificationReport, all_ok, write_jsonl
+from .report import TableArtifact, VerificationReport, write_jsonl
 from .transfer import family_walsh_transfer, subfn_zero_transfer, transfer_matrix
 
 __version__ = "0.1.0"
@@ -85,16 +74,8 @@ __all__ = [
     "TruthTable",
     "WalshSpectrum",
     "anf_table",
-    "constant_table",
-    "distance",
-    "evaluate",
-    "linear_function",
-    "monomial_table",
     "nonlinearity",
     "spectrum_argmax",
-    "table_from_values",
-    "table_values",
-    "variable_table",
     "walsh_at",
     "walsh_at_many",
     "walsh_blocks",
@@ -107,22 +88,18 @@ __all__ = [
     "factored_walsh",
     "monomial_rsbf",
     "quartic_chain",
-    "rotate_input",
     "sub_function",
-    "tail_products",
     "MissingBaseEntry",
     "SpectralBaseTable",
     "family_walsh_via_subfns",
     "family_zero_recurrence",
     "family_zero_value",
-    "peak_at_zero",
     "spectral_bound_check",
     "subfn_walsh_top0",
     "subfn_walsh_top1",
     "subfn_zero_recurrence",
     "TableArtifact",
     "VerificationReport",
-    "all_ok",
     "write_jsonl",
     "family_walsh_transfer",
     "subfn_zero_transfer",

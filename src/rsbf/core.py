@@ -30,16 +30,8 @@ __all__ = [
     "TruthTable",
     "LinearMask",
     "WalshSpectrum",
-    "evaluate",
     "weight",
-    "distance",
     "anf_table",
-    "variable_table",
-    "constant_table",
-    "monomial_table",
-    "linear_function",
-    "table_values",
-    "table_from_values",
     "walsh_transform",
     "walsh_blocks",
     "walsh_at",
@@ -119,21 +111,9 @@ class WalshSpectrum:
         return int(self.values[c])
 
 
-def evaluate(table: TruthTable, x: int) -> int:
-    """Value of the function at packed input x."""
-    if not 0 <= x < table.size:
-        raise IndexError(f"input {x} out of range for n={table.n}")
-    return (table.bits >> x) & 1
-
-
 def weight(table: TruthTable) -> int:
     """Number of inputs mapped to 1."""
     return table.bits.bit_count()
-
-
-def distance(f: TruthTable, g: TruthTable) -> int:
-    """Hamming distance between two functions of the same arity."""
-    return (f.bits ^ _same_arity(f, g).bits).bit_count()
 
 
 # _LOW[b] is the table of x -> b.x over the 64 inputs of one word, for a
@@ -173,50 +153,6 @@ def anf_table(n: int, monomials) -> TruthTable:
                 where[n - 1 - v] = 1
         cube[tuple(where)] ^= word
     return TruthTable(n, int.from_bytes(words.tobytes(), "little"))
-
-
-def variable_table(n: int, v: int) -> TruthTable:
-    """Truth table of the projection x -> x_v."""
-    return anf_table(n, [(v,)])
-
-
-def constant_table(n: int, value: int) -> TruthTable:
-    """The constant 0 or constant 1 function."""
-    _check_arity(n)
-    if value not in (0, 1):
-        raise ValueError("constant must be 0 or 1")
-    return TruthTable(n, ((1 << (1 << n)) - 1) * value)
-
-
-def monomial_table(n: int, indices) -> TruthTable:
-    """Product of the variables named in ``indices``.
-
-    Repeated indices collapse (x * x = x); the empty product is constant 1.
-    """
-    return anf_table(n, [indices])
-
-
-def linear_function(n: int, c: int) -> TruthTable:
-    """Truth table of x -> c.x for the given coefficient mask."""
-    mask = c if isinstance(c, LinearMask) else LinearMask(n, c)
-    return anf_table(mask.n, [(v,) for v in range(mask.n) if mask.c >> v & 1])
-
-
-def table_values(table: TruthTable) -> np.ndarray:
-    """Outputs as a uint8 vector ordered by packed input."""
-    # little-endian, so input x is bit x % 8 of byte x // 8
-    raw = np.frombuffer(table.bits.to_bytes((table.size + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little")[: table.size]
-
-
-def table_from_values(n: int, values) -> TruthTable:
-    """Pack a 0/1 vector of length 2**n into a table."""
-    _check_arity(n)
-    arr = np.asarray(values, dtype=np.uint8)
-    if arr.shape != (1 << n,):
-        raise ValueError(f"need {1 << n} values for n={n}, got shape {arr.shape}")
-    packed = np.packbits(arr & 1, bitorder="little")
-    return TruthTable(n, int.from_bytes(packed.tobytes(), "little"))
 
 
 # The butterfly's low stages pair runs of only 1, 2, 4, ... entries, which

@@ -18,10 +18,8 @@ __all__ = [
     "SubFunctionId",
     "CycleDecomposition",
     "quartic_chain",
-    "tail_products",
     "sub_function",
     "monomial_rsbf",
-    "rotate_input",
     "cycle_decompose",
     "factored_walsh",
 ]
@@ -95,20 +93,6 @@ def quartic_chain(n: int) -> TruthTable:
     return anf_table(n, _chain(n))
 
 
-def tail_products(first: int, last: int, count: int, n: int) -> TruthTable:
-    """XOR of the ``count`` longest products ending at x_last.
-
-    Term r is x_{first+r} * ... * x_last for r in 0..count-1.  count may be
-    0 (the empty sum) up to the window length last - first + 1.
-    """
-    _check_arity(n)
-    if not 0 <= first <= last < n:
-        raise ValueError(f"window {first}..{last} out of range for n={n}")
-    if not 0 <= count <= last - first + 1:
-        raise ValueError(f"term count {count} exceeds window {first}..{last}")
-    return anf_table(n, _tail(first, last, count))
-
-
 # check-all fills 208 entries (n <= 16); the bound keeps a library caller's
 # sweep over many arities from growing the cache for the life of the process
 @lru_cache(maxsize=256)
@@ -126,17 +110,6 @@ def monomial_rsbf(spec: MonomialRsbfSpec) -> TruthTable:
     """
     n, l, e = spec.n, spec.l, spec.e
     return anf_table(n, [[(i + k * e) % n for k in range(l)] for i in range(n)])
-
-
-def rotate_input(x: int, n: int, shift: int) -> int:
-    """Rotate an input so bit i of the result is bit (i + shift) mod n of x."""
-    _check_arity(n)
-    if not 0 <= x < 1 << n:
-        raise IndexError(f"input {x} out of range for n={n}")
-    s = shift % n
-    if s == 0:
-        return x
-    return ((x >> s) | (x << (n - s))) & ((1 << n) - 1)
 
 
 def cycle_decompose(n: int, e: int) -> CycleDecomposition:

@@ -19,7 +19,6 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -182,16 +181,11 @@ def _table2_artifact(route_bad: list) -> TableArtifact:
     return TableArtifact("table2", "c", [f"f{i}{j}" for i, j in SUB_PAIRS], rows)
 
 
-def check_reference_table(
-    which: int, golden_path: str | None = None
-) -> tuple[TableArtifact, VerificationReport]:
+def check_reference_table(which: int) -> tuple[TableArtifact, VerificationReport]:
     """Recompute a reference table by both spectral routes and compare it
-    cell by cell with the stored copy (or an override file)."""
+    cell by cell with the stored copy."""
     t0 = time.perf_counter()
-    if golden_path is None:
-        golden = goldens.load_reference_table(which)
-    else:
-        golden = TableArtifact.from_csv_text(f"table{which}", Path(golden_path).read_text())
+    golden = goldens.load_reference_table(which)
     route_bad: list = []
     computed = _table1_artifact(route_bad) if which == 1 else _table2_artifact(route_bad)
     witnesses = route_bad + golden.diff(computed)
@@ -221,17 +215,15 @@ def check_identity_grid(
     n_values=None,
     samples: int | None = None,
     seed: int = DEFAULT_SEED,
-    oracle: str | None = None,
     max_n: int = DEFAULT_MAX_N,
 ) -> list[VerificationReport]:
     """Compare one arity-lowering identity against independently computed
     coefficients, over all 16 variants.
 
     With samples=None every admissible mask is checked and both sides use
-    the direct summation oracle.  Sampled runs default to transform-backed
-    values so large arities stay cheap; either side can be forced with
-    ``oracle`` ("direct" or "transform").  Each side is evaluated over a
-    variant's whole mask array at once.
+    the direct summation oracle.  Sampled runs use transform-backed values
+    so large arities stay cheap; samples >= 2**(n-1) takes every mask.
+    Each side is evaluated over a variant's whole mask array at once.
     """
     if which not in ("lemma21", "lemma22"):
         raise ValueError(f"unknown identity grid {which!r}")
@@ -239,18 +231,16 @@ def check_identity_grid(
     identity = subfn_walsh_top0 if which == "lemma21" else subfn_walsh_top1
     if n_values is None:
         n_values = GRID_EXHAUSTIVE_NS
-    mode = oracle or ("direct" if samples is None else "transform")
-    if mode not in ("direct", "transform"):
-        raise ValueError(f"unknown oracle {mode!r}")
+    sampled = samples is not None
     reports = []
     for n in n_values:
-        params = {"n": n, "id": mode if samples is None else f"{mode}:sampled"}
+        params = {"n": n, "id": "transform:sampled" if sampled else "direct"}
         if n > max_n:
             reports.append(_skip(which, params, max_n, n))
             continue
         t0 = time.perf_counter()
         half = 1 << (n - 1)
-        if samples is None or samples >= half:
+        if not sampled or samples >= half:
             masks = np.arange(half)
         else:
             rng = random.Random(seed * 1_000_003 + n * 101 + top_bit)
@@ -258,13 +248,10 @@ def check_identity_grid(
         if top_bit:
             masks |= half
         witnesses = []
-        provider = _transform_provider() if mode == "transform" else None
+        provider = _transform_provider() if sampled else None
         for i, j in SUB_PAIRS:
             tbl = sub_function(i, j, n)
-            if mode == "transform":
-                lhs = walsh_transform(tbl).values[masks]
-            else:
-                lhs = walsh_at_many(tbl, masks)
+            lhs = walsh_transform(tbl).values[masks] if sampled else walsh_at_many(tbl, masks)
             rhs = identity(i, j, n, masks, provider)
             witnesses += [(f"f{i}{j}:c={c}", a, b) for c, a, b in _differences(masks, lhs, rhs)]
         status = "fail" if witnesses else "pass"
@@ -716,14 +703,11 @@ class RunResult:
 
 @dataclass
 class HarnessConfig:
-    """Resource caps, parallelism, seeding, and reference-table overrides
-    for run_all."""
+    """Resource caps, parallelism and seeding for run_all."""
 
     max_n: int = DEFAULT_MAX_N
     workers: int = 0  # 0 means one per usable CPU
     seed: int = DEFAULT_SEED
-    table1_path: str | None = None
-    table2_path: str | None = None
 
     def __post_init__(self) -> None:
         if not 1 <= self.max_n <= HARD_MAX_N:
@@ -782,8 +766,8 @@ def _counterexample(cfg: HarnessConfig, n_range=None, e_range=None) -> list[Veri
 
 
 SUITES = {
-    "table1": lambda cfg: check_reference_table(1, cfg.table1_path),
-    "table2": lambda cfg: check_reference_table(2, cfg.table2_path),
+    "table1": lambda cfg: check_reference_table(1),
+    "table2": lambda cfg: check_reference_table(2),
     "lemma21": partial(_identity_suite, "lemma21"),
     "lemma22": partial(_identity_suite, "lemma22"),
     "eq23": lambda cfg, n_range=None: check_family_identity(_arities(n_range), max_n=cfg.max_n),

@@ -22,7 +22,7 @@ from typing import Any, Callable, Mapping
 import numpy as np
 
 from . import goldens
-from .core import WalshSpectrum, walsh_at, walsh_at_many, walsh_transform, weight
+from .core import walsh_at, walsh_at_many, walsh_transform, weight
 from .families import MonomialRsbfSpec, monomial_rsbf, sub_function
 from .report import VerificationReport
 
@@ -36,7 +36,6 @@ __all__ = [
     "family_zero_recurrence",
     "family_zero_value",
     "spectral_bound_check",
-    "peak_at_zero",
 ]
 
 # (i, j, n, masks) -> coefficients of variant (i, j) at arity n; masks is an
@@ -274,12 +273,3 @@ def spectral_bound_check(n: int) -> VerificationReport:
     elapsed = int((time.perf_counter() - t0) * 1000)
     return VerificationReport("bound", {"n": n}, status, witnesses, elapsed)
 
-
-def peak_at_zero(spectrum: WalshSpectrum) -> bool:
-    """True when no coefficient magnitude exceeds the value at mask zero.
-
-    The zero-mask value is compared signed, so a spectrum that is negative
-    or zero there fails unless everything else vanishes too.
-    """
-    values = spectrum.values
-    return max(int(values.max()), -int(values.min())) <= int(values[0])

@@ -7,7 +7,7 @@ import io
 import json
 from dataclasses import dataclass, field
 
-__all__ = ["VerificationReport", "TableArtifact", "write_jsonl", "all_ok"]
+__all__ = ["VerificationReport", "TableArtifact", "write_jsonl"]
 
 STATUSES = ("pass", "fail", "skipped")
 
@@ -54,10 +54,6 @@ def write_jsonl(reports, stream) -> None:
     """One report per line, stable field order."""
     for r in reports:
         stream.write(r.to_json() + "\n")
-
-
-def all_ok(reports) -> bool:
-    return all(r.status != "fail" for r in reports)
 
 
 @dataclass

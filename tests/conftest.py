@@ -6,14 +6,34 @@ from hypothesis import settings
 from rsbf import (
     MonomialRsbfSpec,
     TruthTable,
-    constant_table,
-    linear_function,
+    anf_table,
     monomial_rsbf,
     sub_function,
 )
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
+
+
+def bit(table, x):
+    """f(x), read from the packed bits."""
+    return (table.bits >> x) & 1
+
+
+def constant(n, value):
+    """The constant 0 or 1 function of n variables."""
+    return TruthTable(n, ((1 << (1 << n)) - 1) * value)
+
+
+def linear(n, c):
+    """x -> c.x, the XOR of the variables in mask c."""
+    return anf_table(n, [(v,) for v in range(n) if c >> v & 1])
+
+
+def rotate(x, n, shift):
+    """Input x rotated so bit i of the result is bit (i + shift) mod n of x."""
+    s = shift % n
+    return ((x >> s) | (x << (n - s))) & ((1 << n) - 1)
 
 
 @pytest.fixture(scope="session")
@@ -30,10 +50,10 @@ def small_tables():
             for e in range(1, 5):
                 corpus.append(monomial_rsbf(MonomialRsbfSpec(n, l, e)))
     for n in range(1, 9):
-        corpus.append(constant_table(n, 0))
-        corpus.append(constant_table(n, 1))
+        corpus.append(constant(n, 0))
+        corpus.append(constant(n, 1))
         for c in range(min(1 << n, 8)):
-            corpus.append(linear_function(n, c))
+            corpus.append(linear(n, c))
     rng = random.Random(1234)
     for n in range(1, 11):
         for _ in range(3):

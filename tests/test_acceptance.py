@@ -69,7 +69,7 @@ def test_arity_drop_grids_exhaustive():
     t0 = time.perf_counter()
     reports = []
     for which in ("lemma21", "lemma22"):
-        reports += check_identity_grid(which, n_values=range(8, 13), oracle="direct")
+        reports += check_identity_grid(which, n_values=range(8, 13))
     dt = time.perf_counter() - t0
     mismatches = [w for r in reports for w in r.witnesses]
     cells = sum(16 * (1 << (r.params["n"] - 1)) for r in reports)

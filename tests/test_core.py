@@ -14,17 +14,9 @@ from rsbf import (
     TruthTable,
     WalshSpectrum,
     anf_table,
-    constant_table,
-    distance,
-    evaluate,
-    linear_function,
     monomial_rsbf,
-    monomial_table,
     nonlinearity,
     spectrum_argmax,
-    table_from_values,
-    table_values,
-    variable_table,
     walsh_at,
     walsh_at_many,
     walsh_blocks,
@@ -32,6 +24,8 @@ from rsbf import (
     weight,
 )
 from rsbf import core
+
+from conftest import bit, constant, linear
 
 
 def test_truth_table_validation():
@@ -57,27 +51,20 @@ def test_linear_mask_validation():
 def test_variable_table_projects_each_bit():
     for n in range(1, 7):
         for v in range(n):
-            tbl = variable_table(n, v)
+            tbl = anf_table(n, [(v,)])
             for x in range(1 << n):
-                assert evaluate(tbl, x) == (x >> v) & 1
+                assert bit(tbl, x) == (x >> v) & 1
     with pytest.raises(ValueError):
-        variable_table(3, 3)
-
-
-def test_constant_table():
-    assert weight(constant_table(4, 0)) == 0
-    assert weight(constant_table(4, 1)) == 16
-    with pytest.raises(ValueError):
-        constant_table(4, 2)
+        anf_table(3, [(3,)])
 
 
 def test_monomial_table_is_product():
-    tbl = monomial_table(4, [0, 2])
+    tbl = anf_table(4, [[0, 2]])
     for x in range(16):
-        assert evaluate(tbl, x) == ((x >> 0) & (x >> 2) & 1)
+        assert bit(tbl, x) == ((x >> 0) & (x >> 2) & 1)
     # repeats collapse, empty product is the constant one
-    assert monomial_table(4, [1, 1, 1]) == variable_table(4, 1)
-    assert monomial_table(3, []) == constant_table(3, 1)
+    assert anf_table(4, [[1, 1, 1]]) == anf_table(4, [[1]])
+    assert anf_table(3, [[]]) == constant(3, 1)
 
 
 def _anf_bits(n, monomials):
@@ -121,8 +108,8 @@ def test_anf_table_matches_pure_python_evaluation():
     n = 10
     for monomials in ([[2, 7]], [[5, 6, 9], [0, 8], [6], [3]], [[9, 0, 9, 0], [6, 5, 4, 3, 2, 1]]):
         assert anf_table(n, monomials).bits == _anf_bits(n, monomials)
-    assert anf_table(3, [[]]) == constant_table(3, 1)
-    assert anf_table(8, [[1, 7], [7, 1, 1]]) == constant_table(8, 0)
+    assert anf_table(3, [[]]) == constant(3, 1)
+    assert anf_table(8, [[1, 7], [7, 1, 1]]) == constant(8, 0)
     for bad in (n, -1):
         with pytest.raises(ValueError):
             anf_table(n, [[0], [bad]])
@@ -131,43 +118,18 @@ def test_anf_table_matches_pure_python_evaluation():
 def test_linear_function_is_mask_parity():
     for n in range(1, 7):
         for c in range(1 << n):
-            tbl = linear_function(n, c)
+            tbl = linear(n, c)
             for x in range(1 << n):
-                assert evaluate(tbl, x) == ((x & c).bit_count() & 1)
-
-
-def test_evaluate_rejects_out_of_range():
-    tbl = constant_table(3, 1)
-    with pytest.raises(IndexError):
-        evaluate(tbl, 8)
-    with pytest.raises(IndexError):
-        evaluate(tbl, -1)
+                assert bit(tbl, x) == ((x & c).bit_count() & 1)
 
 
 def test_xor_and_require_same_arity():
     with pytest.raises(ValueError):
-        constant_table(3, 1) ^ constant_table(4, 1)
+        constant(3, 1) ^ constant(4, 1)
     with pytest.raises(ValueError):
-        constant_table(3, 1) & constant_table(4, 1)
-    a, b = linear_function(3, 5), linear_function(3, 3)
-    assert a ^ b == linear_function(3, 6)
-
-
-def test_table_values_roundtrip(small_tables):
-    for tbl in small_tables[:200]:
-        values = table_values(tbl)
-        assert values.shape == (tbl.size,)
-        assert int(values.sum()) == weight(tbl)
-        assert table_from_values(tbl.n, values) == tbl
-
-
-def test_distance_counts_disagreements():
-    f = linear_function(4, 0b0011)
-    g = linear_function(4, 0b0101)
-    brute = sum(evaluate(f, x) != evaluate(g, x) for x in range(16))
-    assert distance(f, g) == brute == weight(f ^ g)
-    with pytest.raises(ValueError):
-        distance(f, linear_function(3, 1))
+        constant(3, 1) & constant(4, 1)
+    a, b = linear(3, 5), linear(3, 3)
+    assert a ^ b == linear(3, 6)
 
 
 def test_walsh_transform_matches_direct_summation(small_tables):
@@ -191,7 +153,7 @@ def test_spectrum_power_is_conserved(small_tables):
 
 
 def test_walsh_at_validates_mask():
-    tbl = constant_table(4, 0)
+    tbl = constant(4, 0)
     with pytest.raises(IndexError):
         walsh_at(tbl, 16)
     with pytest.raises(ValueError):
@@ -209,7 +171,7 @@ def test_walsh_at_validates_mask():
 
 def _pure_python_walsh(tbl, masks):
     # W(c) = sum over x of (-1)**(f(x) + c.x), one input at a time
-    values = [evaluate(tbl, x) for x in range(tbl.size)]
+    values = [bit(tbl, x) for x in range(tbl.size)]
     return [sum(1 - 2 * ((v + (c & x).bit_count()) & 1) for x, v in enumerate(values)) for c in masks]
 
 
@@ -235,7 +197,7 @@ def test_walsh_at_many_matches_pure_python_sum(small_tables):
     # takes two; all-ones tables show any input counted past the table's end
     rng = random.Random(64)
     for n in range(1, 8):
-        for tbl in (TruthTable(n, rng.getrandbits(1 << n)), constant_table(n, 1)):
+        for tbl in (TruthTable(n, rng.getrandbits(1 << n)), constant(n, 1)):
             assert walsh_at_many(tbl, np.arange(1 << n)).tolist() == _pure_python_walsh(tbl, range(1 << n))
     # n = 12: masks on both sides of the low six bits, and high bits only
     n = 12
@@ -249,18 +211,18 @@ def test_walsh_at_many_matches_pure_python_sum(small_tables):
 
 def test_walsh_at_many_spans_word_blocks():
     # At n = 23 the 2**17 words take two blocks of word indices.  The
-    # reference is W(c) = 2**n - 2 * distance(f, c.x), a big-int popcount.
+    # reference is W(c) = 2**n - 2 * weight(f ^ c.x), a big-int popcount.
     # Masks with bit 22 set complement every word of the second block.
     n = 23
     rng = random.Random(n)
     masks = [0, 1, 63, 64, (1 << 22) - 1, 1 << 22, (1 << 22) | 0b101, (1 << n) - 64, (1 << n) - 1]
-    for tbl in (TruthTable(n, rng.getrandbits(1 << n)), linear_function(n, (1 << 22) | 0b101)):
-        expected = [tbl.size - 2 * distance(tbl, linear_function(n, c)) for c in masks]
+    for tbl in (TruthTable(n, rng.getrandbits(1 << n)), linear(n, (1 << 22) | 0b101)):
+        expected = [tbl.size - 2 * weight(tbl ^ linear(n, c)) for c in masks]
         assert walsh_at_many(tbl, masks).tolist() == expected
 
 
 def test_walsh_at_rejects_any_int_out_of_range():
-    tbl = constant_table(4, 0)
+    tbl = constant(4, 0)
     for mask in (1 << 64, 1 << 70, -(1 << 70)):
         with pytest.raises(IndexError):
             walsh_at(tbl, mask)
@@ -269,10 +231,10 @@ def test_walsh_at_rejects_any_int_out_of_range():
 def test_walsh_transform_is_exact_int32_at_full_range():
     n = 20
     for tbl, c, value in (
-        (constant_table(n, 0), 0, 1 << n),
-        (constant_table(n, 1), 0, -(1 << n)),
-        (linear_function(n, 0b1011), 0b1011, 1 << n),
-        (linear_function(n, (1 << n) - 1) ^ constant_table(n, 1), (1 << n) - 1, -(1 << n)),
+        (constant(n, 0), 0, 1 << n),
+        (constant(n, 1), 0, -(1 << n)),
+        (linear(n, 0b1011), 0b1011, 1 << n),
+        (linear(n, (1 << n) - 1) ^ constant(n, 1), (1 << n) - 1, -(1 << n)),
     ):
         values = walsh_transform(tbl).values
         assert values.dtype == np.int32
@@ -427,26 +389,26 @@ def test_monomial_rsbf_build_working_memory():
 
 
 def test_spectrum_getitem_range():
-    spectrum = walsh_transform(constant_table(3, 0))
+    spectrum = walsh_transform(constant(3, 0))
     with pytest.raises(IndexError):
         spectrum[8]
     assert spectrum[0] == 8
 
 
 def test_nonlinearity_is_distance_to_nearest_linear():
-    for tbl in [linear_function(5, 9), monomial_table(5, [0, 1]), constant_table(5, 1)]:
-        brute = min(distance(tbl, linear_function(5, c)) for c in range(32))
+    for tbl in [linear(5, 9), anf_table(5, [[0, 1]]), constant(5, 1)]:
+        brute = min(weight(tbl ^ linear(5, c)) for c in range(32))
         assert nonlinearity(tbl) == brute
 
 
 def test_spectrum_argmax_breaks_ties_low():
-    mask_s, value_s, mask_a, value_a = spectrum_argmax(walsh_transform(constant_table(3, 0)))
+    mask_s, value_s, mask_a, value_a = spectrum_argmax(walsh_transform(constant(3, 0)))
     assert (int(mask_s), value_s, int(mask_a), value_a) == (0, 8, 0, 8)
-    parity = linear_function(4, 15)
+    parity = linear(4, 15)
     mask_s, value_s, mask_a, value_a = spectrum_argmax(walsh_transform(parity))
     assert (int(mask_s), value_s) == (15, 16)
     assert (int(mask_a), value_a) == (15, 16)
-    complemented = parity ^ constant_table(4, 1)
+    complemented = parity ^ constant(4, 1)
     mask_s, value_s, mask_a, value_a = spectrum_argmax(walsh_transform(complemented))
     assert (int(mask_s), value_s) == (0, 0)  # every other entry is zero, tie at the bottom
     assert (int(mask_a), value_a) == (15, 16)  # reported as a magnitude

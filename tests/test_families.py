@@ -9,20 +9,17 @@ from hypothesis import strategies as st
 from rsbf import (
     MonomialRsbfSpec,
     SubFunctionId,
-    constant_table,
     cycle_decompose,
-    evaluate,
     factored_walsh,
-    linear_function,
     monomial_rsbf,
     quartic_chain,
-    rotate_input,
     sub_function,
-    tail_products,
     walsh_at,
     walsh_at_many,
 )
 from rsbf import families
+
+from conftest import bit, constant, linear, rotate
 
 
 def _bits(x, n):
@@ -75,7 +72,7 @@ def test_quartic_chain_matches_reference_evaluator():
     for n in range(4, 9):
         tbl = quartic_chain(n)
         for x in range(1 << n):
-            assert evaluate(tbl, x) == _eval_chain(n, x)
+            assert bit(tbl, x) == _eval_chain(n, x)
     with pytest.raises(ValueError):
         quartic_chain(3)
 
@@ -86,18 +83,17 @@ def test_chain_peels_one_variable():
         window = 0b1111 << (n - 4)
         for x in range(1 << n):
             top_term = 1 if (x & window) == window else 0
-            assert evaluate(longer, x) == evaluate(shorter, x & ((1 << (n - 1)) - 1)) ^ top_term
+            assert bit(longer, x) == bit(shorter, x & ((1 << (n - 1)) - 1)) ^ top_term
 
 
 def test_tail_products_matches_reference_evaluator():
+    # variant (i, 0) is the chain plus the i longest products ending at x_{n-1}
     for n in range(4, 8):
         for count in range(4):
-            tbl = tail_products(n - 3, n - 1, count, n)
+            tail = sub_function(count, 0, n) ^ quartic_chain(n)
             for x in range(1 << n):
-                assert evaluate(tbl, x) == _eval_tail(n - 3, n - 1, count, n, x)
-    assert tail_products(1, 3, 0, 4) == constant_table(4, 0)
-    with pytest.raises(ValueError):
-        tail_products(1, 3, 4, 4)  # only 3 products fit in that window
+                assert bit(tail, x) == _eval_tail(n - 3, n - 1, count, n, x)
+    assert sub_function(0, 0, 4) == quartic_chain(4)
 
 
 def test_sub_function_matches_reference_evaluator():
@@ -106,7 +102,7 @@ def test_sub_function_matches_reference_evaluator():
             for j in range(4):
                 tbl = sub_function(i, j, n)
                 for x in range(1 << n):
-                    assert evaluate(tbl, x) == _eval_subfn(i, j, n, x)
+                    assert bit(tbl, x) == _eval_subfn(i, j, n, x)
 
 
 def test_sub_function_id_validation():
@@ -127,7 +123,7 @@ def test_sub_function_reversal_pairs():
                 fwd, rev = sub_function(i, j, n), sub_function(j, i, n)
                 for x in range(size):
                     reversed_x = int(f"{x:0{n}b}"[::-1], 2)
-                    assert evaluate(fwd, x) == evaluate(rev, reversed_x)
+                    assert bit(fwd, x) == bit(rev, reversed_x)
 
 
 def test_family_matches_reference_evaluator():
@@ -136,7 +132,7 @@ def test_family_matches_reference_evaluator():
             for e in range(1, n + 1):
                 tbl = monomial_rsbf(MonomialRsbfSpec(n, l, e))
                 for x in range(1 << n):
-                    assert evaluate(tbl, x) == _eval_family(n, l, e, x)
+                    assert bit(tbl, x) == _eval_family(n, l, e, x)
 
 
 def test_large_builders_match_reference_evaluator():
@@ -146,14 +142,14 @@ def test_large_builders_match_reference_evaluator():
     for n in range(13, 21):
         xs = [rng.getrandbits(n) for _ in range(256)]
         chain = quartic_chain(n)
-        assert [evaluate(chain, x) for x in xs] == [_eval_chain(n, x) for x in xs]
+        assert [bit(chain, x) for x in xs] == [_eval_chain(n, x) for x in xs]
         for i in range(4):
             for j in range(4):
                 tbl = sub_function(i, j, n)
-                assert [evaluate(tbl, x) for x in xs] == [_eval_subfn(i, j, n, x) for x in xs]
+                assert [bit(tbl, x) for x in xs] == [_eval_subfn(i, j, n, x) for x in xs]
         for l, e in ((4, 1), (4, 2), (4, 3), (3, 5), (5, n - 1)):
             tbl = monomial_rsbf(MonomialRsbfSpec(n, l, e))
-            assert [evaluate(tbl, x) for x in xs] == [_eval_family(n, l, e, x) for x in xs]
+            assert [bit(tbl, x) for x in xs] == [_eval_family(n, l, e, x) for x in xs]
 
 
 def test_family_spec_validation():
@@ -169,23 +165,14 @@ def test_family_spec_validation():
 
 def test_quadratic_stride_one_cancels_at_n2():
     # both monomials are x0*x1, so they cancel mod 2
-    assert monomial_rsbf(MonomialRsbfSpec(2, 2, 1)) == constant_table(2, 0)
+    assert monomial_rsbf(MonomialRsbfSpec(2, 2, 1)) == constant(2, 0)
 
 
 def test_full_stride_family_is_parity():
     # e = n wraps every monomial onto a single repeated variable
     for n, l in [(4, 4), (5, 4), (6, 3), (4, 2)]:
         tbl = monomial_rsbf(MonomialRsbfSpec(n, l, n))
-        assert tbl == linear_function(n, (1 << n) - 1)
-
-
-def test_rotate_input():
-    assert rotate_input(1, 4, 1) == 8
-    assert rotate_input(8, 4, 1) == 4
-    for n in (3, 5, 8):
-        for x in range(1 << n):
-            assert rotate_input(x, n, n) == x
-            assert rotate_input(rotate_input(x, n, 1), n, n - 1) == x
+        assert tbl == linear(n, (1 << n) - 1)
 
 
 def test_family_is_rotation_invariant():
@@ -194,7 +181,7 @@ def test_family_is_rotation_invariant():
             for e in (1, 2, 3):
                 tbl = monomial_rsbf(MonomialRsbfSpec(n, l, e))
                 for x in range(1 << n):
-                    assert evaluate(tbl, x) == evaluate(tbl, rotate_input(x, n, 1))
+                    assert bit(tbl, x) == bit(tbl, rotate(x, n, 1))
 
 
 def test_cycle_decompose_partitions_indices():
@@ -267,4 +254,4 @@ def test_family_rotation_invariance_random(data):
     shift = data.draw(st.integers(0, n))
     x = data.draw(st.integers(0, (1 << n) - 1))
     tbl = monomial_rsbf(MonomialRsbfSpec(n, l, e))
-    assert evaluate(tbl, x) == evaluate(tbl, rotate_input(x, n, shift))
+    assert bit(tbl, x) == bit(tbl, rotate(x, n, shift))

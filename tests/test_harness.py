@@ -11,6 +11,7 @@ import pytest
 
 from rsbf import (
     HarnessConfig,
+    TableArtifact,
     TruthTable,
     check_factorization,
     check_family_identity,
@@ -24,13 +25,13 @@ from rsbf import (
     subfn_walsh_top0,
     subfn_walsh_top1,
     sweep_cases,
-    table_from_values,
-    table_values,
     walsh_transform,
 )
-from rsbf import core, harness, recurrences
+from rsbf import core, goldens, harness, recurrences
 from rsbf.goldens import load_reference_table
 from rsbf.harness import usable_cpus
+
+from conftest import bit
 
 
 def test_reference_tables_pass():
@@ -41,31 +42,30 @@ def test_reference_tables_pass():
         assert artifact.diff(load_reference_table(which)) == []
 
 
-def test_corrupted_golden_is_caught(tmp_path):
-    golden = load_reference_table(1)
-    text = golden.to_csv_text().replace("1144", "1145", 1)
-    path = tmp_path / "bad.csv"
-    path.write_text(text)
-    _, report = check_reference_table(1, golden_path=str(path))
+def test_corrupted_golden_is_caught(monkeypatch):
+    text = load_reference_table(1).to_csv_text().replace("1144", "1145", 1)
+    bad = TableArtifact.from_csv_text("table1", text)
+    monkeypatch.setattr(goldens, "load_reference_table", lambda which: bad)
+    _, report = check_reference_table(1)
     assert report.status == "fail"
     assert len(report.witnesses) == 1
     where, expected, got = report.witnesses[0]
     assert where == "F4@11" and (expected, got) == (1145, 1144)
 
-    result = run_all(HarnessConfig(table1_path=str(path)), only=["table1"])
+    result = run_all(HarnessConfig(), only=["table1"])
     assert result.exit_code == 1
 
 
 def test_lemma_grid_validation():
     with pytest.raises(ValueError):
         check_identity_grid("lemma99")
-    with pytest.raises(ValueError):
-        check_identity_grid("lemma21", oracle="psychic")
 
 
 def test_lemma_grid_oracles_agree():
-    direct = check_identity_grid("lemma21", n_values=[8], oracle="direct")
-    fast = check_identity_grid("lemma21", n_values=[8], oracle="transform")
+    # 128 samples at n = 8 take every mask, on the transform route
+    direct = check_identity_grid("lemma21", n_values=[8])
+    fast = check_identity_grid("lemma21", n_values=[8], samples=128)
+    assert [direct[0].params["id"], fast[0].params["id"]] == ["direct", "transform:sampled"]
     assert direct[0].status == fast[0].status == "pass"
 
 
@@ -75,7 +75,7 @@ def test_direct_routes_never_call_the_butterfly(monkeypatch):
 
     for module in (core, recurrences, harness):
         monkeypatch.setattr(module, "walsh_transform", refuse)
-    grid = check_identity_grid("lemma21", n_values=[8], oracle="direct")
+    grid = check_identity_grid("lemma21", n_values=[8])
     assert [r.status for r in grid] == ["pass"]
     family = check_family_identity(n_values=range(7, 10))
     assert [r.status for r in family] == ["pass"] * 3
@@ -109,7 +109,7 @@ def test_grid_witnesses_keep_order_and_cap(monkeypatch):
 
     monkeypatch.setattr(harness, "_transform_provider", wrong_provider)
     for which in ("lemma21", "lemma22"):
-        (report,) = check_identity_grid(which, n_values=[8], oracle="transform")
+        (report,) = check_identity_grid(which, n_values=[8], samples=128)
         assert report.status == "fail"
         assert report.witnesses == _loop_grid_witnesses(which, 8, wrong_provider())
 
@@ -198,15 +198,17 @@ def test_factored_route_holds_for_any_factor(monkeypatch):
     # masks that rank differently under different strides.
     rng = random.Random(11)
     factors = {t: TruthTable(t, rng.getrandbits(1 << t)) for t in range(1, 13)}
+    outputs = {t: np.array([bit(g, y) for y in range(1 << t)], dtype=np.uint8)
+               for t, g in factors.items()}
 
     def member(spec):
         dec = cycle_decompose(spec.n, spec.e)
-        g = table_values(factors[dec.t])
         x = np.arange(1 << spec.n)
         h = np.zeros(1 << spec.n, dtype=np.uint8)
         for cycle in dec.cycles:
-            h ^= g[sum(((x >> v) & 1) << j for j, v in enumerate(cycle))]
-        return table_from_values(spec.n, h)
+            h ^= outputs[dec.t][sum(((x >> v) & 1) << j for j, v in enumerate(cycle))]
+        packed = np.packbits(h, bitorder="little").tobytes()
+        return TruthTable(spec.n, int.from_bytes(packed, "little"))
 
     monkeypatch.setattr(harness, "monomial_rsbf", member)
     reports = scan_family([(n, 4, e) for n in range(2, 13) for e in range(1, n + 1)])
@@ -557,13 +559,16 @@ def test_suite_log_time_is_the_suites_own(monkeypatch, caplog):
     assert all(ms < 200 for ms in times.values())
 
 
-def test_pooled_suite_failure_reaches_the_caller(tmp_path):
-    missing = str(tmp_path / "no-such-table.csv")
+def test_pooled_suite_failure_reaches_the_caller(monkeypatch):
+    def missing(which):
+        raise FileNotFoundError(f"no stored table{which}")
+
+    # the pool's children are forked, so they inherit the patched loader
+    monkeypatch.setattr(goldens, "load_reference_table", missing)
     errors = []
     for workers in (1, 2):
-        cfg = HarnessConfig(workers=workers, table1_path=missing)
         with pytest.raises(OSError) as caught:
-            run_all(cfg, only=["table1", "table2"])
+            run_all(HarnessConfig(workers=workers), only=["table1", "table2"])
         errors.append((type(caught.value), str(caught.value)))
     assert errors[0] == errors[1]
     assert errors[0][0] is FileNotFoundError

@@ -1,0 +1,98 @@
+"""The package's public surface: its dependency floor, the README library
+example, and the names it exports."""
+
+import dataclasses
+import importlib
+import inspect
+import re
+from pathlib import Path
+
+import rsbf
+from rsbf import harness
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SUBMODULES = ("core", "families", "goldens", "harness", "recurrences", "report", "transfer")
+
+# public helpers that nothing in the package, the CLI, the README or the
+# benchmark called, deleted as API
+REMOVED = (
+    "evaluate",
+    "distance",
+    "variable_table",
+    "monomial_table",
+    "linear_function",
+    "constant_table",
+    "table_values",
+    "table_from_values",
+    "rotate_input",
+    "tail_products",
+    "all_ok",
+    "peak_at_zero",
+)
+
+# (module, name) that bench/ reads: its imports, the cache counters, and
+# the names its tracer rebinds
+BENCH_NAMES = (
+    ("", "MonomialRsbfSpec"),
+    ("", "SpectralBaseTable"),
+    ("", "family_zero_value"),
+    ("", "monomial_rsbf"),
+    ("", "sub_function"),
+    ("", "subfn_zero_recurrence"),
+    ("", "walsh_at"),
+    ("", "walsh_transform"),
+    ("", "weight"),
+    ("goldens", "load_reference_table"),
+    ("families", "quartic_chain"),
+    ("families", "_aligned_spectrum"),
+    ("harness", "_family_case"),
+    ("harness", "_transform_provider"),
+    ("harness", "run_all"),
+    ("harness", "scan_family"),
+)
+
+
+def test_numpy_floor_has_bitwise_count():
+    # core builds its parity words with np.bitwise_count at import, and
+    # NumPy added it in 2.0
+    text = (ROOT / "pyproject.toml").read_text()
+    (floor,) = re.findall(r'"numpy>=([0-9.]+)"', text)
+    assert int(floor.split(".")[0]) >= 2
+
+
+def test_readme_library_example_runs_as_written(capsys):
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    assert "'pass'" in capsys.readouterr().out
+
+
+def test_every_exported_name_resolves():
+    for name in rsbf.__all__:
+        assert hasattr(rsbf, name), name
+    for module_name in SUBMODULES:
+        module = importlib.import_module(f"rsbf.{module_name}")
+        for name in module.__all__:
+            assert hasattr(module, name), f"rsbf.{module_name}.{name}"
+
+
+def test_removed_names_are_gone():
+    for module in [rsbf] + [importlib.import_module(f"rsbf.{m}") for m in SUBMODULES]:
+        for name in REMOVED:
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_names_the_benchmark_reads_are_present():
+    for module_name, name in BENCH_NAMES:
+        module = importlib.import_module(f"rsbf.{module_name}" if module_name else "rsbf")
+        assert hasattr(module, name), f"{module.__name__}.{name}"
+    # the tracer names a reference-table suite by this parameter
+    assert list(inspect.signature(harness.check_reference_table).parameters) == ["which"]
+
+
+def test_harness_options():
+    fields = [f.name for f in dataclasses.fields(harness.HarnessConfig)]
+    assert fields == ["max_n", "workers", "seed"]
+    assert "oracle" not in inspect.signature(harness.check_identity_grid).parameters

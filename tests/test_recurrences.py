@@ -5,12 +5,12 @@ from rsbf import (
     MissingBaseEntry,
     MonomialRsbfSpec,
     SpectralBaseTable,
+    SpectrumPeaks,
     WalshSpectrum,
     family_walsh_via_subfns,
     family_zero_recurrence,
     family_zero_value,
     monomial_rsbf,
-    peak_at_zero,
     spectral_bound_check,
     sub_function,
     subfn_walsh_top0,
@@ -170,10 +170,16 @@ def test_spectral_bound_report():
     assert report.witnesses == []
 
 
+def _peak_at_zero(spectrum):
+    # no coefficient magnitude, max or -min, beats the signed value at mask zero
+    peaks = SpectrumPeaks.of(spectrum.n, [(0, spectrum.values)])
+    return max(peaks.top, -peaks.bottom) <= peaks.zero
+
+
 def test_peak_at_zero():
-    assert peak_at_zero(walsh_transform(monomial_rsbf(MonomialRsbfSpec(8, 4, 1))))
+    assert _peak_at_zero(walsh_transform(monomial_rsbf(MonomialRsbfSpec(8, 4, 1))))
     # full stride collapses to parity, whose spike sits at the all-ones mask
-    assert not peak_at_zero(walsh_transform(monomial_rsbf(MonomialRsbfSpec(8, 4, 8))))
+    assert not _peak_at_zero(walsh_transform(monomial_rsbf(MonomialRsbfSpec(8, 4, 8))))
 
 
 @pytest.mark.parametrize(
@@ -188,4 +194,4 @@ def test_peak_at_zero():
 )
 def test_peak_at_zero_matches_abs_form(values):
     v = np.array(values, dtype=np.int32)
-    assert peak_at_zero(WalshSpectrum(3, v)) == bool(np.all(np.abs(v) <= v[0]))
+    assert _peak_at_zero(WalshSpectrum(3, v)) == bool(np.all(np.abs(v) <= v[0]))

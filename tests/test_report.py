@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from rsbf import TableArtifact, VerificationReport, all_ok, write_jsonl
+from rsbf import RunResult, TableArtifact, VerificationReport, write_jsonl
 
 
 def test_report_validation():
@@ -35,8 +35,8 @@ def test_write_jsonl_and_all_ok():
     lines = buf.getvalue().splitlines()
     assert len(lines) == 2
     assert json.loads(lines[1])["status"] == "fail"
-    assert not all_ok(reports)
-    assert all_ok(reports[:1])
+    assert not RunResult(reports).ok
+    assert RunResult(reports[:1]).ok
 
 
 def test_table_artifact_roundtrip():
