@@ -21,7 +21,6 @@ from .core import (
     SpectrumPeaks,
     walsh_at,
     walsh_blocks,
-    walsh_transform,
     weight,
 )
 from .families import MonomialRsbfSpec, monomial_rsbf, sub_function
@@ -225,29 +224,31 @@ def _group_tables():
     return units, upper
 
 
-def _block_renderer(values, fmt: str, n: int, bits: bool):
-    """A function that returns the bytes of the rows from ``start`` on, up
-    to ``_BLOCK_ROWS`` of them, as a list of uint8 arrays.
+def _block_renderer(fmt: str, n: int, bits: bool):
+    """A function ``render(start, block)`` that returns the bytes of the
+    rows of masks ``start`` .. ``start + len(block) - 1``, whose values are
+    the int32 array ``block`` of at most ``_BLOCK_ROWS`` entries, as a list
+    of uint8 arrays.
 
     A block is one uint8 matrix of mask, separator, sign, value and line-end
     columns, numbers right-aligned behind 0 bytes that the compaction drops.
     The matrix, its keep mask and the integer scratch vectors are allocated
     here, once, with the constant columns filled in, so a block allocates
-    only its output.
+    only its output, and nothing of ``block`` is kept.
     """
     import numpy as np
 
     if fmt == "json":
-        mask_cols, sep, end = 0, b"", b","
+        # rows ",v"; the row of mask 0 drops its comma
+        mask_cols, sep, end = 0, b",", b""
     else:
-        mask_cols = n if bits else 4 * -(-len(str(values.size - 1)) // 4)
+        mask_cols = n if bits else 4 * -(-len(str((1 << n) - 1)) // 4)
         sep, end = (b",", b"\r\n") if fmt == "csv" else (b" ", b"\n")
     sign = mask_cols + len(sep)
-    # the widest number, read with no |W| copy of the spectrum
-    peak = max(int(values.max()), -int(values.min()))
-    value_cols = 4 * -(-len(str(peak)) // 4)
+    # |W| <= 2**n: every value is a signed count of the 2**n inputs
+    value_cols = 4 * -(-len(str(1 << n)) // 4)
     cols = sign + 1 + value_cols + len(end)
-    rows = min(_BLOCK_ROWS, values.size)
+    rows = min(_BLOCK_ROWS, 1 << n)
     m = np.zeros((rows, cols), dtype=np.uint8)
     m[:, mask_cols:sign] = np.frombuffer(sep, dtype=np.uint8)
     m[:, cols - len(end) :] = np.frombuffer(end, dtype=np.uint8)
@@ -280,8 +281,7 @@ def _block_renderer(values, fmt: str, n: int, bits: bool):
             group[: r.size] = w
             r, q = q, r
 
-    def render(start: int) -> list:
-        block = values[start : start + rows]
+    def render(start: int, block) -> list:
         size = block.size
         r = mag[:size]
         if fmt != "json":
@@ -303,8 +303,8 @@ def _block_renderer(values, fmt: str, n: int, bits: bool):
         flat = m[:size].reshape(-1)
         kept = keep[: flat.size]
         np.not_equal(flat, 0, out=kept)
-        if fmt == "json" and start + size == values.size:
-            kept[-1] = False  # the last comma; "]}" follows it
+        if fmt == "json" and start == 0:
+            kept[0] = False  # the first comma; "[" comes before it
         # np.compress holds an intp index of the bytes it keeps, 8 bytes
         # each, so it goes over the block _COMPACT_BYTES at a time
         return [
@@ -315,13 +315,17 @@ def _block_renderer(values, fmt: str, n: int, bits: bool):
     return render
 
 
-def _render_spectrum(record: dict, values, fmt: str, n: int, bits: bool, out: str | None) -> None:
+def _render_spectrum(record: dict, blocks, fmt: str, n: int, bits: bool, out: str | None) -> None:
     """Write a full spectrum to the file ``out``, or to stdout when None.
 
-    Rows are rendered and written ``_BLOCK_ROWS`` at a time.  The bytes
-    equal per-row ``str`` formatting: JSON rows ``v,`` (the last comma
-    becomes ``]}``), CSV rows ``c,v`` ending in ``\\r\\n`` as the csv
-    module writes them, text rows ``c v``.
+    ``blocks`` yields (offset, int32 block) pairs in mask order, as
+    ``walsh_blocks`` does; each block is written before the next is asked
+    for, so a buffer the stream reuses is never read once overwritten.
+    Nothing holds the whole spectrum.  Rows are rendered and
+    written ``_BLOCK_ROWS`` at a time.  The bytes equal per-row ``str``
+    formatting: JSON rows ``,v`` (the first has no comma), CSV rows
+    ``c,v`` ending in ``\\r\\n`` as the csv module writes them, text rows
+    ``c v``.
     """
     import contextlib
 
@@ -333,7 +337,7 @@ def _render_spectrum(record: dict, values, fmt: str, n: int, bits: bool, out: st
         head = " ".join(f"{k}={v}" for k, v in record.items()) + "\n"
         if record.get("degenerate"):
             head += "note: degenerate (n < l), indices wrap onto repeats\n"
-    render = _block_renderer(values, fmt, n, bits)
+    render = _block_renderer(fmt, n, bits)
 
     if out is not None:
         sink = open(out, "wb")
@@ -341,9 +345,10 @@ def _render_spectrum(record: dict, values, fmt: str, n: int, bits: bool, out: st
         sink = contextlib.nullcontext(click.get_binary_stream("stdout"))
     with sink as fh:
         fh.write(head.encode("ascii"))
-        for start in range(0, values.size, _BLOCK_ROWS):
-            for piece in render(start):
-                fh.write(piece)
+        for offset, block in blocks:
+            for k in range(0, block.size, _BLOCK_ROWS):
+                for piece in render(offset + k, block[k : k + _BLOCK_ROWS]):
+                    fh.write(piece)
         if fmt == "json":
             fh.write(b"]}\n")
         fh.flush()
@@ -374,9 +379,8 @@ def spectrum(n, l, e, at, force, fmt, out, max_n, bits):
         _emit(record, fmt, f"walsh at {record['at']}: {record['value']}{note}", out)
         return
     _full_spectrum_guard(n, out, force)
-    values = walsh_transform(tbl).values
     record = {"n": n, "l": l, "e": e, "degenerate": spec.degenerate}
-    _render_spectrum(record, values, fmt, n, bits, out)
+    _render_spectrum(record, walsh_blocks(tbl), fmt, n, bits, out)
 
 
 @main.command()
@@ -411,9 +415,8 @@ def subfn(i, j, n, at, force, fmt, out, max_n, bits):
         _emit(record, fmt, f"walsh at {record['at']}: {record['value']}", out)
         return
     _full_spectrum_guard(n, out, force)
-    values = walsh_transform(tbl).values
     record = {"i": i, "j": j, "n": n}
-    _render_spectrum(record, values, fmt, n, bits, out)
+    _render_spectrum(record, walsh_blocks(tbl), fmt, n, bits, out)
 
 
 def _stream_reports(reports, fmt: str, out: str | None) -> None:

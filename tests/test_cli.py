@@ -15,6 +15,7 @@ from rsbf import (
     MonomialRsbfSpec,
     RunResult,
     VerificationReport,
+    core,
     monomial_rsbf,
     spectrum_argmax,
     sub_function,
@@ -221,6 +222,47 @@ def test_full_dump_blocks_of_1_3_7_rows(runner, monkeypatch, tmp_path, fmt, bits
         assert to_stdout.stdout_bytes == expected
 
 
+# (dump, core._BLOCK_BITS, the block size walsh_blocks then yields)
+BLOCKED_DUMPS = {
+    "n9": (lambda: _family_dump(9, 4, 1), 3, 8),
+    "n10-e3": (lambda: _family_dump(10, 4, 3), 5, 32),
+    "subfn-n11": (lambda: _subfn_dump(1, 2, 11), 6, 64),
+    "n12-e2": (lambda: _family_dump(12, 4, 2), 4, 64),
+}
+
+
+@pytest.mark.parametrize("bits", [False, True], ids=["decimal", "bits"])
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("dump", list(BLOCKED_DUMPS))
+def test_full_dump_blocked_route(runner, monkeypatch, tmp_path, dump, fmt, bits):
+    # the blocked route of walsh_blocks at small arities, cut into rows of
+    # 1, 3, 7 and _BLOCK_ROWS, so block and row edges do not line up
+    make, block_bits, block_size = BLOCKED_DUMPS[dump]
+    argv, record, values = make()
+    n = int(argv[argv.index("--n") + 1])
+    argv = argv + ["--format", fmt] + (["--bits"] if bits else [])
+    expected = _reference_dump(record, values, fmt, n, bits).encode("ascii")
+    monkeypatch.setattr(core, "_BLOCKED_ABOVE", 8)
+    monkeypatch.setattr(core, "_BLOCK_BITS", block_bits)
+    sizes = set()
+
+    def spy(table):
+        for offset, block in core.walsh_blocks(table):
+            sizes.add(block.size)
+            yield offset, block
+
+    monkeypatch.setattr(cli_module, "walsh_blocks", spy)
+    for rows in (1, 3, 7, cli_module._BLOCK_ROWS):
+        monkeypatch.setattr(cli_module, "_BLOCK_ROWS", rows)
+        out = tmp_path / f"dump-{rows}"
+        assert runner.invoke(main, argv + ["--out", str(out)]).exit_code == 0
+        assert out.read_bytes() == expected
+        to_stdout = runner.invoke(main, argv)
+        assert to_stdout.exit_code == 0
+        assert to_stdout.stdout_bytes == expected
+    assert sizes == {block_size}
+
+
 # every digit count from 1 to 9, zero, and both sides of each four-digit
 # group boundary, up to |W| = 2**28
 EDGE_VALUES = [0, 1, -1, 9, -10, 999, -1000, 9999, 10000, -10001, 99999999, -100000000,
@@ -231,12 +273,17 @@ EDGE_VALUES = [0, 1, -1, 9, -10, 999, -1000, 9999, 10000, -10001, 99999999, -100
 @pytest.mark.parametrize("bits", [False, True], ids=["decimal", "bits"])
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 def test_dump_digits_across_group_boundaries(monkeypatch, tmp_path, fmt, bits, rows):
-    values = np.array(EDGE_VALUES, dtype=np.int32)
-    record = {"n": 4}
+    # the value column is as wide as 2**n: each n renders the edge values
+    # its bound covers and both ends of the bound, in two blocks
     monkeypatch.setattr(cli_module, "_BLOCK_ROWS", rows)
-    out = tmp_path / "dump"
-    cli_module._render_spectrum(record, values, fmt, 4, bits, str(out))
-    assert out.read_bytes() == _reference_dump(record, values, fmt, 4, bits).encode("ascii")
+    for n in (4, 14, 28):
+        values = [v for v in EDGE_VALUES if abs(v) <= 1 << n] + [1 << n, -(1 << n)]
+        values = np.array(values, dtype=np.int32)
+        record = {"n": n}
+        out = tmp_path / f"dump-{n}"
+        blocks = [(0, values[:5]), (5, values[5:])]
+        cli_module._render_spectrum(record, blocks, fmt, n, bits, str(out))
+        assert out.read_bytes() == _reference_dump(record, values, fmt, n, bits).encode("ascii")
 
 
 def test_dump_block_error_reaches_the_caller(runner, monkeypatch, tmp_path):
@@ -245,10 +292,10 @@ def test_dump_block_error_reaches_the_caller(runner, monkeypatch, tmp_path):
     def failing(*args):
         render = real(*args)
 
-        def block(start):
+        def block(start, values):
             if start >= 6:
                 raise RuntimeError("block failed")
-            return render(start)
+            return render(start, values)
 
         return block
 
@@ -263,6 +310,23 @@ def test_dump_block_error_reaches_the_caller(runner, monkeypatch, tmp_path):
     written = out.read_bytes()
     assert _reference_dump(record, values, "csv", 5, False).encode("ascii").startswith(written)
     assert written.count(b"\r\n") == 1 + 6
+
+
+def test_dump_stream_error_reaches_the_caller(tmp_path):
+    # a spectrum block that fails after two were written
+    _, record, values = _family_dump(5, 4, 2)
+
+    def blocks():
+        yield 0, values[:8]
+        yield 8, values[8:16]
+        raise RuntimeError("transform failed")
+
+    out = tmp_path / "dump"
+    with pytest.raises(RuntimeError, match="transform failed"):
+        cli_module._render_spectrum(record, blocks(), "csv", 5, False, str(out))
+    written = out.read_bytes()
+    assert _reference_dump(record, values, "csv", 5, False).encode("ascii").startswith(written)
+    assert written.count(b"\r\n") == 1 + 16
 
 
 @pytest.mark.parametrize("fmt, bits", [("json", False), ("csv", False), ("text", True)],
@@ -280,11 +344,32 @@ def test_dump_render_working_memory(tmp_path, fmt, bits):
     _, record, values = _family_dump(n, 4, 1)
     tracemalloc.start()
     try:
-        cli_module._render_spectrum(record, values, fmt, n, bits, str(tmp_path / "dump"))
+        cli_module._render_spectrum(record, [(0, values)], fmt, n, bits, str(tmp_path / "dump"))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1.6 * 2**20
+
+
+def test_full_dump_working_memory(runner, tmp_path):
+    # NumPy reports its buffers to tracemalloc.  A whole dump at n = 22,
+    # transform and render, holds the int8 store (4 MiB), the table's
+    # packed forms, one int32 block and one tile (1 MiB each) and the
+    # renderer's buffers.  The int32 spectrum alone is 16 MiB.  Measured:
+    # 7.2 MiB.
+    out = tmp_path / "dump.json"
+    runner.invoke(main, ["spectrum", "--n", "8", "--format", "json"])  # first-call imports
+    tracemalloc.start()
+    try:
+        result = runner.invoke(main, ["spectrum", "--n", "22", "--format", "json", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 0
+    with out.open("rb") as fh:
+        head = fh.read(64)
+    assert head.startswith(b'{"n":22,"l":4,"e":1,"degenerate":false,"values":[')
+    assert peak < 9 * 2**20
 
 
 def test_json_dump_round_trips(runner):
