@@ -25,6 +25,7 @@ import numpy as np
 
 from . import goldens
 from .core import (
+    _BLOCKED_ABOVE,
     DEFAULT_MAX_N,
     HARD_MAX_N,
     SpectrumPeaks,
@@ -53,7 +54,7 @@ from .recurrences import (
     subfn_zero_recurrence,
 )
 from .report import TableArtifact, VerificationReport
-from .transfer import family_walsh_transfer, subfn_zero_transfer
+from .transfer import family_walsh_transfer, peak_certificate, subfn_zero_transfer
 
 __all__ = [
     "HarnessConfig",
@@ -415,18 +416,27 @@ def _family_case(args: tuple[int, int, int]):
 
 
 class _Factor(NamedTuple):
-    """What a sweep keeps of one stride-1 factor spectrum S on t variables."""
+    """What a sweep keeps of one stride-1 factor spectrum S on t variables,
+    from one of two routes.  The butterfly route reduces the whole
+    spectrum; the certificate route (``peak_certificate``) shows that S(0)
+    is the peak, |S(c)| <= S(0) at every c, and reads nothing else."""
 
-    zero: int  # S(0), from the transform
+    zero: int  # S(0), from the transform or the trace
     table_zero: int  # 2**t - 2 * weight of the factor's own table
-    top: int  # max S
-    bottom: int  # min S
-    power: int  # sum of S(c)**2, 4**t by Parseval's relation
-    direct: tuple  # S at the lowest masks of top and bottom, by direct sums
+    top: int  # max S; S(0) whenever S(0) is the peak
+    bottom: int | None  # min S; None on a certified factor, which never reads it
+    power: int | None  # sum of S(c)**2, 4**t by Parseval; None on a certified factor
+    # (direct sum of the factor's own table, the route's value) at the
+    # masks the route reports: the lowest signed argmax and argmin on the
+    # butterfly, 0 and the largest kept-row |S(c != 0)| on a certificate
+    direct: tuple
+    stack: tuple  # (want, got) of the certificate's two stack checksums; () on the butterfly
     # placement -> the mask with |S| = peak that places lowest under it; None
     # when the peak is S(0), since then no case on this factor fails its
     # peak check and none reads a tie
     lowest_ties: dict | None
+    route: str  # "certificate" or "butterfly"
+    rows: int | None  # the certificate's kept rows; None where it did not run
     seconds: float
 
     @property
@@ -440,17 +450,55 @@ def _place(m, cycle: tuple[int, ...]):
     return sum(((m >> j) & 1) << v for j, v in enumerate(cycle))
 
 
-def _factor_summary(t: int, l: int, placements) -> _Factor:
-    """One transform of the stride-1 degree-l function on t variables,
-    reduced block by block to what the sweep cases built on it read.
+def _certificate_route(t: int, l: int) -> bool:
+    """Whether a factor tries ``peak_certificate`` before the butterfly.
 
-    ``placements`` are the first cycles of those cases.  The spectrum is
-    read as walsh_blocks yields it, so above its blocking threshold no full
-    int32 spectrum is made; tied masks and squares are taken _TIE_BLOCK
-    coefficients at a time, so no full-size temporary sits beside a block.
-    For each placement the lowest placed tie of the running peak is kept,
-    and dropped when a later block holds a larger peak.  The direct oracle
-    then sums the factor's own table at the signed argmax and argmin.
+    Above _BLOCKED_ABOVE the butterfly is blocked and costs about 2**t
+    operations a stage.  The certificate's work is its expected 2**(l-1)
+    kept rows times 4**(l-1) * 2**(t - t // 2) multiply-adds, within 2**t
+    when 8**(l-1) <= 2**(t // 2): l = 2..4 at every t above 20 (l = 2 then
+    declines after its bound), l = 5 from t = 24, and never l = 6 up to
+    the cap of 28, where the certificate is the slower route."""
+    return t > _BLOCKED_ABOVE and 3 * (l - 1) <= t // 2
+
+
+def _factor_summary(t: int, l: int, placements, seed: int = DEFAULT_SEED) -> _Factor:
+    """The stride-1 degree-l factor on t variables, reduced to what the
+    sweep cases built on it read: by ``peak_certificate`` where
+    _certificate_route allows and the certificate holds, else by the
+    butterfly (_butterfly_factor).
+
+    The certificate declines, and the butterfly runs, when more than
+    2**(l-1) rows survive its bound or a kept row beats S(0).  A certified
+    factor keeps S(0) and the route checks: S(0) against the popcount of
+    its own table, direct sums of that table at mask 0 and at the kept-row
+    peak's mask against the trace, and the checksums of its two stacks.
+    """
+    if not _certificate_route(t, l):
+        return _butterfly_factor(t, l, placements)
+    t0 = time.perf_counter()
+    cert = peak_certificate(t, l, seed=seed)
+    if not cert.certified:
+        factor = _butterfly_factor(t, l, placements)
+        return factor._replace(rows=cert.rows, seconds=time.perf_counter() - t0)
+    tbl = monomial_rsbf(MonomialRsbfSpec(t, l, 1))
+    direct = walsh_at_many(tbl, [0, cert.mask]).tolist()
+    return _Factor(cert.zero, tbl.size - 2 * weight(tbl), cert.zero, None, None,
+                   tuple(zip(direct, (cert.zero, cert.value))), cert.checksums, None,
+                   "certificate", cert.rows, time.perf_counter() - t0)
+
+
+def _butterfly_factor(t: int, l: int, placements) -> _Factor:
+    """One transform of the factor, reduced block by block.
+
+    ``placements`` are the first cycles of the cases built on it.  The
+    spectrum is read as walsh_blocks yields it, so above its blocking
+    threshold no full int32 spectrum is made; tied masks and squares are
+    taken _TIE_BLOCK coefficients at a time, so no full-size temporary sits
+    beside a block.  For each placement the lowest placed tie of the
+    running peak is kept, and dropped when a later block holds a larger
+    peak.  The direct oracle then sums the factor's own table at the signed
+    argmax and argmin.
     """
     t0 = time.perf_counter()
     tbl = monomial_rsbf(MonomialRsbfSpec(t, l, 1))
@@ -485,7 +533,8 @@ def _factor_summary(t: int, l: int, placements) -> _Factor:
     lowest_ties = None if peak == peaks.zero else {cycle: best[cycle][1] for cycle in placements}
     direct = walsh_at_many(tbl, [peaks.k_top, peaks.k_bottom]).tolist()
     return _Factor(peaks.zero, tbl.size - 2 * weight(tbl), peaks.top, peaks.bottom, power,
-                   tuple(direct), lowest_ties, time.perf_counter() - t0)
+                   tuple(zip(direct, (peaks.top, peaks.bottom))), (), lowest_ties,
+                   "butterfly", None, time.perf_counter() - t0)
 
 
 def _factored_case(case: tuple[int, int, int], factor: _Factor) -> tuple:
@@ -498,6 +547,13 @@ def _factored_case(case: tuple[int, int, int], factor: _Factor) -> tuple:
     n, _, e = case
     dec = cycle_decompose(n, e)
     zero_value = factor.zero**dec.s
+    size = 1 << n
+    if factor.route == "certificate":
+        # S(0) is the peak, so also the max, and no product of s values of
+        # magnitude at most S(0) exceeds S(0)**s: max W = max |W| = W(0),
+        # as the recursion below gives whenever |bottom| <= top
+        weight_value = (size - zero_value) // 2
+        return (weight_value, weight_value, True, None, zero_value, zero_value)
     # the largest product of s independent factors comes from the running
     # largest and smallest partial products
     hi = lo = 1
@@ -513,7 +569,6 @@ def _factored_case(case: tuple[int, int, int], factor: _Factor) -> tuple:
         # every cycle
         tie = factor.lowest_ties[dec.cycles[0]]
         k_abs = sum(_place(tie, cycle) for cycle in dec.cycles)
-    size = 1 << n
     return ((size - zero_value) // 2, (size - hi) // 2, peak, k_abs, abs_max, zero_value)
 
 
@@ -550,16 +605,21 @@ def scan_family(
 
     A case passes when nonlinearity equals weight and no coefficient
     magnitude beats the zero-mask value.  Every case is built from its
-    stride-1 cycle factor, transformed once per distinct (t, l).  These
-    independent checks back that route, and a disagreement in any of them
-    fails the case with a ``route:`` witness: each factor's S(0) against
-    the popcount of its own table; each factor's sum of squares against
-    4**t (Parseval); each factor's signed max and min against direct sums
-    of its own table at their masks; every case with n <= CROSS_CHECK_MAX_N
-    against its full transform, field by field; and, for each arity above
-    that, one case drawn from ``seed`` whose W(0) is checked against the
-    popcount of its own stride-e table.  Results come back sorted by
-    (l, n, e) regardless of worker count.
+    stride-1 cycle factor, summarized once per distinct (t, l) by
+    _factor_summary: a peak certificate where _certificate_route allows
+    and it holds, else the butterfly.  These independent checks back that
+    route, and a disagreement in any of them fails the case with a
+    ``route:`` witness: each factor's S(0) against the popcount of its own
+    table; on the butterfly, each factor's sum of squares against 4**t
+    (Parseval) and its signed max and min against direct sums of its own
+    table at their masks; on a certificate, direct sums of that table at
+    mask 0 and at the kept-row peak's mask against the trace, and the
+    checksums of its two stacks (drawn from ``seed``); every case with
+    n <= CROSS_CHECK_MAX_N against its full transform, field by field;
+    and, for each arity above that, one case drawn from ``seed`` whose
+    W(0) is checked against the popcount of its own stride-e table.  One
+    log line per factor gives its route, kept rows and seconds.  Results
+    come back sorted by (l, n, e) regardless of worker count.
     """
     reports = []
     todo = []
@@ -579,7 +639,7 @@ def scan_family(
     spot: dict = {}  # case -> _table_zero result, for the drawn cases
     # (size, function, arguments, result dict, key), factors before checks
     # of the same size so a transform never runs behind a big table build
-    jobs = [(t, _factor_summary, (t, l, cycles), factors, (t, l))
+    jobs = [(t, _factor_summary, (t, l, cycles, seed), factors, (t, l))
             for (t, l), cycles in _factor_tasks(todo).items()]
     jobs += [(case[0], _family_case, (case,), full, case)
              for case in todo if case[0] <= CROSS_CHECK_MAX_N]
@@ -593,6 +653,9 @@ def scan_family(
         results = [fn(*args) for _, fn, args, _, _ in jobs]
     for (_, _, _, sink, key), value in zip(jobs, results):
         sink[key] = value
+    for (t, l), factor in sorted(factors.items()):
+        log.info("factor t=%d l=%d: %s route, kept rows %s, %.3f s",
+                 t, l, factor.route, "-" if factor.rows is None else factor.rows, factor.seconds)
     uses = Counter(factor_of[case] for case in todo)
     for case in todo:
         n, l, e = case
@@ -610,11 +673,14 @@ def scan_family(
         t = key[0]
         if factor.zero != factor.table_zero:
             witnesses.append((f"route:factor-zero:t={t}", factor.table_zero, factor.zero))
-        if factor.power != 4**t:
+        if factor.power is not None and factor.power != 4**t:
             witnesses.append((f"route:parseval:t={t}", 4**t, factor.power))
-        for want, got in zip(factor.direct, (factor.top, factor.bottom)):
+        for want, got in factor.direct:
             if want != got:
                 witnesses.append((f"route:direct:t={t}", want, got))
+        for want, got in factor.stack:
+            if want != got:
+                witnesses.append((f"route:stack:t={t}", want, got))
         if case in full:
             *fields, ms = full[case][3:]
             seconds += ms / 1000

@@ -27,7 +27,7 @@ from rsbf import (
     sweep_cases,
     walsh_transform,
 )
-from rsbf import core, goldens, harness, recurrences
+from rsbf import core, goldens, harness, recurrences, transfer
 from rsbf.goldens import load_reference_table
 from rsbf.harness import usable_cpus
 
@@ -220,8 +220,8 @@ def test_factored_route_holds_for_any_factor(monkeypatch):
 def test_wrong_factor_fails_cross_checked_case(monkeypatch):
     right = harness._factor_summary
 
-    def wrong(t, l, placements):
-        factor = right(t, l, placements)
+    def wrong(t, l, placements, seed):
+        factor = right(t, l, placements, seed)
         if t == 10:
             return factor._replace(top=factor.top - 2)
         if t == 9:
@@ -242,9 +242,9 @@ def test_wrong_factor_fails_cross_checked_case(monkeypatch):
 def test_seeded_spot_check_catches_wrong_zero_above_cap(monkeypatch):
     right = harness._factor_summary
 
-    def wrong(t, l, placements):
+    def wrong(t, l, placements, seed):
         # wrong in a way the factor cannot see: its own popcount agrees
-        factor = right(t, l, placements)
+        factor = right(t, l, placements, seed)
         return factor._replace(zero=factor.zero + 2, table_zero=factor.table_zero + 2)
 
     monkeypatch.setattr(harness, "_factor_summary", wrong)
@@ -269,7 +269,8 @@ def test_seeded_spot_check_catches_wrong_zero_above_cap(monkeypatch):
 
 
 def _full_reduction(t, l, placements):
-    """What _factor_summary must report, from the whole int32 spectrum."""
+    """What the butterfly route must report, from the whole int32 spectrum:
+    the _Factor fields up to lowest_ties."""
     tbl = harness.monomial_rsbf(harness.MonomialRsbfSpec(t, l, 1))
     values = walsh_transform(tbl).values
     wide = values.astype(np.int64)
@@ -281,7 +282,7 @@ def _full_reduction(t, l, placements):
         lowest_ties = {cycle: int(ties[np.argmin(harness._place(ties, cycle))])
                        for cycle in placements}
     return (int(values[0]), tbl.size - 2 * harness.weight(tbl), top, bottom, int(np.dot(wide, wide)),
-            (top, bottom), lowest_ties)
+            ((top, top), (bottom, bottom)), (), lowest_ties)
 
 
 @pytest.mark.parametrize("small_blocks", [False, True])
@@ -290,7 +291,9 @@ def test_factor_summary_matches_full_spectrum_reduction(monkeypatch, l, small_bl
     # t = 17..21: one block up to the blocking threshold and 8 blocks at
     # t = 21; with small blocks (2**14 masks from t = 17), every t runs
     # blocked, 8 to 64 blocks.  l = 2 has S(0) = 0 and its peak (1024 at
-    # t = 19) tied at a quarter of the masks, in every block.
+    # t = 19) tied at a quarter of the masks, in every block.  l = 3, 4 at
+    # t = 21 take the certificate in _factor_summary, so the butterfly
+    # route is called by itself.
     if small_blocks:
         monkeypatch.setattr(core, "_BLOCK_BITS", 14)
         monkeypatch.setattr(core, "_BLOCKED_ABOVE", 16)
@@ -298,9 +301,11 @@ def test_factor_summary_matches_full_spectrum_reduction(monkeypatch, l, small_bl
         # first cycles as strides place them: spread s apart, and reversed
         placements = tuple(tuple(s * (u * j % t) for j in range(t))
                            for s, u in ((1, 1), (3, 1), (1, t - 1)))
-        got = harness._factor_summary(t, l, placements)
-        assert tuple(got[:-1]) == _full_reduction(t, l, placements), (t, l)
-        assert got.power == 4**t
+        got = harness._butterfly_factor(t, l, placements)
+        assert tuple(got[:8]) == _full_reduction(t, l, placements), (t, l)
+        assert (got.route, got.rows, got.power) == ("butterfly", None, 4**t)
+        if not harness._certificate_route(t, l):
+            assert harness._factor_summary(t, l, placements)[:10] == got[:10]
     if l == 2:
         assert harness._factor_summary(19, 2, (tuple(range(19)),))[:4] == (0, 0, 1024, -1024)
 
@@ -341,17 +346,18 @@ def test_factor_summary_working_memory():
     # bytes while they unpack and the words of its build (1/8 byte a mask
     # each, not all at once), one int32 block and one tile (1 MiB each) and
     # the int64 squares of one tie block (512 KiB), plus 256 KiB of slack.
-    # Measured: 7,906,336 B against 8,126,464 B allowed, under the 16 MiB
-    # of a full int32 spectrum, which does not fit.
+    # Measured at l = 6, which stays on the butterfly: 7,906,968 B against
+    # 8,126,464 B allowed, under the 16 MiB of a full int32 spectrum, which
+    # does not fit.
     t = 22
     placements = (tuple(range(t)),)
     tracemalloc.start()
     try:
-        factor = harness._factor_summary(t, 4, placements)
+        factor = harness._factor_summary(t, 6, placements)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert factor.power == 4**t
+    assert (factor.route, factor.power) == ("butterfly", 4**t)
     size = 1 << t
     assert peak < size + 2 * size // 8 + (2 << 20) + (512 << 10) + (256 << 10) < 4 * size
 
@@ -370,15 +376,16 @@ def _blocks_then(mutate):
 
 def test_parseval_fails_a_factor_with_one_wrong_coefficient(monkeypatch):
     # one coefficient moved by 2 in the last block of the t = 21 factor:
-    # Parseval's sum moves by 4 v + 4, and every case on it fails
-    case = (21, 4, 1)
+    # Parseval's sum moves by 4 v + 4, and every case on it fails; l = 6
+    # stays on the butterfly, the only route that sums squares
+    case = (21, 6, 1)
     mask = (1 << 21) - 5
 
     def flip(blocks):
         offset, block = blocks[-1]
         block[mask - offset] += 2
 
-    value = int(walsh_transform(harness.monomial_rsbf(harness.MonomialRsbfSpec(*case[:1], 4, 1)))
+    value = int(walsh_transform(harness.monomial_rsbf(harness.MonomialRsbfSpec(*case[:1], 6, 1)))
                 .values[mask])
     assert scan_family([case])[0].status == "pass"
     monkeypatch.setattr(harness, "walsh_blocks", _blocks_then(flip))
@@ -391,12 +398,13 @@ def test_direct_sums_fail_a_factor_with_blocks_out_of_place(monkeypatch):
     # A random t = 21 factor, whose signed max lies outside block 0, with
     # that block swapped with its neighbour: every value, so S(0) and
     # Parseval's sum, stays, but the max is reported at a mask where the
-    # direct oracle disagrees.
+    # direct oracle disagrees.  l = 6 keeps the factor on the butterfly;
+    # the certificate never reads the patched table.
     t = 21
     factor = TruthTable(t, random.Random(t).getrandbits(1 << t))
     monkeypatch.setattr(harness, "monomial_rsbf", lambda spec: factor)
     route = lambda report: [w for w in report.witnesses if w[0].startswith("route:")]
-    assert route(scan_family([(t, 4, 1)])[0]) == []
+    assert route(scan_family([(t, 6, 1)])[0]) == []
     values = walsh_transform(factor).values
     b = int(np.argmax(values)) >> 18
     other = b + 1 if b + 1 < 8 else b - 1
@@ -407,9 +415,84 @@ def test_direct_sums_fail_a_factor_with_blocks_out_of_place(monkeypatch):
         blocks[b], blocks[other] = (x, v), (y, u)
 
     monkeypatch.setattr(harness, "walsh_blocks", _blocks_then(swap))
-    (report,) = scan_family([(t, 4, 1)])
+    (report,) = scan_family([(t, 6, 1)])
     assert [w[0] for w in route(report)] == ["route:direct:t=21"]
     assert route(report)[0][2] == int(values.max())
+
+
+def test_certified_factors_give_the_butterfly_stream(monkeypatch, caplog):
+    # With the certificate's threshold lowered to 16, l = 3 factors take it
+    # from t = 17 and l = 4 from t = 18 (8^3 <= 2^(t // 2)); the cases read
+    # the same fields as on the butterfly, stride 2 included (two cycles at
+    # even n), and every factor logs its route.
+    strip = lambda rs: [(r.check, r.params, r.status, r.witnesses) for r in rs]
+    monkeypatch.setattr(harness, "_BLOCKED_ABOVE", 16)
+    cases = [(n, l, e) for l in (3, 4) for n in range(17, 23) for e in (1, 2)]
+    with caplog.at_level(logging.INFO, logger="rsbf.harness"):
+        certified = scan_family(cases)
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("factor t=")]
+    assert "factor t=17 l=3: certificate route, kept rows 4" in "\n".join(lines)
+    assert "factor t=17 l=4: butterfly route, kept rows -" in "\n".join(lines)
+    assert sum("certificate route, kept rows 8" in line for line in lines) == 5
+    assert len(lines) == len(harness._factor_tasks(cases))
+    monkeypatch.setattr(harness, "_certificate_route", lambda t, l: False)
+    butterfly = scan_family(cases)
+    assert strip(certified) == strip(butterfly)
+    assert all(r.status == "pass" for r in certified)
+
+
+def test_certificate_falls_back_to_the_butterfly(monkeypatch):
+    # l = 2 at t = 21 keeps 1024 rows, more than 2, so the butterfly runs
+    # and reports what it reports alone
+    placements = (tuple(range(21)),)
+    factor = harness._factor_summary(21, 2, placements)
+    assert (factor.route, factor.rows) == ("butterfly", 1024)
+    assert tuple(factor[:8]) == _full_reduction(21, 2, placements)
+    # the t = 1 parity keeps its one row, where |S(1)| = 2 beats S(0) = 0
+    monkeypatch.setattr(harness, "_certificate_route", lambda t, l: True)
+    factor = harness._factor_summary(1, 4, ((0,),))
+    assert (factor.route, factor.rows) == ("butterfly", 1)
+    assert tuple(factor[:8]) == _full_reduction(1, 4, ((0,),)) == (
+        0, 0, 2, 0, 4, ((2, 2), (0, 0)), (), {(0,): 1})
+
+
+def test_corrupted_stack_entry_fails_route_stack(monkeypatch):
+    # the last low matrix of the t = 21 factor (h = 10) with its largest
+    # entry zeroed: its row bound can only fall, so the certificate still
+    # holds, but the low stack's checksum moves
+    right = transfer._stack
+
+    def wrong(l, m):
+        stack = right(l, m)
+        if m == 10:
+            last = stack[..., -1]
+            last[np.unravel_index(np.argmax(np.abs(last)), last.shape)] = 0
+        return stack
+
+    case = (21, 4, 1)
+    assert scan_family([case])[0].status == "pass"
+    monkeypatch.setattr(transfer, "_stack", wrong)
+    (report,) = scan_family([case])
+    assert report.status == "fail"
+    assert [w[0] for w in report.witnesses] == ["route:stack:t=21"]
+    want, got = report.witnesses[0][1:]
+    assert want != got and 0 <= min(want, got) and max(want, got) < transfer._PRIME
+
+
+def test_wrong_kept_row_value_fails_route_direct(monkeypatch):
+    right = harness.peak_certificate
+
+    def wrong(*args, **kwargs):
+        cert = right(*args, **kwargs)
+        return cert._replace(value=cert.value + 2)
+
+    case = (21, 4, 1)
+    cert = right(21, 4)
+    want = int(harness.walsh_at_many(harness.monomial_rsbf(harness.MonomialRsbfSpec(21, 4, 1)),
+                                     [cert.mask])[0])
+    monkeypatch.setattr(harness, "peak_certificate", wrong)
+    (report,) = scan_family([case])
+    assert report.witnesses == [("route:direct:t=21", want, want + 2)]
 
 
 def test_full_stride_cases_fail_and_nothing_else_does():
