@@ -17,7 +17,6 @@ from .core import (
     WalshSpectrum,
     anf_table,
     nonlinearity,
-    spectrum_argmax,
     walsh_at,
     walsh_at_many,
     walsh_blocks,
@@ -81,7 +80,6 @@ __all__ = [
     "WalshSpectrum",
     "anf_table",
     "nonlinearity",
-    "spectrum_argmax",
     "walsh_at",
     "walsh_at_many",
     "walsh_blocks",

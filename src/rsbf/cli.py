@@ -24,14 +24,7 @@ from .core import (
     weight,
 )
 from .families import MonomialRsbfSpec, monomial_rsbf, sub_function
-from .harness import (
-    SUITES,
-    TABLE_SUITES,
-    HarnessConfig,
-    run_all,
-    suite_windows,
-    window_floor,
-)
+from .harness import SUITES, HarnessConfig, run_all
 from .report import write_jsonl
 
 
@@ -66,13 +59,15 @@ def _mask_text(c: int, n: int, bits: bool) -> str:
     return str(c)
 
 
-def _family_spec(n: int, l: int, e: int, max_n: int) -> MonomialRsbfSpec:
+def _capped(n: int, max_n: int, make, *args):
+    """make(*args), or a usage error when n is above the cap or make
+    refuses its arguments."""
     if n > max_n:
         raise click.UsageError(
             f"n={n} exceeds the cap of {max_n}; raise --max-n (hard cap {HARD_MAX_N})"
         )
     try:
-        return MonomialRsbfSpec(n, l, e)
+        return make(*args)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
 
@@ -143,7 +138,7 @@ def _common_options(fn):
 @_common_options
 def analyze(n, l, e, fmt, out, max_n, bits):
     """Weight, nonlinearity, and spectral peaks of one family member."""
-    spec = _family_spec(n, l, e, max_n)
+    spec = _capped(n, max_n, MonomialRsbfSpec, n, l, e)
     tbl = monomial_rsbf(spec)
     peaks = SpectrumPeaks.of(n, walsh_blocks(tbl))
     mask_signed, value_signed, mask_abs, value_abs = peaks.argmax()
@@ -354,6 +349,22 @@ def _render_spectrum(record: dict, blocks, fmt: str, n: int, bits: bool, out: st
         fh.flush()
 
 
+def _spectrum_command(tbl, record: dict, note: str, at, force, fmt, out, bits) -> None:
+    """The body of spectrum and subfn: the coefficient of ``tbl`` at mask
+    ``at`` by direct summation, a line that ends in ``note`` as text, or
+    with ``at`` None the full spectrum; ``record`` heads either."""
+    n = tbl.n
+    if at is not None:
+        if not 0 <= at < tbl.size:
+            raise click.UsageError(f"--at {at} is outside 0..{tbl.size - 1}")
+        record = {**record, "at": _mask_text(at, n, bits) if bits else at,
+                  "value": walsh_at(tbl, at)}
+        _emit(record, fmt, f"walsh at {record['at']}: {record['value']}{note}", out)
+        return
+    _full_spectrum_guard(n, out, force)
+    _render_spectrum(record, walsh_blocks(tbl), fmt, n, bits, out)
+
+
 @main.command()
 @click.option("--n", envvar="RSBF_N", type=int, required=True, help="Number of variables.")
 @click.option("--l", envvar="RSBF_L", type=int, default=4, show_default=True, help="Monomial degree.")
@@ -365,22 +376,10 @@ def _render_spectrum(record: dict, blocks, fmt: str, n: int, bits: bool, out: st
 @_common_options
 def spectrum(n, l, e, at, force, fmt, out, max_n, bits):
     """Walsh spectrum of one family member (all masks, or one with --at)."""
-    spec = _family_spec(n, l, e, max_n)
-    tbl = monomial_rsbf(spec)
-    if at is not None:
-        if not 0 <= at < tbl.size:
-            raise click.UsageError(f"--at {at} is outside 0..{tbl.size - 1}")
-        record = {
-            "n": n, "l": l, "e": e, "degenerate": spec.degenerate,
-            "at": _mask_text(at, n, bits) if bits else at,
-            "value": walsh_at(tbl, at),
-        }
-        note = " (degenerate: n < l)" if spec.degenerate else ""
-        _emit(record, fmt, f"walsh at {record['at']}: {record['value']}{note}", out)
-        return
-    _full_spectrum_guard(n, out, force)
+    spec = _capped(n, max_n, MonomialRsbfSpec, n, l, e)
     record = {"n": n, "l": l, "e": e, "degenerate": spec.degenerate}
-    _render_spectrum(record, walsh_blocks(tbl), fmt, n, bits, out)
+    note = " (degenerate: n < l)" if spec.degenerate else ""
+    _spectrum_command(monomial_rsbf(spec), record, note, at, force, fmt, out, bits)
 
 
 @main.command()
@@ -396,27 +395,8 @@ def spectrum(n, l, e, at, force, fmt, out, max_n, bits):
 @_common_options
 def subfn(i, j, n, at, force, fmt, out, max_n, bits):
     """Walsh spectrum of one chain variant (all masks, or one with --at)."""
-    if n > max_n:
-        raise click.UsageError(
-            f"n={n} exceeds the cap of {max_n}; raise --max-n (hard cap {HARD_MAX_N})"
-        )
-    try:
-        tbl = sub_function(i, j, n)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
-    if at is not None:
-        if not 0 <= at < tbl.size:
-            raise click.UsageError(f"--at {at} is outside 0..{tbl.size - 1}")
-        record = {
-            "i": i, "j": j, "n": n,
-            "at": _mask_text(at, n, bits) if bits else at,
-            "value": walsh_at(tbl, at),
-        }
-        _emit(record, fmt, f"walsh at {record['at']}: {record['value']}", out)
-        return
-    _full_spectrum_guard(n, out, force)
-    record = {"i": i, "j": j, "n": n}
-    _render_spectrum(record, walsh_blocks(tbl), fmt, n, bits, out)
+    tbl = _capped(n, max_n, sub_function, i, j, n)
+    _spectrum_command(tbl, {"i": i, "j": j, "n": n}, "", at, force, fmt, out, bits)
 
 
 def _stream_reports(reports, fmt: str, out: str | None) -> None:
@@ -441,7 +421,7 @@ def _stream_reports(reports, fmt: str, out: str | None) -> None:
 
 
 def _readers(key: str) -> str:
-    return ", ".join(name for name in SUITES if key in suite_windows(name))
+    return ", ".join(name for name, suite in SUITES.items() if key in suite.windows)
 
 
 @main.command()
@@ -476,21 +456,23 @@ def check(ctx, which, l, n_range, e_range, workers, max_n, seed, fmt, out):
     exactly when a counterexample is found, because finding one is its job.
     """
     names = list(SUITES) if which == "all" else [which]
+    suites = [SUITES[name] for name in names]
     window = {"l": l, "n_range": n_range, "e_range": e_range}
     window = {key: value for key, value in window.items() if value is not None}
     # every window is checked against every chosen suite before any runs
     for key, value in window.items():
         flag = f"--{key.replace('_', '-')}"
-        if not all(key in suite_windows(name) for name in names):
+        if not all(key in suite.windows for suite in suites):
             raise click.UsageError(f"{flag} does not apply to check {which}")
         low, text = (value, str(value)) if key == "l" else (value[0], f"{value[0]}..{value[1]}")
-        floor = max(window_floor(name, key) for name in names)
+        floor = max(suite.floor(key) for suite in suites)
         if low < floor:
             raise click.UsageError(f"check {which} takes {flag} from {floor} up, got {text}")
     if l is not None and l >= 7:
         click.echo(f"# degree {l} is exploratory; no expected outcome is pinned", err=True)
-    if fmt == "csv" and which not in TABLE_SUITES:
-        raise click.UsageError(f"--format csv only applies to {'/'.join(TABLE_SUITES)}")
+    tables = [name for name, suite in SUITES.items() if suite.table]
+    if fmt == "csv" and which not in tables:
+        raise click.UsageError(f"--format csv only applies to {'/'.join(tables)}")
     if fmt == "csv" and out is None:
         raise click.UsageError("--format csv needs --out for the table artifact")
 

@@ -38,7 +38,6 @@ __all__ = [
     "walsh_at_many",
     "nonlinearity",
     "SpectrumPeaks",
-    "spectrum_argmax",
 ]
 
 
@@ -420,8 +419,9 @@ class SpectrumPeaks:
         return max(hi, -lo)
 
     def argmax(self) -> tuple[LinearMask, int, LinearMask, int]:
-        """(signed argmax, signed max, abs argmax, abs max), as
-        spectrum_argmax gives them."""
+        """(signed argmax, signed max, abs argmax, abs max).  Ties break
+        toward the lowest mask; the peak magnitude is the larger of max and
+        -min, read with no |W| copy of the spectrum."""
         top, bottom = self.top, -self.bottom
         if top == bottom:
             k_abs = min(self.k_top, self.k_bottom)
@@ -429,11 +429,3 @@ class SpectrumPeaks:
             k_abs = self.k_top if top > bottom else self.k_bottom
         return LinearMask(self.n, self.k_top), top, LinearMask(self.n, k_abs), max(top, bottom)
 
-
-def spectrum_argmax(spectrum: WalshSpectrum) -> tuple[LinearMask, int, LinearMask, int]:
-    """Peaks of a spectrum: (signed argmax, signed max, abs argmax, abs max).
-
-    Ties break toward the lowest mask.  The peak magnitude is the larger of
-    max and -min, read without a |W| copy of the spectrum.
-    """
-    return SpectrumPeaks.of(spectrum.n, [(0, spectrum.values)]).argmax()

@@ -19,7 +19,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .core import (
     DEFAULT_MAX_N,
     HARD_MAX_N,
     SpectrumPeaks,
-    spectrum_argmax,
     walsh_at,
     walsh_at_many,
     walsh_blocks,
@@ -60,9 +59,7 @@ __all__ = [
     "HarnessConfig",
     "RunResult",
     "SUITES",
-    "TABLE_SUITES",
-    "suite_windows",
-    "window_floor",
+    "Suite",
     "check_reference_table",
     "check_identity_grid",
     "check_family_identity",
@@ -145,27 +142,20 @@ def _cap_witnesses(witnesses: list) -> list:
 
 def _table1_artifact(route_bad: list) -> TableArtifact:
     arities = list(TABLE_ARITIES)
+    # the ten variants with i <= j, then the stride-1 family
+    builds = [(f"f{i}{j}", partial(sub_function, i, j)) for i in range(4) for j in range(i, 4)]
+    builds.append(("F4", lambda n: monomial_rsbf(MonomialRsbfSpec(n, 4, 1))))
     rows = []
-    for i in range(4):
-        for j in range(i, 4):
-            values = []
-            for n in arities:
-                tbl = sub_function(i, j, n)
-                fast = walsh_transform(tbl)[0]
-                direct = walsh_at(tbl, 0)
-                if fast != direct:
-                    route_bad.append((f"route:f{i}{j}:n={n}", direct, fast))
-                values.append(fast)
-            rows.append((f"f{i}{j}", values))
-    family_values = []
-    for n in arities:
-        tbl = monomial_rsbf(MonomialRsbfSpec(n, 4, 1))
-        fast = walsh_transform(tbl)[0]
-        direct = walsh_at(tbl, 0)
-        if fast != direct:
-            route_bad.append((f"route:F4:n={n}", direct, fast))
-        family_values.append(fast)
-    rows.append(("F4", family_values))
+    for label, build in builds:
+        values = []
+        for n in arities:
+            tbl = build(n)
+            fast = walsh_transform(tbl)[0]
+            direct = walsh_at(tbl, 0)
+            if fast != direct:
+                route_bad.append((f"route:{label}:n={n}", direct, fast))
+            values.append(fast)
+        rows.append((label, values))
     return TableArtifact("table1", "n", [str(n) for n in arities], rows)
 
 
@@ -211,6 +201,25 @@ def _transform_provider():
     return get
 
 
+def _reports(check: str, params_list, max_n: int, witnesses_of) -> list[VerificationReport]:
+    """One report per params dict, in order: skipped with a ``max-n``
+    witness when its n is above ``max_n``, else timed around
+    ``witnesses_of(params)``, passing when that finds no witness, with the
+    witnesses capped at MAX_WITNESSES."""
+    reports = []
+    for params in params_list:
+        if params["n"] > max_n:
+            reports.append(_skip(check, params, max_n, params["n"]))
+            continue
+        t0 = time.perf_counter()
+        witnesses = witnesses_of(params)
+        status = "fail" if witnesses else "pass"
+        reports.append(
+            VerificationReport(check, params, status, _cap_witnesses(witnesses), _elapsed_ms(t0))
+        )
+    return reports
+
+
 def check_identity_grid(
     which: str,
     n_values=None,
@@ -233,13 +242,9 @@ def check_identity_grid(
     if n_values is None:
         n_values = GRID_EXHAUSTIVE_NS
     sampled = samples is not None
-    reports = []
-    for n in n_values:
-        params = {"n": n, "id": "transform:sampled" if sampled else "direct"}
-        if n > max_n:
-            reports.append(_skip(which, params, max_n, n))
-            continue
-        t0 = time.perf_counter()
+
+    def witnesses_of(params: dict) -> list:
+        n = params["n"]
         half = 1 << (n - 1)
         if not sampled or samples >= half:
             masks = np.arange(half)
@@ -255,11 +260,10 @@ def check_identity_grid(
             lhs = walsh_transform(tbl).values[masks] if sampled else walsh_at_many(tbl, masks)
             rhs = identity(i, j, n, masks, provider)
             witnesses += [(f"f{i}{j}:c={c}", a, b) for c, a, b in _differences(masks, lhs, rhs)]
-        status = "fail" if witnesses else "pass"
-        reports.append(
-            VerificationReport(which, params, status, _cap_witnesses(witnesses), _elapsed_ms(t0))
-        )
-    return reports
+        return witnesses
+
+    route = "transform:sampled" if sampled else "direct"
+    return _reports(which, [{"n": n, "id": route} for n in n_values], max_n, witnesses_of)
 
 
 def check_family_identity(n_values=None, max_n: int = DEFAULT_MAX_N) -> list[VerificationReport]:
@@ -267,20 +271,14 @@ def check_family_identity(n_values=None, max_n: int = DEFAULT_MAX_N) -> list[Ver
     summation, every mask."""
     if n_values is None:
         n_values = DECOMPOSITION_NS
-    reports = []
-    for n in n_values:
-        if n > max_n:
-            reports.append(_skip("eq23", {"n": n}, max_n, n))
-            continue
-        t0 = time.perf_counter()
+
+    def witnesses_of(params: dict) -> list:
+        n = params["n"]
         tbl = monomial_rsbf(MonomialRsbfSpec(n, 4, 1))
         masks = np.arange(1 << n)
-        witnesses = _differences(masks, walsh_at_many(tbl, masks), family_walsh_via_subfns(n, masks))
-        status = "fail" if witnesses else "pass"
-        reports.append(
-            VerificationReport("eq23", {"n": n}, status, _cap_witnesses(witnesses), _elapsed_ms(t0))
-        )
-    return reports
+        return _differences(masks, walsh_at_many(tbl, masks), family_walsh_via_subfns(n, masks))
+
+    return _reports("eq23", [{"n": n} for n in n_values], max_n, witnesses_of)
 
 
 def check_subfn_zero(
@@ -292,23 +290,18 @@ def check_subfn_zero(
     table = base if base is not None else SpectralBaseTable.from_reference()
     # one chain pass yields every variant at every arity up to the largest
     transfer = subfn_zero_transfer(max([4] + [n for n in n_values if n <= max_n]))
-    reports = []
-    for n in n_values:
-        if n > max_n:
-            reports.append(_skip("eq26", {"n": n}, max_n, n))
-            continue
-        t0 = time.perf_counter()
+
+    def witnesses_of(params: dict) -> list:
+        n = params["n"]
         witnesses = []
         for i, j in SUB_PAIRS:
             recurred = subfn_zero_recurrence(i, j, n, table)
             reference = transfer[n][(i, j)]
             if recurred != reference:
                 witnesses.append((f"f{i}{j}", reference, recurred))
-        status = "fail" if witnesses else "pass"
-        reports.append(
-            VerificationReport("eq26", {"n": n}, status, _cap_witnesses(witnesses), _elapsed_ms(t0))
-        )
-    return reports
+        return witnesses
+
+    return _reports("eq26", [{"n": n} for n in n_values], max_n, witnesses_of)
 
 
 def check_family_zero(
@@ -319,18 +312,13 @@ def check_family_zero(
     if n_values is None:
         n_values = ZERO_RECURRENCE_NS
     table = base if base is not None else SpectralBaseTable.from_reference()
-    reports = []
-    for n in n_values:
-        if n > max_n:
-            reports.append(_skip("thm24", {"n": n}, max_n, n))
-            continue
-        t0 = time.perf_counter()
-        recurred = family_zero_recurrence(n, table)
-        reference = family_walsh_transfer(n, 4, 0)
-        witnesses = [] if recurred == reference else [("F4", reference, recurred)]
-        status = "fail" if witnesses else "pass"
-        reports.append(VerificationReport("thm24", {"n": n}, status, witnesses, _elapsed_ms(t0)))
-    return reports
+
+    def witnesses_of(params: dict) -> list:
+        recurred = family_zero_recurrence(params["n"], table)
+        reference = family_walsh_transfer(params["n"], 4, 0)
+        return [] if recurred == reference else [("F4", reference, recurred)]
+
+    return _reports("thm24", [{"n": n} for n in n_values], max_n, witnesses_of)
 
 
 def check_bound(n_values=None, max_n: int = DEFAULT_MAX_N) -> list[VerificationReport]:
@@ -352,12 +340,9 @@ def check_factorization(cases=FACTOR_CASES, max_n: int = DEFAULT_MAX_N) -> list[
     Also surveys each aligned factor's peaks and logs whether the signed
     and the absolute forms of the peak-at-zero comparison hold for it.
     """
-    reports = []
-    for n, e in cases:
-        if n > max_n:
-            reports.append(_skip("factor", {"n": n, "e": e}, max_n, n))
-            continue
-        t0 = time.perf_counter()
+
+    def witnesses_of(params: dict) -> list:
+        n, e = params["n"], params["e"]
         spec = MonomialRsbfSpec(n, 4, e)
         masks = np.arange(1 << n)
         values = walsh_transform(monomial_rsbf(spec)).values
@@ -374,13 +359,9 @@ def check_factorization(cases=FACTOR_CASES, max_n: int = DEFAULT_MAX_N) -> list[
             "factor (n=%d,e=%d): t=%d signed-strict=%s abs-within=%s",
             n, e, dec.t, signed_strict, abs_within,
         )
-        status = "fail" if witnesses else "pass"
-        reports.append(
-            VerificationReport(
-                "factor", {"n": n, "e": e}, status, _cap_witnesses(witnesses), _elapsed_ms(t0)
-            )
-        )
-    return reports
+        return witnesses
+
+    return _reports("factor", [{"n": n, "e": e} for n, e in cases], max_n, witnesses_of)
 
 
 def sweep_cases(n_range=SWEEP_WINDOWS[4][0], e_range=None, l: int = 4) -> list[tuple[int, int, int]]:
@@ -406,13 +387,11 @@ def _family_case(args: tuple[int, int, int]):
     n, l, e = args
     t0 = time.perf_counter()
     tbl = monomial_rsbf(MonomialRsbfSpec(n, l, e))
-    spectrum = walsh_transform(tbl)
-    wt = weight(tbl)
-    _, signed_max, k_abs, abs_max = spectrum_argmax(spectrum)
+    peaks = SpectrumPeaks.of(n, walsh_blocks(tbl))
+    _, signed_max, k_abs, abs_max = peaks.argmax()
     nl = (tbl.size - signed_max) // 2
-    zero_value = spectrum[0]
-    peak = abs_max <= zero_value
-    return (n, l, e, wt, nl, peak, int(k_abs), abs_max, zero_value, _elapsed_ms(t0))
+    peak = abs_max <= peaks.zero
+    return (n, l, e, weight(tbl), nl, peak, int(k_abs), abs_max, peaks.zero, _elapsed_ms(t0))
 
 
 class _Factor(NamedTuple):
@@ -428,7 +407,7 @@ class _Factor(NamedTuple):
     power: int | None  # sum of S(c)**2, 4**t by Parseval; None on a certified factor
     # (direct sum of the factor's own table, the route's value) at the
     # masks the route reports: the lowest signed argmax and argmin on the
-    # butterfly, 0 and the largest kept-row |S(c != 0)| on a certificate
+    # butterfly, the largest kept-row |S(c != 0)| on a certificate
     direct: tuple
     stack: tuple  # (want, got) of the certificate's two stack checksums; () on the butterfly
     # placement -> the mask with |S| = peak that places lowest under it; None
@@ -471,8 +450,9 @@ def _factor_summary(t: int, l: int, placements, seed: int = DEFAULT_SEED) -> _Fa
     The certificate declines, and the butterfly runs, when more than
     2**(l-1) rows survive its bound or a kept row beats S(0).  A certified
     factor keeps S(0) and the route checks: S(0) against the popcount of
-    its own table, direct sums of that table at mask 0 and at the kept-row
-    peak's mask against the trace, and the checksums of its two stacks.
+    its own table (which is its direct sum at mask 0), a direct sum of
+    that table at the kept-row peak's mask against the trace, and the
+    checksums of its two stacks.
     """
     if not _certificate_route(t, l):
         return _butterfly_factor(t, l, placements)
@@ -482,9 +462,8 @@ def _factor_summary(t: int, l: int, placements, seed: int = DEFAULT_SEED) -> _Fa
         factor = _butterfly_factor(t, l, placements)
         return factor._replace(rows=cert.rows, seconds=time.perf_counter() - t0)
     tbl = monomial_rsbf(MonomialRsbfSpec(t, l, 1))
-    direct = walsh_at_many(tbl, [0, cert.mask]).tolist()
     return _Factor(cert.zero, tbl.size - 2 * weight(tbl), cert.zero, None, None,
-                   tuple(zip(direct, (cert.zero, cert.value))), cert.checksums, None,
+                   ((walsh_at(tbl, cert.mask), cert.value),), cert.checksums, None,
                    "certificate", cert.rows, time.perf_counter() - t0)
 
 
@@ -612,9 +591,9 @@ def scan_family(
     ``route:`` witness: each factor's S(0) against the popcount of its own
     table; on the butterfly, each factor's sum of squares against 4**t
     (Parseval) and its signed max and min against direct sums of its own
-    table at their masks; on a certificate, direct sums of that table at
-    mask 0 and at the kept-row peak's mask against the trace, and the
-    checksums of its two stacks (drawn from ``seed``); every case with
+    table at their masks; on a certificate, a direct sum of that table at
+    the kept-row peak's mask against the trace, and the checksums of its
+    two stacks (drawn from ``seed``); every case with
     n <= CROSS_CHECK_MAX_N against its full transform, field by field;
     and, for each arity above that, one case drawn from ``seed`` whose
     W(0) is checked against the popcount of its own stride-e table.  One
@@ -794,21 +773,22 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# Suite runners, name -> runner(config, **windows), in run order.  A
-# runner's keyword parameters are the windows it reads (l, n_range,
-# e_range); one left out keeps its default.  Runners name the check
-# functions when called, through this module's globals, so rebinding one of
-# those names (as a tracer does) reaches every suite.
+# Suite runners take (config, **windows) and name the check functions when
+# called, through this module's globals, so rebinding one of those names
+# (as a tracer does) reaches every suite.
 
 
-def _arities(n_range):
-    return None if n_range is None else range(n_range[0], n_range[1] + 1)
+def _arity(cfg: HarnessConfig, n_range) -> dict:
+    """The n_values and max_n keywords of a check over the arity window
+    ``n_range`` (None keeps the check's default)."""
+    n_values = None if n_range is None else range(n_range[0], n_range[1] + 1)
+    return {"n_values": n_values, "max_n": cfg.max_n}
 
 
 def _identity_suite(which: str, cfg: HarnessConfig, n_range=None) -> list[VerificationReport]:
     # an explicit arity window is checked exhaustively only
     if n_range is not None:
-        return check_identity_grid(which, n_values=_arities(n_range), max_n=cfg.max_n)
+        return check_identity_grid(which, **_arity(cfg, n_range))
     return check_identity_grid(which, max_n=cfg.max_n) + check_identity_grid(
         which, n_values=GRID_SAMPLED_NS, samples=GRID_SAMPLES, seed=cfg.seed, max_n=cfg.max_n
     )
@@ -831,67 +811,71 @@ def _counterexample(cfg: HarnessConfig, n_range=None, e_range=None) -> list[Veri
     return reports + [summary]
 
 
+class Suite(NamedTuple):
+    """One suite of SUITES.
+
+    ``run(config, **windows)`` returns the suite's records.  Its keyword
+    parameters after the config are the windows it reads (``l``,
+    ``n_range``, ``e_range``), and one left out keeps its default.
+    ``rank`` is the suite's place in the order run_all hands whole suites
+    to its pool.  ``n_floor`` is the lowest arity its n window may start
+    at.  A ``table`` suite returns (recomputed table, report), the others
+    a list of reports.
+    """
+
+    run: Callable
+    rank: int
+    n_floor: int = 1
+    table: bool = False
+
+    @property
+    def windows(self) -> tuple[str, ...]:
+        return tuple(inspect.signature(self.run).parameters)[1:]
+
+    def floor(self, key: str) -> int:
+        """Lowest value the suite takes for window ``key``; a range must
+        start there or above.  A degree is at least 2, a stride at least 1."""
+        return {"l": 2, "e_range": 1}.get(key, self.n_floor)
+
+
+# The suites in run order.  Ranks put the longest first, so the short
+# suites fill in behind the long ones (Graham's list scheduling).  Traced
+# serial suite times of the default check-all on 2 CPUs: lemma21 0.18 s,
+# lemma22 0.18 s, conjecture 0.13 s, theorem 0.13 s, bound 0.07 s, eq23
+# 0.07 s, then cubic, counterexample and table1 near 0.02 s each and the
+# rest under 0.005 s.  The identity grids and the zero-mask recurrences
+# need n >= 8, the seven-term decomposition n >= 7 and the bound's family
+# values n >= 4; the sweeps take any n >= 1.
 SUITES = {
-    "table1": lambda cfg: check_reference_table(1),
-    "table2": lambda cfg: check_reference_table(2),
-    "lemma21": partial(_identity_suite, "lemma21"),
-    "lemma22": partial(_identity_suite, "lemma22"),
-    "eq23": lambda cfg, n_range=None: check_family_identity(_arities(n_range), max_n=cfg.max_n),
-    "eq26": lambda cfg, n_range=None: check_subfn_zero(_arities(n_range), max_n=cfg.max_n),
-    "thm24": lambda cfg, n_range=None: check_family_zero(_arities(n_range), max_n=cfg.max_n),
-    "bound": lambda cfg, n_range=None: check_bound(_arities(n_range), max_n=cfg.max_n),
-    "factor": lambda cfg: check_factorization(max_n=cfg.max_n),
-    "theorem": lambda cfg, l=4, n_range=None, e_range=None: _sweep(
-        "theorem", (l,), cfg, n_range, e_range
-    ),
+    "table1": Suite(lambda cfg: check_reference_table(1), rank=8, table=True),
+    "table2": Suite(lambda cfg: check_reference_table(2), rank=11, table=True),
+    "lemma21": Suite(partial(_identity_suite, "lemma21"), rank=0, n_floor=8),
+    "lemma22": Suite(partial(_identity_suite, "lemma22"), rank=1, n_floor=8),
+    "eq23": Suite(lambda cfg, n_range=None: check_family_identity(**_arity(cfg, n_range)),
+                  rank=5, n_floor=7),
+    "eq26": Suite(lambda cfg, n_range=None: check_subfn_zero(**_arity(cfg, n_range)),
+                  rank=12, n_floor=8),
+    "thm24": Suite(lambda cfg, n_range=None: check_family_zero(**_arity(cfg, n_range)),
+                   rank=10, n_floor=8),
+    "bound": Suite(lambda cfg, n_range=None: check_bound(**_arity(cfg, n_range)),
+                   rank=4, n_floor=4),
+    "factor": Suite(lambda cfg: check_factorization(max_n=cfg.max_n), rank=9),
+    "theorem": Suite(lambda cfg, l=4, n_range=None, e_range=None:
+                     _sweep("theorem", (l,), cfg, n_range, e_range), rank=3),
     # the theorem's claim at degree 3, so its reports carry that label
-    "cubic": partial(_sweep, "theorem", (3,)),
-    "conjecture": lambda cfg, l=None, n_range=None, e_range=None: _sweep(
-        "conjecture", (5, 6) if l is None else (l,), cfg, n_range, e_range
-    ),
-    "counterexample": _counterexample,
+    "cubic": Suite(partial(_sweep, "theorem", (3,)), rank=6),
+    "conjecture": Suite(lambda cfg, l=None, n_range=None, e_range=None:
+                        _sweep("conjecture", (5, 6) if l is None else (l,), cfg, n_range, e_range),
+                        rank=2),
+    "counterexample": Suite(_counterexample, rank=7),
 }
-# the suites whose run also yields the recomputed table
-TABLE_SUITES = ("table1", "table2")
-# The order run_all hands whole suites to its pool: longest first, so the
-# short suites fill in behind the long ones (Graham's list scheduling).
-# Traced serial suite times of the default check-all on 2 CPUs: lemma21
-# 0.18 s, lemma22 0.18 s, conjecture 0.13 s, theorem 0.13 s, bound 0.07 s,
-# eq23 0.07 s, then cubic, counterexample and table1 near 0.02 s each and
-# the rest under 0.005 s.
-LONGEST_FIRST = (
-    "lemma21", "lemma22", "conjecture", "theorem", "bound", "eq23",
-    "cubic", "counterexample", "table1", "factor", "thm24", "table2", "eq26",
-)
-
-
-def suite_windows(name: str) -> tuple[str, ...]:
-    """The window keywords suite ``name`` reads (``l``, ``n_range``,
-    ``e_range``): its runner's parameters after the config."""
-    return tuple(inspect.signature(SUITES[name]).parameters)[1:]
-
-
-# Lowest arity each suite's n window may start at: the identity grids and
-# the zero-mask recurrences need n >= 8, the seven-term decomposition n >= 7
-# and the bound's family values n >= 4.  The sweeps take any n >= 1.
-_N_FLOORS = {"lemma21": 8, "lemma22": 8, "eq23": 7, "eq26": 8, "thm24": 8, "bound": 4}
-
-
-def window_floor(name: str, key: str) -> int:
-    """Lowest value suite ``name`` takes for window ``key``; a range must
-    start there or above.  A degree is at least 2, a stride at least 1."""
-    if key == "l":
-        return 2
-    if key == "e_range":
-        return 1
-    return _N_FLOORS.get(name, 1)
 
 
 def _run_suite(name: str, cfg: HarnessConfig, window: dict) -> tuple[list, int]:
     """Suite ``name``'s records and the milliseconds it ran for, measured
     where it ran; a pool task, so every argument is picklable."""
     t0 = time.perf_counter()
-    records = list(SUITES[name](cfg, **window))
+    records = list(SUITES[name].run(cfg, **window))
     return records, _elapsed_ms(t0)
 
 
@@ -899,15 +883,15 @@ def run_all(config: HarnessConfig | None = None, only=None, **window) -> RunResu
     """The chosen suites (all by default) in SUITES order, with the
     configured caps.
 
-    ``window`` overrides default windows, by the keywords of
-    ``suite_windows``; every chosen suite must read each one given, and
-    each must start at or above ``window_floor`` for every chosen suite.
+    ``window`` overrides default windows, by the keywords of each
+    ``Suite.windows``; every chosen suite must read each one given, and
+    each must start at or above ``Suite.floor`` for every chosen suite.
 
     With more than one suite and more than one worker, each suite is one
-    task on a single process pool, submitted in LONGEST_FIRST order, and
-    runs its sweeps in that process.  One suite, or one worker, runs in
-    this process, and a sweep suite then spreads its factor jobs over its
-    own pool.  The records come back in SUITES order either way.
+    task on a single process pool, submitted by ``Suite.rank``, and runs
+    its sweeps in that process.  One suite, or one worker, runs in this
+    process, and a sweep suite then spreads its factor jobs over its own
+    pool.  The records come back in SUITES order either way.
     """
     cfg = config or HarnessConfig()
     chosen = set(SUITES) if only is None else set(only)
@@ -915,19 +899,19 @@ def run_all(config: HarnessConfig | None = None, only=None, **window) -> RunResu
     if unknown:
         raise ValueError(f"unknown suites: {sorted(unknown)}")
     for key in window:
-        unread = sorted(name for name in chosen if key not in suite_windows(name))
+        unread = sorted(name for name in chosen if key not in SUITES[name].windows)
         if unread:
             raise ValueError(f"suites {unread} read no {key} window")
         low = window[key] if key == "l" else window[key][0]
         for name in sorted(chosen):
-            floor = window_floor(name, key)
+            floor = SUITES[name].floor(key)
             if low < floor:
                 raise ValueError(f"{name} takes {key} from {floor} up, got {low}")
     names = [name for name in SUITES if name in chosen]
     workers = cfg.resolved_workers()
     if len(names) > 1 and workers > 1:
         serial = replace(cfg, workers=1)  # one pool per run: no pool inside a task
-        order = sorted(names, key=LONGEST_FIRST.index)
+        order = sorted(names, key=lambda name: SUITES[name].rank)
         runs = dict(zip(order, _pooled([(_run_suite, name, serial, window) for name in order],
                                        workers)))
     else:
@@ -935,11 +919,9 @@ def run_all(config: HarnessConfig | None = None, only=None, **window) -> RunResu
     result = RunResult([])
     for name in names:
         records, ms = runs[name]
-        # the table suites return (table, report), the others report lists
-        for record in records:
-            if isinstance(record, TableArtifact):
-                result.tables.append(record)
-            else:
-                result.reports.append(record)
+        if SUITES[name].table:
+            table, *records = records
+            result.tables.append(table)
+        result.reports += records
         log.info("suite %s finished in %d ms", name, ms)
     return result

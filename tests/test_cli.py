@@ -17,7 +17,6 @@ from rsbf import (
     VerificationReport,
     core,
     monomial_rsbf,
-    spectrum_argmax,
     sub_function,
     walsh_transform,
     weight,
@@ -68,7 +67,10 @@ def test_analyze_reads_blocks_into_the_same_record(runner, l, e):
     n = 21
     tbl = monomial_rsbf(MonomialRsbfSpec(n, l, e))
     spectrum = walsh_transform(tbl)
-    mask_s, value_s, mask_a, value_a = spectrum_argmax(spectrum)
+    # the lowest signed and absolute argmax, from a |W| copy of the whole spectrum
+    values = spectrum.values
+    mask_s, mask_a = int(np.argmax(values)), int(np.argmax(np.abs(values)))
+    value_s, value_a = int(values[mask_s]), int(abs(values[mask_a]))
     nl = (tbl.size - value_s) // 2
     want = {
         "n": n, "l": l, "e": e, "degenerate": False, "weight": weight(tbl), "nonlinearity": nl,

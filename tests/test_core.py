@@ -16,7 +16,6 @@ from rsbf import (
     anf_table,
     monomial_rsbf,
     nonlinearity,
-    spectrum_argmax,
     walsh_at,
     walsh_at_many,
     walsh_blocks,
@@ -401,15 +400,27 @@ def test_nonlinearity_is_distance_to_nearest_linear():
         assert nonlinearity(tbl) == brute
 
 
+def _peaks(spectrum: WalshSpectrum):
+    """SpectrumPeaks(...).argmax() of a whole spectrum read as one block."""
+    return SpectrumPeaks.of(spectrum.n, [(0, spectrum.values)]).argmax()
+
+
+def _numpy_peaks(values: np.ndarray) -> list[int]:
+    """(signed argmax, max, abs argmax, abs max) from a |W| copy and
+    np.argmax, which takes the first, lowest, maximum."""
+    k = int(np.argmax(np.abs(values)))
+    return [int(np.argmax(values)), int(values.max()), k, int(abs(values[k]))]
+
+
 def test_spectrum_argmax_breaks_ties_low():
-    mask_s, value_s, mask_a, value_a = spectrum_argmax(walsh_transform(constant(3, 0)))
+    mask_s, value_s, mask_a, value_a = _peaks(walsh_transform(constant(3, 0)))
     assert (int(mask_s), value_s, int(mask_a), value_a) == (0, 8, 0, 8)
     parity = linear(4, 15)
-    mask_s, value_s, mask_a, value_a = spectrum_argmax(walsh_transform(parity))
+    mask_s, value_s, mask_a, value_a = _peaks(walsh_transform(parity))
     assert (int(mask_s), value_s) == (15, 16)
     assert (int(mask_a), value_a) == (15, 16)
     complemented = parity ^ constant(4, 1)
-    mask_s, value_s, mask_a, value_a = spectrum_argmax(walsh_transform(complemented))
+    mask_s, value_s, mask_a, value_a = _peaks(walsh_transform(complemented))
     assert (int(mask_s), value_s) == (0, 0)  # every other entry is zero, tie at the bottom
     assert (int(mask_a), value_a) == (15, 16)  # reported as a magnitude
 
@@ -429,7 +440,7 @@ def test_spectrum_argmax_breaks_ties_low():
 def test_spectrum_argmax_matches_abs_argmax(values):
     # reference: the |W| copy and np.argmax, which take the first maximum
     v = np.array(values, dtype=np.int32)
-    mask_s, value_s, mask_a, value_a = spectrum_argmax(WalshSpectrum(3, v))
+    mask_s, value_s, mask_a, value_a = _peaks(WalshSpectrum(3, v))
     k = int(np.argmax(np.abs(v)))
     assert (int(mask_a), value_a) == (k, int(abs(v[k])))
     assert (int(mask_s), value_s) == (int(np.argmax(v)), int(v.max()))
@@ -452,9 +463,8 @@ def test_spectrum_peaks_keep_the_lowest_mask_across_blocks():
             blocks.append((offset, np.array(block, dtype=np.int32)))
             offset += len(block)
         peaks = SpectrumPeaks.of(3, blocks)
-        want = spectrum_argmax(WalshSpectrum(3, values))
         got = peaks.argmax()
-        assert [int(x) for x in got] == [int(x) for x in want], stream
+        assert [int(x) for x in got] == _numpy_peaks(values), stream
         assert peaks.zero == int(values[0])
         assert (peaks.k_top, peaks.k_bottom) == (int(np.argmax(values)), int(np.argmin(values)))
 
@@ -468,7 +478,7 @@ def test_spectrum_peaks_match_spectrum_argmax_random(data):
     bounds = [0, *cuts, 1 << n]
     blocks = [(a, values[a:b]) for a, b in zip(bounds, bounds[1:])]
     got = SpectrumPeaks.of(n, blocks).argmax()
-    assert [int(x) for x in got] == [int(x) for x in spectrum_argmax(WalshSpectrum(n, values))]
+    assert [int(x) for x in got] == _numpy_peaks(values)
 
 
 @given(data=st.data())

@@ -12,13 +12,18 @@ import pytest
 from rsbf import (
     HarnessConfig,
     TableArtifact,
+    MonomialRsbfSpec,
     TruthTable,
+    check_bound,
     check_factorization,
     check_family_identity,
+    check_family_zero,
     check_identity_grid,
     check_reference_table,
+    check_subfn_zero,
     counterexample_search,
     cycle_decompose,
+    monomial_rsbf,
     run_all,
     scan_family,
     sub_function,
@@ -129,6 +134,35 @@ def test_max_n_produces_skip_reports():
     assert reports[1].witnesses == [("max-n", 10, 12)]
     scan = scan_family([(12, 4, 1)], max_n=10)
     assert scan[0].status == "skipped"
+
+
+def test_every_arity_check_skips_above_max_n():
+    reports = [
+        *check_identity_grid("lemma21", n_values=[9], max_n=8),
+        *check_family_identity(n_values=[9], max_n=8),
+        *check_subfn_zero(n_values=[9], max_n=8),
+        *check_family_zero(n_values=[9], max_n=8),
+        *check_bound(n_values=[9], max_n=8),
+        *check_factorization(cases=((9, 2),), max_n=8),
+    ]
+    assert [(r.check, r.params) for r in reports] == [
+        ("lemma21", {"n": 9, "id": "direct"}), ("eq23", {"n": 9}), ("eq26", {"n": 9}),
+        ("thm24", {"n": 9}), ("bound", {"n": 9}), ("factor", {"n": 9, "e": 2}),
+    ]
+    for report in reports:
+        assert (report.status, report.witnesses, report.elapsed_ms) == (
+            "skipped", [("max-n", 8, 9)], 0)
+
+
+def test_family_identity_witnesses_are_capped(monkeypatch):
+    right = harness.family_walsh_via_subfns
+    monkeypatch.setattr(harness, "family_walsh_via_subfns", lambda n, masks: right(n, masks) + 1)
+    (report,) = check_family_identity(n_values=[7])
+    values = walsh_transform(monomial_rsbf(MonomialRsbfSpec(7, 4, 1))).values
+    # all 128 masks differ: the first 32 in mask order, then the marker
+    assert report.status == "fail"
+    assert report.witnesses == [(c, int(values[c]), int(values[c]) + 1) for c in range(32)] + [
+        ("more-witnesses", 128 - 32, "truncated")]
 
 
 def test_factorization_logs_peak_survey(caplog):
@@ -658,8 +692,45 @@ def test_pooled_suite_failure_reaches_the_caller(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_suite_records():
+    suites = harness.SUITES
+    assert {name: suite.n_floor for name, suite in suites.items()} == {
+        "table1": 1, "table2": 1, "lemma21": 8, "lemma22": 8, "eq23": 7, "eq26": 8, "thm24": 8,
+        "bound": 4, "factor": 1, "theorem": 1, "cubic": 1, "conjecture": 1, "counterexample": 1,
+    }
+    assert all(suite.floor("l") == 2 and suite.floor("e_range") == 1 for suite in suites.values())
+    assert [name for name, suite in suites.items() if suite.table] == ["table1", "table2"]
+    # the windows README lists: --n-range for every suite but table1, table2
+    # and factor, --e-range for the sweeps, --l for theorem and conjecture
+    sweep = ("l", "n_range", "e_range")
+    assert {name: suite.windows for name, suite in suites.items()} == {
+        "table1": (), "table2": (), "lemma21": ("n_range",), "lemma22": ("n_range",),
+        "eq23": ("n_range",), "eq26": ("n_range",), "thm24": ("n_range",), "bound": ("n_range",),
+        "factor": (), "theorem": sweep, "cubic": sweep[1:], "conjecture": sweep,
+        "counterexample": sweep[1:],
+    }
+
+
+def test_run_all_pools_suites_longest_first(monkeypatch):
+    submitted = []
+
+    def inline(calls, workers):
+        submitted.extend(call[1] for call in calls)
+        return [fn(*args) for fn, *args in calls]
+
+    monkeypatch.setattr(harness, "_pooled", inline)
+    # at max_n = 1 every case but the two tables is skipped
+    result = run_all(HarnessConfig(max_n=1, workers=2))
+    assert submitted == [
+        "lemma21", "lemma22", "conjecture", "theorem", "bound", "eq23",
+        "cubic", "counterexample", "table1", "factor", "thm24", "table2", "eq26",
+    ]
+    # the records still come back in SUITES order, the tables beside the reports
+    assert [t.name for t in result.tables] == ["table1", "table2"]
+    assert [r.check for r in result.reports[:2]] == ["table1", "table2"]
+
+
 def test_suite_tasks_are_picklable():
-    assert sorted(harness.LONGEST_FIRST) == sorted(harness.SUITES)
     cfg = HarnessConfig(max_n=10, workers=1)
     for name in harness.SUITES:
         task = (harness._run_suite, name, cfg, {})

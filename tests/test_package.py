@@ -29,6 +29,13 @@ REMOVED = (
     "tail_products",
     "all_ok",
     "peak_at_zero",
+    "spectrum_argmax",
+    # the suite registry's side tables, now fields of each SUITES record
+    "TABLE_SUITES",
+    "LONGEST_FIRST",
+    "suite_windows",
+    "window_floor",
+    "_N_FLOORS",
 )
 
 # (module, name) that bench/ reads: its imports, the cache counters, and
