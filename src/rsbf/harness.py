@@ -401,19 +401,18 @@ class _Factor(NamedTuple):
     is the peak, |S(c)| <= S(0) at every c, and reads nothing else."""
 
     zero: int  # S(0), from the transform or the trace
-    table_zero: int  # 2**t - 2 * weight of the factor's own table
     top: int  # max S; S(0) whenever S(0) is the peak
-    bottom: int | None  # min S; None on a certified factor, which never reads it
-    power: int | None  # sum of S(c)**2, 4**t by Parseval; None on a certified factor
-    # (direct sum of the factor's own table, the route's value) at the
-    # masks the route reports: the lowest signed argmax and argmin on the
-    # butterfly, the largest kept-row |S(c != 0)| on a certificate
-    direct: tuple
-    stack: tuple  # (want, got) of the certificate's two stack checksums; () on the butterfly
+    # min S on the butterfly; -S(0) on a certified factor, which never reads
+    # it.  That is sound: every |S(c)| <= S(0) and S(0) is attained, so a
+    # product of s factor values is at most S(0)**s in magnitude and
+    # _factored_case's running max/min product gives exactly
+    # max W = max |W| = W(0) = S(0)**s
+    bottom: int
     # placement -> the mask with |S| = peak that places lowest under it; None
     # when the peak is S(0), since then no case on this factor fails its
     # peak check and none reads a tie
     lowest_ties: dict | None
+    witnesses: tuple  # the route's failed checks, from _route_witnesses
     route: str  # "certificate" or "butterfly"
     rows: int | None  # the certificate's kept rows; None where it did not run
     seconds: float
@@ -441,6 +440,12 @@ def _certificate_route(t: int, l: int) -> bool:
     return t > _BLOCKED_ABOVE and 3 * (l - 1) <= t // 2
 
 
+def _route_witnesses(t: int, checks) -> tuple:
+    """``route:<name>:t=<t>`` witnesses (label, want, got) of the checks
+    (name, want, got) whose two sides differ, in order."""
+    return tuple((f"route:{name}:t={t}", want, got) for name, want, got in checks if want != got)
+
+
 def _factor_summary(t: int, l: int, placements, seed: int = DEFAULT_SEED) -> _Factor:
     """The stride-1 degree-l factor on t variables, reduced to what the
     sweep cases built on it read: by ``peak_certificate`` where
@@ -448,11 +453,19 @@ def _factor_summary(t: int, l: int, placements, seed: int = DEFAULT_SEED) -> _Fa
     butterfly (_butterfly_factor).
 
     The certificate declines, and the butterfly runs, when more than
-    2**(l-1) rows survive its bound or a kept row beats S(0).  A certified
-    factor keeps S(0) and the route checks: S(0) against the popcount of
-    its own table (which is its direct sum at mask 0), a direct sum of
-    that table at the kept-row peak's mask against the trace, and the
-    checksums of its two stacks.
+    2**(l-1) rows survive its bound or a kept row beats S(0).  Each route
+    forms its own independent checks, and every case on a factor that
+    fails one fails with its ``route:`` witness:
+
+    - factor-zero: S(0) against 2**t - 2 * weight of the factor's own table
+      (its direct sum at mask 0), on both routes;
+    - parseval: on the butterfly, the sum of S(c)**2 against 4**t;
+    - direct: on the butterfly, direct sums of the factor's own table at
+      the signed argmax and argmin against the max and min; on a
+      certificate, a direct sum at the kept-row peak's mask against the
+      trace;
+    - stack: on a certificate, the checksums of its two stacks (drawn
+      from ``seed``).
     """
     if not _certificate_route(t, l):
         return _butterfly_factor(t, l, placements)
@@ -462,8 +475,10 @@ def _factor_summary(t: int, l: int, placements, seed: int = DEFAULT_SEED) -> _Fa
         factor = _butterfly_factor(t, l, placements)
         return factor._replace(rows=cert.rows, seconds=time.perf_counter() - t0)
     tbl = monomial_rsbf(MonomialRsbfSpec(t, l, 1))
-    return _Factor(cert.zero, tbl.size - 2 * weight(tbl), cert.zero, None, None,
-                   ((walsh_at(tbl, cert.mask), cert.value),), cert.checksums, None,
+    checks = [("factor-zero", tbl.size - 2 * weight(tbl), cert.zero),
+              ("direct", walsh_at(tbl, cert.mask), cert.value)]
+    checks += [("stack", want, got) for want, got in cert.checksums]
+    return _Factor(cert.zero, cert.zero, -cert.zero, None, _route_witnesses(t, checks),
                    "certificate", cert.rows, time.perf_counter() - t0)
 
 
@@ -510,9 +525,10 @@ def _butterfly_factor(t: int, l: int, placements) -> _Factor:
                     found = (int(placed[k]), int(ties[k]))
                     best[cycle] = min(best.get(cycle, found), found)
     lowest_ties = None if peak == peaks.zero else {cycle: best[cycle][1] for cycle in placements}
-    direct = walsh_at_many(tbl, [peaks.k_top, peaks.k_bottom]).tolist()
-    return _Factor(peaks.zero, tbl.size - 2 * weight(tbl), peaks.top, peaks.bottom, power,
-                   tuple(zip(direct, (peaks.top, peaks.bottom))), (), lowest_ties,
+    at_top, at_bottom = walsh_at_many(tbl, [peaks.k_top, peaks.k_bottom]).tolist()
+    checks = [("factor-zero", tbl.size - 2 * weight(tbl), peaks.zero), ("parseval", 4**t, power),
+              ("direct", at_top, peaks.top), ("direct", at_bottom, peaks.bottom)]
+    return _Factor(peaks.zero, peaks.top, peaks.bottom, lowest_ties, _route_witnesses(t, checks),
                    "butterfly", None, time.perf_counter() - t0)
 
 
@@ -527,12 +543,6 @@ def _factored_case(case: tuple[int, int, int], factor: _Factor) -> tuple:
     dec = cycle_decompose(n, e)
     zero_value = factor.zero**dec.s
     size = 1 << n
-    if factor.route == "certificate":
-        # S(0) is the peak, so also the max, and no product of s values of
-        # magnitude at most S(0) exceeds S(0)**s: max W = max |W| = W(0),
-        # as the recursion below gives whenever |bottom| <= top
-        weight_value = (size - zero_value) // 2
-        return (weight_value, weight_value, True, None, zero_value, zero_value)
     # the largest product of s independent factors comes from the running
     # largest and smallest partial products
     hi = lo = 1
@@ -586,19 +596,16 @@ def scan_family(
     magnitude beats the zero-mask value.  Every case is built from its
     stride-1 cycle factor, summarized once per distinct (t, l) by
     _factor_summary: a peak certificate where _certificate_route allows
-    and it holds, else the butterfly.  These independent checks back that
-    route, and a disagreement in any of them fails the case with a
-    ``route:`` witness: each factor's S(0) against the popcount of its own
-    table; on the butterfly, each factor's sum of squares against 4**t
-    (Parseval) and its signed max and min against direct sums of its own
-    table at their masks; on a certificate, a direct sum of that table at
-    the kept-row peak's mask against the trace, and the checksums of its
-    two stacks (drawn from ``seed``); every case with
-    n <= CROSS_CHECK_MAX_N against its full transform, field by field;
-    and, for each arity above that, one case drawn from ``seed`` whose
-    W(0) is checked against the popcount of its own stride-e table.  One
-    log line per factor gives its route, kept rows and seconds.  Results
-    come back sorted by (l, n, e) regardless of worker count.
+    and it holds, else the butterfly.  A case carries its factor's
+    ``route:`` witnesses, and these checks of its own back the factored
+    route: every case with n <= CROSS_CHECK_MAX_N against its full
+    transform, field by field; and, for each arity above that, one case
+    with e % n != 1 drawn from ``seed`` whose W(0) is checked against the
+    popcount of its own stride-e table (a case with e % n == 1 is its
+    factor, whose table route:factor-zero has already counted, so an
+    arity with no other case gets no spot check).  One log line per
+    factor gives its route, kept rows and seconds.  Results come back
+    sorted by (l, n, e) regardless of worker count.
     """
     reports = []
     todo = []
@@ -609,9 +616,9 @@ def scan_family(
             todo.append((n, l, e))
     factor_of = {(n, l, e): (cycle_decompose(n, e).t, l) for n, l, e in todo}
     above: dict = {}  # n -> its cases, for each n above the cross-check cap
-    for case in todo:
-        if case[0] > CROSS_CHECK_MAX_N:
-            above.setdefault(case[0], []).append(case)
+    for n, l, e in todo:
+        if n > CROSS_CHECK_MAX_N and e % n != 1:
+            above.setdefault(n, []).append((n, l, e))
     spots = sorted(random.Random(seed * 1_000_003 + n).choice(group) for n, group in above.items())
     factors: dict = {}  # (t, l) -> _Factor
     full: dict = {}  # case -> _family_case tuple, for n <= CROSS_CHECK_MAX_N
@@ -649,17 +656,7 @@ def scan_family(
             witnesses.append((f"peak:c={k_abs}", zero_value, abs_max))
         # each factor's time is shared among the cases built on it
         seconds = factor.seconds / uses[key]
-        t = key[0]
-        if factor.zero != factor.table_zero:
-            witnesses.append((f"route:factor-zero:t={t}", factor.table_zero, factor.zero))
-        if factor.power is not None and factor.power != 4**t:
-            witnesses.append((f"route:parseval:t={t}", 4**t, factor.power))
-        for want, got in factor.direct:
-            if want != got:
-                witnesses.append((f"route:direct:t={t}", want, got))
-        for want, got in factor.stack:
-            if want != got:
-                witnesses.append((f"route:stack:t={t}", want, got))
+        witnesses += factor.witnesses
         if case in full:
             *fields, ms = full[case][3:]
             seconds += ms / 1000

@@ -252,20 +252,28 @@ def test_factored_route_holds_for_any_factor(monkeypatch):
 
 
 def test_wrong_factor_fails_cross_checked_case(monkeypatch):
-    right = harness._factor_summary
+    # S(0) of the t = 9 factor moved by 2 in its own spectrum, where the
+    # route checks it; (9, 4, 2) sits on that factor but transforms a
+    # stride-2 table, so its full route stays right
+    right, right_blocks = harness._factor_summary, harness.walsh_blocks
+    factor_table = harness.monomial_rsbf(harness.MonomialRsbfSpec(9, 4, 1))
 
     def wrong(t, l, placements, seed):
         factor = right(t, l, placements, seed)
-        if t == 10:
-            return factor._replace(top=factor.top - 2)
-        if t == 9:
-            return factor._replace(zero=factor.zero + 2)
-        return factor
+        return factor._replace(top=factor.top - 2) if t == 10 else factor
 
-    cases = [(8, 4, 1), (9, 4, 1), (10, 4, 1)]
+    def wrong_blocks(table):
+        for offset, block in right_blocks(table):
+            if table == factor_table and offset == 0:
+                block = block.copy()
+                block[0] += 2
+            yield offset, block
+
+    cases = [(8, 4, 1), (9, 4, 2), (10, 4, 1)]
     # _family_case gives (n, l, e, weight, nl, peak, k_abs, abs_max, W(0), ms)
     zero, nl = harness._family_case(cases[1])[8], harness._family_case(cases[2])[4]
     monkeypatch.setattr(harness, "_factor_summary", wrong)
+    monkeypatch.setattr(harness, "walsh_blocks", wrong_blocks)
     eight, nine, ten = scan_family(cases)
     assert eight.status == "pass"
     assert ("route:factor-zero:t=9", zero, zero + 2) in nine.witnesses
@@ -277,9 +285,9 @@ def test_seeded_spot_check_catches_wrong_zero_above_cap(monkeypatch):
     right = harness._factor_summary
 
     def wrong(t, l, placements, seed):
-        # wrong in a way the factor cannot see: its own popcount agrees
+        # wrong in a way the factor cannot see: its route checks all held
         factor = right(t, l, placements, seed)
-        return factor._replace(zero=factor.zero + 2, table_zero=factor.table_zero + 2)
+        return factor._replace(zero=factor.zero + 2)
 
     monkeypatch.setattr(harness, "_factor_summary", wrong)
     cases = sweep_cases((17, 18), (1, 4), 4)
@@ -296,15 +304,28 @@ def test_seeded_spot_check_catches_wrong_zero_above_cap(monkeypatch):
 
     first = spotted(3)
     assert [n for n, _, _ in first] == [17, 18]  # one case per arity
+    # e = 1 is the factor itself, whose table route:factor-zero counts
+    assert all(e != 1 for _, e, _ in first)
     for n, e, (_, want, got) in first:
         spec = harness.MonomialRsbfSpec(n, 4, e)
         assert want == (1 << n) - 2 * harness.weight(harness.monomial_rsbf(spec)) != got
     assert spotted(3) == first
 
 
+def test_no_spot_check_rebuilds_a_factor_table(monkeypatch):
+    # at e = 1 each case's table is its factor's own, so these arities
+    # have no case to spot-check
+    calls = []
+    right = harness._table_zero
+    monkeypatch.setattr(harness, "_table_zero", lambda case: calls.append(case) or right(case))
+    reports = scan_family(sweep_cases((17, 18), (1, 1), 4))
+    assert [r.status for r in reports] == ["pass", "pass"]
+    assert calls == []
+
+
 def _full_reduction(t, l, placements):
     """What the butterfly route must report, from the whole int32 spectrum:
-    the _Factor fields up to lowest_ties."""
+    the _Factor fields zero, top, bottom and lowest_ties."""
     tbl = harness.monomial_rsbf(harness.MonomialRsbfSpec(t, l, 1))
     values = walsh_transform(tbl).values
     wide = values.astype(np.int64)
@@ -315,8 +336,7 @@ def _full_reduction(t, l, placements):
         ties = np.flatnonzero(np.abs(wide) == peak)
         lowest_ties = {cycle: int(ties[np.argmin(harness._place(ties, cycle))])
                        for cycle in placements}
-    return (int(values[0]), tbl.size - 2 * harness.weight(tbl), top, bottom, int(np.dot(wide, wide)),
-            ((top, top), (bottom, bottom)), (), lowest_ties)
+    return (int(values[0]), top, bottom, lowest_ties)
 
 
 @pytest.mark.parametrize("small_blocks", [False, True])
@@ -336,12 +356,12 @@ def test_factor_summary_matches_full_spectrum_reduction(monkeypatch, l, small_bl
         placements = tuple(tuple(s * (u * j % t) for j in range(t))
                            for s, u in ((1, 1), (3, 1), (1, t - 1)))
         got = harness._butterfly_factor(t, l, placements)
-        assert tuple(got[:8]) == _full_reduction(t, l, placements), (t, l)
-        assert (got.route, got.rows, got.power) == ("butterfly", None, 4**t)
+        assert tuple(got[:4]) == _full_reduction(t, l, placements), (t, l)
+        assert (got.witnesses, got.route, got.rows) == ((), "butterfly", None)
         if not harness._certificate_route(t, l):
-            assert harness._factor_summary(t, l, placements)[:10] == got[:10]
+            assert harness._factor_summary(t, l, placements)[:-1] == got[:-1]
     if l == 2:
-        assert harness._factor_summary(19, 2, (tuple(range(19)),))[:4] == (0, 0, 1024, -1024)
+        assert harness._factor_summary(19, 2, (tuple(range(19)),))[:3] == (0, 1024, -1024)
 
 
 def test_factor_summary_ties_follow_the_running_peak(monkeypatch):
@@ -391,7 +411,7 @@ def test_factor_summary_working_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (factor.route, factor.power) == ("butterfly", 4**t)
+    assert (factor.route, factor.witnesses) == ("butterfly", ())
     size = 1 << t
     assert peak < size + 2 * size // 8 + (2 << 20) + (512 << 10) + (256 << 10) < 4 * size
 
@@ -480,14 +500,13 @@ def test_certificate_falls_back_to_the_butterfly(monkeypatch):
     # and reports what it reports alone
     placements = (tuple(range(21)),)
     factor = harness._factor_summary(21, 2, placements)
-    assert (factor.route, factor.rows) == ("butterfly", 1024)
-    assert tuple(factor[:8]) == _full_reduction(21, 2, placements)
+    assert (factor.route, factor.rows, factor.witnesses) == ("butterfly", 1024, ())
+    assert tuple(factor[:4]) == _full_reduction(21, 2, placements)
     # the t = 1 parity keeps its one row, where |S(1)| = 2 beats S(0) = 0
     monkeypatch.setattr(harness, "_certificate_route", lambda t, l: True)
     factor = harness._factor_summary(1, 4, ((0,),))
-    assert (factor.route, factor.rows) == ("butterfly", 1)
-    assert tuple(factor[:8]) == _full_reduction(1, 4, ((0,),)) == (
-        0, 0, 2, 0, 4, ((2, 2), (0, 0)), (), {(0,): 1})
+    assert (factor.route, factor.rows, factor.witnesses) == ("butterfly", 1, ())
+    assert tuple(factor[:4]) == _full_reduction(1, 4, ((0,),)) == (0, 2, 0, {(0,): 1})
 
 
 def test_corrupted_stack_entry_fails_route_stack(monkeypatch):

@@ -85,6 +85,15 @@ def test_every_exported_name_resolves():
             assert hasattr(module, name), f"rsbf.{module_name}.{name}"
 
 
+def test_package_exports_each_submodules_names_once():
+    # goldens stays unexported
+    exported = ("core", "families", "harness", "recurrences", "report", "transfer")
+    names = [name for m in exported for name in importlib.import_module(f"rsbf.{m}").__all__]
+    assert rsbf.__all__ == names + ["__version__"]
+    assert len(set(rsbf.__all__)) == len(rsbf.__all__)
+    assert rsbf.Suite is harness.Suite
+
+
 def test_removed_names_are_gone():
     for module in [rsbf] + [importlib.import_module(f"rsbf.{m}") for m in SUBMODULES]:
         for name in REMOVED:
