@@ -153,9 +153,9 @@ def analyze(n, l, e, fmt, out, max_n, bits):
         "nonlinearity": nl,
         "walsh_at_zero": peaks.zero,
         "max_walsh": value_signed,
-        "max_walsh_mask": _mask_text(int(mask_signed), n, bits) if bits else int(mask_signed),
+        "max_walsh_mask": _mask_text(mask_signed, n, bits) if bits else mask_signed,
         "max_abs_walsh": value_abs,
-        "max_abs_walsh_mask": _mask_text(int(mask_abs), n, bits) if bits else int(mask_abs),
+        "max_abs_walsh_mask": _mask_text(mask_abs, n, bits) if bits else mask_abs,
         "nonlinearity_equals_weight": nl == wt,
         "peak_at_zero": value_abs <= peaks.zero,
     }
@@ -355,10 +355,11 @@ def _spectrum_command(tbl, record: dict, note: str, at, force, fmt, out, bits) -
     with ``at`` None the full spectrum; ``record`` heads either."""
     n = tbl.n
     if at is not None:
-        if not 0 <= at < tbl.size:
-            raise click.UsageError(f"--at {at} is outside 0..{tbl.size - 1}")
-        record = {**record, "at": _mask_text(at, n, bits) if bits else at,
-                  "value": walsh_at(tbl, at)}
+        try:
+            value = walsh_at(tbl, at)
+        except IndexError:
+            raise click.UsageError(f"--at {at} is outside 0..{tbl.size - 1}") from None
+        record = {**record, "at": _mask_text(at, n, bits) if bits else at, "value": value}
         _emit(record, fmt, f"walsh at {record['at']}: {record['value']}{note}", out)
         return
     _full_spectrum_guard(n, out, force)

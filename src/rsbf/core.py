@@ -28,7 +28,6 @@ __all__ = [
     "HARD_MAX_N",
     "DEFAULT_MAX_N",
     "TruthTable",
-    "LinearMask",
     "WalshSpectrum",
     "weight",
     "anf_table",
@@ -76,20 +75,26 @@ def _same_arity(f: TruthTable, g: TruthTable) -> TruthTable:
     return g
 
 
-@dataclass(frozen=True)
-class LinearMask:
-    """Coefficient mask c naming the linear function x -> c.x over GF(2)."""
+def _check_masks(n: int, masks):
+    """Coefficient masks of arity n, range-checked.
 
-    n: int
-    c: int
-
-    def __post_init__(self) -> None:
-        _check_arity(self.n)
-        if not 0 <= self.c < 1 << self.n:
-            raise ValueError(f"mask {self.c} out of range for n={self.n}")
-
-    def __index__(self) -> int:
-        return self.c
+    One mask of any integer type comes back as a Python int; an integer
+    array comes back as an int64 array of its shape, and an empty array
+    passes whatever its dtype.  A mask outside 0 .. 2**n - 1 raises
+    IndexError, a non-integer TypeError.
+    """
+    if np.ndim(masks) == 0:
+        c = operator.index(masks)
+        if not 0 <= c < 1 << n:
+            raise IndexError(f"mask {c} out of range for n={n}")
+        return c
+    c = np.asarray(masks)
+    if c.size:
+        if c.dtype.kind not in "iu":
+            raise TypeError(f"masks must be integers, got {c.dtype}")
+        if c.min() < 0 or c.max() >= 1 << n:
+            raise IndexError(f"masks out of range for n={n}")
+    return c.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,10 +109,7 @@ class WalshSpectrum:
             raise ValueError("spectrum length must be 2**n")
 
     def __getitem__(self, mask) -> int:
-        c = operator.index(mask)
-        if not 0 <= c < self.values.shape[0]:
-            raise IndexError(f"mask {c} out of range for n={self.n}")
-        return int(self.values[c])
+        return int(self.values[_check_masks(self.n, mask)])
 
 
 def weight(table: TruthTable) -> int:
@@ -324,12 +326,8 @@ def walsh_at_many(table: TruthTable, masks) -> np.ndarray:
     c = np.asarray(masks)
     if c.ndim != 1:
         raise ValueError(f"masks must be one-dimensional, got shape {c.shape}")
-    n, size = table.n, table.size
-    if c.size:
-        if c.dtype.kind not in "iu":
-            raise TypeError(f"masks must be integers, got {c.dtype}")
-        if c.min() < 0 or c.max() >= size:
-            raise IndexError(f"masks out of range for n={n}")
+    c = _check_masks(table.n, c)
+    size = table.size
     # Word k of the little-endian table holds inputs 64k .. 64k + 63.  At
     # x = 64k + j, c.x = (c & 63).j + (c >> 6).k, so over word k the linear
     # function is _LOW[c & 63], complemented when (c >> 6).k is odd.  A
@@ -365,13 +363,8 @@ def walsh_at_many(table: TruthTable, masks) -> np.ndarray:
 
 def walsh_at(table: TruthTable, mask) -> int:
     """One Walsh coefficient by direct summation over all inputs; see
-    walsh_at_many, which raises IndexError for a mask out of range."""
-    if isinstance(mask, LinearMask) and mask.n != table.n:
-        raise ValueError(f"arity mismatch: {mask.n} vs {table.n}")
-    # clamped into -1 .. 2**n, a mask out of range stays out of range but
-    # fits int64, however large the Python int
-    c = max(-1, min(operator.index(mask), table.size))
-    return int(walsh_at_many(table, [c])[0])
+    walsh_at_many.  A mask out of range raises IndexError, however large."""
+    return int(walsh_at_many(table, [_check_masks(table.n, mask)])[0])
 
 
 def nonlinearity(table: TruthTable) -> int:
@@ -418,7 +411,7 @@ class SpectrumPeaks:
             self.bottom, self.k_bottom = lo, offset + k_min
         return max(hi, -lo)
 
-    def argmax(self) -> tuple[LinearMask, int, LinearMask, int]:
+    def argmax(self) -> tuple[int, int, int, int]:
         """(signed argmax, signed max, abs argmax, abs max).  Ties break
         toward the lowest mask; the peak magnitude is the larger of max and
         -min, read with no |W| copy of the spectrum."""
@@ -427,5 +420,5 @@ class SpectrumPeaks:
             k_abs = min(self.k_top, self.k_bottom)
         else:
             k_abs = self.k_top if top > bottom else self.k_bottom
-        return LinearMask(self.n, self.k_top), top, LinearMask(self.n, k_abs), max(top, bottom)
+        return self.k_top, top, k_abs, max(top, bottom)
 

@@ -4,18 +4,16 @@ monomial rotation symmetric families, plus the cycle structure of strides.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
 import numpy as np
 
-from .core import TruthTable, _check_arity, anf_table, walsh_transform
+from .core import TruthTable, _check_arity, _check_masks, anf_table, walsh_transform
 
 __all__ = [
     "MonomialRsbfSpec",
-    "SubFunctionId",
     "CycleDecomposition",
     "quartic_chain",
     "sub_function",
@@ -44,22 +42,6 @@ class MonomialRsbfSpec:
     def degenerate(self) -> bool:
         """True when there are fewer variables than the nominal degree."""
         return self.n < self.l
-
-
-@dataclass(frozen=True)
-class SubFunctionId:
-    """Names one of the sixteen boundary variants at arity n."""
-
-    i: int
-    j: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.i <= 3 and 0 <= self.j <= 3):
-            raise ValueError(f"variant indices must be in 0..3, got ({self.i},{self.j})")
-        _check_arity(self.n)
-        if self.n < 4:
-            raise ValueError(f"variants need arity at least 4, got {self.n}")
 
 
 @dataclass(frozen=True)
@@ -98,7 +80,11 @@ def quartic_chain(n: int) -> TruthTable:
 @lru_cache(maxsize=256)
 def sub_function(i: int, j: int, n: int) -> TruthTable:
     """The chain plus the (i, j)-indexed tail and head corrections."""
-    SubFunctionId(i, j, n)  # range checks
+    if not (0 <= i <= 3 and 0 <= j <= 3):
+        raise ValueError(f"variant indices must be in 0..3, got ({i},{j})")
+    _check_arity(n)
+    if n < 4:
+        raise ValueError(f"variants need arity at least 4, got {n}")
     return anf_table(n, _chain(n) + _tail(n - 3, n - 1, i) + list(_HEADS[:j]))
 
 
@@ -140,13 +126,9 @@ def factored_walsh(spec: MonomialRsbfSpec, masks):
     int64 array of its shape; each factor is at most 2**t in magnitude, so
     no partial product exceeds 2**n <= 2**28.
     """
-    scalar = np.ndim(masks) == 0
-    c = np.asarray(operator.index(masks) if scalar else masks)
-    if c.dtype.kind not in "iu":
-        raise TypeError(f"masks must be integers, got {c.dtype}")
-    if c.size and (c.min() < 0 or c.max() >= 1 << spec.n):
-        raise IndexError(f"masks out of range for n={spec.n}")
-    c = c.astype(np.int64, copy=False)
+    c = _check_masks(spec.n, masks)
+    scalar = isinstance(c, int)
+    c = np.asarray(c, dtype=np.int64)
     dec = cycle_decompose(spec.n, spec.e)
     base = _aligned_spectrum(dec.t, spec.l).values
     product = np.ones_like(c)

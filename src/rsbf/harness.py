@@ -281,13 +281,12 @@ def check_family_identity(n_values=None, max_n: int = DEFAULT_MAX_N) -> list[Ver
     return _reports("eq23", [{"n": n} for n in n_values], max_n, witnesses_of)
 
 
-def check_subfn_zero(
-    n_values=None, base: SpectralBaseTable | None = None, max_n: int = DEFAULT_MAX_N
-) -> list[VerificationReport]:
-    """Order-4 zero-mask recurrence for every variant versus the
-    transfer-matrix value, which reads no truth table."""
+def check_subfn_zero(n_values=None, max_n: int = DEFAULT_MAX_N) -> list[VerificationReport]:
+    """Order-4 zero-mask recurrence for every variant, seeded from the
+    stored reference table, versus the transfer-matrix value, which reads
+    no truth table."""
     n_values = list(ZERO_RECURRENCE_NS if n_values is None else n_values)
-    table = base if base is not None else SpectralBaseTable.from_reference()
+    table = SpectralBaseTable.from_reference()
     # one chain pass yields every variant at every arity up to the largest
     transfer = subfn_zero_transfer(max([4] + [n for n in n_values if n <= max_n]))
 
@@ -304,14 +303,13 @@ def check_subfn_zero(
     return _reports("eq26", [{"n": n} for n in n_values], max_n, witnesses_of)
 
 
-def check_family_zero(
-    n_values=None, base: SpectralBaseTable | None = None, max_n: int = DEFAULT_MAX_N
-) -> list[VerificationReport]:
-    """Zero-mask recurrence for the stride-1 family versus the
-    transfer-matrix value, which reads no truth table."""
+def check_family_zero(n_values=None, max_n: int = DEFAULT_MAX_N) -> list[VerificationReport]:
+    """Zero-mask recurrence for the stride-1 family, seeded from the stored
+    reference table, versus the transfer-matrix value, which reads no truth
+    table."""
     if n_values is None:
         n_values = ZERO_RECURRENCE_NS
-    table = base if base is not None else SpectralBaseTable.from_reference()
+    table = SpectralBaseTable.from_reference()
 
     def witnesses_of(params: dict) -> list:
         recurred = family_zero_recurrence(params["n"], table)
@@ -325,17 +323,13 @@ def check_bound(n_values=None, max_n: int = DEFAULT_MAX_N) -> list[VerificationR
     """Spectral bound over all variants for each arity in the window."""
     if n_values is None:
         n_values = BOUND_NS
-    reports = []
-    for n in n_values:
-        if n > max_n:
-            reports.append(_skip("bound", {"n": n}, max_n, n))
-            continue
-        reports.append(spectral_bound_check(n))
-    return reports
+    return _reports("bound", [{"n": n} for n in n_values], max_n,
+                    lambda params: spectral_bound_check(params["n"]))
 
 
-def check_factorization(cases=FACTOR_CASES, max_n: int = DEFAULT_MAX_N) -> list[VerificationReport]:
-    """Cycle-product coefficients versus the full transform, every mask.
+def check_factorization(max_n: int = DEFAULT_MAX_N) -> list[VerificationReport]:
+    """Cycle-product coefficients versus the full transform, every mask,
+    at each (n, e) of FACTOR_CASES.
 
     Also surveys each aligned factor's peaks and logs whether the signed
     and the absolute forms of the peak-at-zero comparison hold for it.
@@ -361,7 +355,7 @@ def check_factorization(cases=FACTOR_CASES, max_n: int = DEFAULT_MAX_N) -> list[
         )
         return witnesses
 
-    return _reports("factor", [{"n": n, "e": e} for n, e in cases], max_n, witnesses_of)
+    return _reports("factor", [{"n": n, "e": e} for n, e in FACTOR_CASES], max_n, witnesses_of)
 
 
 def sweep_cases(n_range=SWEEP_WINDOWS[4][0], e_range=None, l: int = 4) -> list[tuple[int, int, int]]:
@@ -391,7 +385,7 @@ def _family_case(args: tuple[int, int, int]):
     _, signed_max, k_abs, abs_max = peaks.argmax()
     nl = (tbl.size - signed_max) // 2
     peak = abs_max <= peaks.zero
-    return (n, l, e, weight(tbl), nl, peak, int(k_abs), abs_max, peaks.zero, _elapsed_ms(t0))
+    return (n, l, e, weight(tbl), nl, peak, k_abs, abs_max, peaks.zero, _elapsed_ms(t0))
 
 
 class _Factor(NamedTuple):

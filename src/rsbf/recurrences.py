@@ -13,8 +13,6 @@ same (i, j, n, masks) signature.
 from __future__ import annotations
 
 import logging
-import operator
-import time
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable, Mapping
@@ -22,9 +20,8 @@ from typing import Any, Callable, Mapping
 import numpy as np
 
 from . import goldens
-from .core import walsh_at, walsh_at_many, walsh_transform, weight
+from .core import _check_masks, walsh_at_many, walsh_transform, weight
 from .families import MonomialRsbfSpec, monomial_rsbf, sub_function
-from .report import VerificationReport
 
 __all__ = [
     "SpectralBaseTable",
@@ -61,16 +58,6 @@ def _int64_provider(sub_walsh: SubWalsh | None) -> SubWalsh:
     return lambda i, j, m, c: np.asarray(w(i, j, m, c), dtype=np.int64)
 
 
-def _masks(n: int, c):
-    """Range-checked masks: an int stays an int, an array becomes int64."""
-    arr = np.asarray(c)
-    if arr.dtype.kind not in "iu":
-        raise TypeError(f"masks must be integers, got {arr.dtype}")
-    if arr.size and (arr.min() < 0 or arr.max() >= 1 << n):
-        raise IndexError(f"mask out of range for n={n}")
-    return arr.astype(np.int64) if arr.ndim else operator.index(c)
-
-
 def _result(total):
     return total if np.ndim(total) else int(total)
 
@@ -80,7 +67,7 @@ def _checked(i: int, j: int, n: int, c, top_bit: int, floor: int):
         raise ValueError(f"variant indices must be in 0..3, got ({i},{j})")
     if n < floor:
         raise ValueError(f"reduction needs n >= {floor}, got {n}")
-    c = _masks(n, c)
+    c = _check_masks(n, c)
     if np.any((c >> (n - 1)) & 1 != top_bit):
         raise ValueError(f"top coefficient must be {top_bit} for this identity")
     return c
@@ -137,7 +124,7 @@ def family_walsh_via_subfns(n: int, c, sub_walsh: SubWalsh | None = None):
     array, as for subfn_walsh_top0."""
     if n < 7:
         raise ValueError(f"decomposition needs n >= 7, got {n}")
-    c = _masks(n, c)
+    c = _check_masks(n, c)
     b1, b2, b3 = (c >> (n - 1)) & 1, (c >> (n - 2)) & 1, (c >> (n - 3)) & 1
     c3 = c & ((1 << (n - 3)) - 1)
     w = _int64_provider(sub_walsh)
@@ -180,31 +167,6 @@ class SpectralBaseTable:
         sub, fam = goldens.zero_value_maps()
         return cls(sub, fam)
 
-    @classmethod
-    def from_brute_force(cls, n_max: int = 11) -> "SpectralBaseTable":
-        """Seeds recomputed from scratch via the weight identity."""
-        sub: dict[tuple[int, int, int], int] = {}
-        fam: dict[int, int] = {}
-        for n in range(4, n_max + 1):
-            for i in range(4):
-                for j in range(4):
-                    sub[(i, j, n)] = (1 << n) - 2 * weight(sub_function(i, j, n))
-            fam[n] = (1 << n) - 2 * weight(monomial_rsbf(MonomialRsbfSpec(n, 4, 1)))
-        return cls(sub, fam)
-
-    def validate(self) -> list[tuple[str, int, int]]:
-        """Recompute every stored value by direct summation; list mismatches."""
-        bad: list[tuple[str, int, int]] = []
-        for (i, j, n), v in sorted(self.sub_zero.items()):
-            got = walsh_at(sub_function(i, j, n), 0)
-            if got != v:
-                bad.append((f"f{i}{j}:n={n}", v, got))
-        for n, v in sorted(self.family_zero.items()):
-            got = walsh_at(monomial_rsbf(MonomialRsbfSpec(n, 4, 1)), 0)
-            if got != v:
-                bad.append((f"F4:n={n}", v, got))
-        return bad
-
 
 def _run_zero_recurrence(seeds: dict[int, int], n: int) -> int:
     values = dict(seeds)
@@ -229,23 +191,20 @@ def family_zero_recurrence(n: int, base: SpectralBaseTable) -> int:
 
 
 @lru_cache(maxsize=1)
-def _brute_force_seeds() -> SpectralBaseTable:
-    return SpectralBaseTable.from_brute_force(7)
+def _family_seeds() -> dict[int, int]:
+    # 2**n - 2 * weight at n = 4..7: four popcounts, not the stored table
+    return {n: (1 << n) - 2 * weight(monomial_rsbf(MonomialRsbfSpec(n, 4, 1))) for n in range(4, 8)}
 
 
-def family_zero_value(n: int, base: SpectralBaseTable | None = None) -> int:
+def family_zero_value(n: int) -> int:
     """Family value at mask zero for any n >= 4.
 
-    Seeds below 8 are read (or recomputed) directly; larger arities run the
-    recurrence.  With no base given the seeds are recomputed from scratch
-    rather than read from the stored table.
+    The seeds at n = 4..7 are recomputed from the tables' weights rather
+    than read from the stored table; larger arities run the recurrence.
     """
     if n < 4:
         raise ValueError(f"family values start at n=4, got {n}")
-    table = base if base is not None else _brute_force_seeds()
-    if n < 8:
-        return table.family_seed(n)
-    return family_zero_recurrence(n, table)
+    return _run_zero_recurrence(_family_seeds(), n)
 
 
 def _eight_magnitudes(values: np.ndarray) -> np.ndarray:
@@ -254,10 +213,11 @@ def _eight_magnitudes(values: np.ndarray) -> np.ndarray:
     return 8 * np.abs(values.astype(np.int64))
 
 
-def spectral_bound_check(n: int) -> VerificationReport:
-    """Check 8*|variant coefficient| stays below the family zero value three
-    variables up, over all 16 variants and all masks with c_1 set."""
-    t0 = time.perf_counter()
+def spectral_bound_check(n: int) -> list[tuple[str, int, int]]:
+    """Witnesses (f<i><j>:c=<mask>, bound, 8|w|) where 8*|variant
+    coefficient| fails to stay below the family zero value three variables
+    up, over all 16 variants and all masks with c_1 set, in variant then
+    mask order; empty when the bound holds."""
     bound = family_zero_value(n + 3)
     masks = np.nonzero(np.arange(1 << n) & 2)[0]
     observed_max = 0
@@ -269,7 +229,5 @@ def spectral_bound_check(n: int) -> VerificationReport:
             for k in np.nonzero(scaled >= bound)[0]:
                 witnesses.append((f"f{i}{j}:c={int(masks[k])}", bound, int(scaled[k])))
     log.info("bound n=%d: max 8|w| = %d against %d", n, observed_max, bound)
-    status = "fail" if witnesses else "pass"
-    elapsed = int((time.perf_counter() - t0) * 1000)
-    return VerificationReport("bound", {"n": n}, status, witnesses, elapsed)
+    return witnesses
 

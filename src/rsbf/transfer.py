@@ -31,6 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .core import _check_masks
 from .recurrences import _sign
 
 __all__ = [
@@ -93,8 +94,7 @@ def family_walsh_transfer(n: int, l: int = 4, c: int = 0) -> int:
     variables).  c = 0 gives W(0); costs n * 2^(2l-1) integer steps."""
     if n < 1:
         raise ValueError(f"arity must be at least 1, got {n}")
-    if not 0 <= c < 1 << n:
-        raise IndexError(f"mask {c} out of range for n={n}")
+    c = _check_masks(n, c)
     steps = _entries(l)
     states = 1 << (l - 1)
     # row r of the running product: walks that start in state r

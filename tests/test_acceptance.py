@@ -15,7 +15,6 @@ import numpy as np
 
 from rsbf import (
     MonomialRsbfSpec,
-    SpectralBaseTable,
     TruthTable,
     check_bound,
     check_factorization,
@@ -87,14 +86,11 @@ def test_family_decomposition_all_masks():
 
 
 def test_zero_mask_recurrences_to_22():
-    base = SpectralBaseTable.from_reference()
-    seed_issues = base.validate()
-    sub_reports = check_subfn_zero(n_values=range(8, 23), base=base)
-    fam_reports = check_family_zero(n_values=range(8, 23), base=base)
-    bad = seed_issues + [r for r in sub_reports + fam_reports if r.status != "pass"]
+    sub_reports = check_subfn_zero(n_values=range(8, 23))
+    fam_reports = check_family_zero(n_values=range(8, 23))
+    bad = [r for r in sub_reports + fam_reports if r.status != "pass"]
     _verdict("zero-mask-recurrences", not bad, "seeds 4..7 plus recurrence n=8..22")
-    assert seed_issues == []
-    assert all(r.status == "pass" for r in sub_reports + fam_reports)
+    assert bad == []
 
 
 def test_spectral_bound_window():
@@ -137,7 +133,8 @@ def test_quartic_sweep_full_grid():
 
 
 def test_cycle_factorization_cases():
-    reports = check_factorization(cases=((10, 2), (12, 3), (12, 4), (14, 2)))
+    reports = check_factorization()
+    assert [(r.params["n"], r.params["e"]) for r in reports] == [(10, 2), (12, 3), (12, 4), (14, 2)]
     bad = [r for r in reports if r.status != "pass"]
     _verdict("cycle-factorization", not bad, "all masks at (10,2),(12,3),(12,4),(14,2)")
     assert bad == []

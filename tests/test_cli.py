@@ -259,9 +259,11 @@ def test_full_dump_blocked_route(runner, monkeypatch, tmp_path, dump, fmt, bits)
         out = tmp_path / f"dump-{rows}"
         assert runner.invoke(main, argv + ["--out", str(out)]).exit_code == 0
         assert out.read_bytes() == expected
-        to_stdout = runner.invoke(main, argv)
-        assert to_stdout.exit_code == 0
-        assert to_stdout.stdout_bytes == expected
+    # the sink does not depend on the row size, so stdout is read once, at
+    # the last row size; the small row sizes at n = 12 cost most of the test
+    to_stdout = runner.invoke(main, argv)
+    assert to_stdout.exit_code == 0
+    assert to_stdout.stdout_bytes == expected
     assert sizes == {block_size}
 
 

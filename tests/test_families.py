@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from rsbf import (
     MonomialRsbfSpec,
-    SubFunctionId,
     cycle_decompose,
     factored_walsh,
     monomial_rsbf,
@@ -105,13 +104,15 @@ def test_sub_function_matches_reference_evaluator():
                     assert bit(tbl, x) == _eval_subfn(i, j, n, x)
 
 
-def test_sub_function_id_validation():
-    with pytest.raises(ValueError):
-        SubFunctionId(4, 0, 8)
-    with pytest.raises(ValueError):
-        SubFunctionId(0, -1, 8)
-    with pytest.raises(ValueError):
-        SubFunctionId(0, 0, 3)
+def test_sub_function_validation():
+    with pytest.raises(ValueError, match=r"variant indices must be in 0\.\.3, got \(4,0\)"):
+        sub_function(4, 0, 8)
+    with pytest.raises(ValueError, match="variant indices"):
+        sub_function(0, -1, 3)  # the indices are checked first
+    with pytest.raises(ValueError, match="arity must be in"):
+        sub_function(0, 0, 0)
+    with pytest.raises(ValueError, match="variants need arity at least 4, got 3"):
+        sub_function(0, 0, 3)
 
 
 def test_sub_function_reversal_pairs():

@@ -143,15 +143,18 @@ def test_every_arity_check_skips_above_max_n():
         *check_subfn_zero(n_values=[9], max_n=8),
         *check_family_zero(n_values=[9], max_n=8),
         *check_bound(n_values=[9], max_n=8),
-        *check_factorization(cases=((9, 2),), max_n=8),
     ]
     assert [(r.check, r.params) for r in reports] == [
         ("lemma21", {"n": 9, "id": "direct"}), ("eq23", {"n": 9}), ("eq26", {"n": 9}),
-        ("thm24", {"n": 9}), ("bound", {"n": 9}), ("factor", {"n": 9, "e": 2}),
+        ("thm24", {"n": 9}), ("bound", {"n": 9}),
     ]
     for report in reports:
         assert (report.status, report.witnesses, report.elapsed_ms) == (
             "skipped", [("max-n", 8, 9)], 0)
+    # the factor cases are n = 10..14, all above the cap
+    factor = check_factorization(max_n=8)
+    assert [(r.check, r.params, r.status, r.witnesses, r.elapsed_ms) for r in factor] == [
+        ("factor", {"n": n, "e": e}, "skipped", [("max-n", 8, n)], 0) for n, e in harness.FACTOR_CASES]
 
 
 def test_family_identity_witnesses_are_capped(monkeypatch):
@@ -167,8 +170,8 @@ def test_family_identity_witnesses_are_capped(monkeypatch):
 
 def test_factorization_logs_peak_survey(caplog):
     with caplog.at_level(logging.INFO, logger="rsbf.harness"):
-        reports = check_factorization(cases=((10, 2),))
-    assert reports[0].status == "pass"
+        reports = check_factorization()
+    assert [r.status for r in reports] == ["pass"] * len(harness.FACTOR_CASES)
     assert any("signed-strict=True" in record.getMessage() for record in caplog.records)
 
 
@@ -179,12 +182,25 @@ def test_factorization_witnesses_keep_order_and_cap(monkeypatch):
         return right(spec, masks) + (masks % 3 == 1)
 
     monkeypatch.setattr(harness, "factored_walsh", wrong)
-    (report,) = check_factorization(cases=((10, 2),))
-    spec = harness.MonomialRsbfSpec(10, 4, 2)
-    values = walsh_transform(harness.monomial_rsbf(spec)).values
-    witnesses = [(c, int(values[c]), int(values[c]) + 1) for c in range(1 << 10) if c % 3 == 1]
-    assert report.status == "fail"
-    assert report.witnesses == witnesses[:32] + [("more-witnesses", len(witnesses) - 32, "truncated")]
+    reports = check_factorization()
+    assert len(reports) == len(harness.FACTOR_CASES)
+    for (n, e), report in zip(harness.FACTOR_CASES, reports):
+        values = walsh_transform(harness.monomial_rsbf(harness.MonomialRsbfSpec(n, 4, e))).values
+        witnesses = [(c, int(values[c]), int(values[c]) + 1) for c in range(1 << n) if c % 3 == 1]
+        assert report.status == "fail"
+        assert report.witnesses == witnesses[:32] + [
+            ("more-witnesses", len(witnesses) - 32, "truncated")]
+
+
+def test_bound_witnesses_are_capped(monkeypatch):
+    # with the bound forced to 0 every (variant, mask) with c_1 set fails:
+    # 16 variants times 512 masks at n = 10
+    monkeypatch.setattr(recurrences, "family_zero_value", lambda n: 0)
+    uncapped = recurrences.spectral_bound_check(10)
+    assert len(uncapped) == 16 * 512
+    (report,) = check_bound(n_values=[10])
+    assert (report.check, report.params, report.status) == ("bound", {"n": 10}, "fail")
+    assert report.witnesses == uncapped[:32] + [("more-witnesses", 16 * 512 - 32, "truncated")]
 
 
 def test_scan_family_workers_match_serial():

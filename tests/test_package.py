@@ -30,6 +30,9 @@ REMOVED = (
     "all_ok",
     "peak_at_zero",
     "spectrum_argmax",
+    # wrappers their callers unwrapped at once
+    "LinearMask",
+    "SubFunctionId",
     # the suite registry's side tables, now fields of each SUITES record
     "TABLE_SUITES",
     "LONGEST_FIRST",
@@ -98,6 +101,12 @@ def test_removed_names_are_gone():
     for module in [rsbf] + [importlib.import_module(f"rsbf.{m}") for m in SUBMODULES]:
         for name in REMOVED:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
+    # seed-table methods and keywords that only tests used
+    for name in ("validate", "from_brute_force"):
+        assert not hasattr(rsbf.SpectralBaseTable, name), name
+    for func, keyword in ((rsbf.check_subfn_zero, "base"), (rsbf.check_family_zero, "base"),
+                          (rsbf.family_zero_value, "base"), (rsbf.check_factorization, "cases")):
+        assert keyword not in inspect.signature(func).parameters, func.__name__
 
 
 def test_names_the_benchmark_reads_are_present():

@@ -7,6 +7,7 @@ from rsbf import (
     SpectralBaseTable,
     SpectrumPeaks,
     WalshSpectrum,
+    check_bound,
     family_walsh_via_subfns,
     family_zero_recurrence,
     family_zero_value,
@@ -125,15 +126,15 @@ def test_identities_accept_value_provider():
 
 
 def test_base_table_from_reference_is_consistent():
+    # every stored zero-mask value, the mirrored i > j variants included,
+    # against the direct oracle; the recurrences read n = 4..7
     base = SpectralBaseTable.from_reference()
-    assert base.validate() == []
-    brute = SpectralBaseTable.from_brute_force(9)
-    for (i, j, n), value in brute.sub_zero.items():
-        if (i, j, n) in base.sub_zero:
-            assert base.sub_zero[(i, j, n)] == value
-    for n, value in brute.family_zero.items():
-        if n in base.family_zero:
-            assert base.family_zero[n] == value
+    for n in range(4, 8):
+        assert all((i, j, n) in base.sub_zero for i, j in PAIRS) and n in base.family_zero
+    for (i, j, n), value in base.sub_zero.items():
+        assert walsh_at(sub_function(i, j, n), 0) == value, (i, j, n)
+    for n, value in base.family_zero.items():
+        assert walsh_at(monomial_rsbf(MonomialRsbfSpec(n, 4, 1)), 0) == value, n
 
 
 def test_missing_base_entries_raise():
@@ -163,11 +164,11 @@ def test_pinned_zero_values():
 
 
 def test_spectral_bound_report():
-    report = spectral_bound_check(5)
-    assert report.check == "bound"
-    assert report.params == {"n": 5}
-    assert report.status == "pass"
-    assert report.witnesses == []
+    # the check returns its witnesses; check_bound wraps them in the report
+    assert spectral_bound_check(5) == []
+    (report,) = check_bound(n_values=[5])
+    assert (report.check, report.params, report.status, report.witnesses) == (
+        "bound", {"n": 5}, "pass", [])
 
 
 def _peak_at_zero(spectrum):
