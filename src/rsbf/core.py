@@ -1,12 +1,14 @@
 """Bit-packed truth tables and integer Walsh spectra for Boolean functions.
 
-A function on n variables is stored as one Python integer whose bit x holds
-the output at input x.  An input packs the assignment (x_0, ..., x_{n-1}) as
-sum x_i * 2**i, so x_0 is always the least significant bit.  Coefficient
-masks of linear functions use the same packing.
+A function on n variables is stored as packed little-endian uint64 words:
+bit j of word k holds the output at input 64k + j.  An input packs the
+assignment (x_0, ..., x_{n-1}) as sum x_i * 2**i, so x_0 is always the
+least significant bit.  Coefficient masks of linear functions use the same
+packing.
 
-Tables are built from their monomials on uint64 words (``anf_table``), and
-the butterfly reads the packed bytes directly, with no unpacked table.
+Tables are built from their monomials on those words (``anf_table``), and
+every kernel reads views of them: no Python-int copy and no unpacked table
+is made on the way.
 
 All spectral values are exact integers; nothing in this module produces a
 float.
@@ -45,28 +47,53 @@ def _check_arity(n: int) -> None:
         raise ValueError(f"arity must be in 1..{HARD_MAX_N}, got {n}")
 
 
-@dataclass(frozen=True)
+def _word_count(n: int) -> int:
+    """Words of a table of arity n: one below n = 6, else 2**(n - 6)."""
+    return 1 << max(n - 6, 0)
+
+
+@dataclass(frozen=True, eq=False)
 class TruthTable:
-    """Boolean function of ``n`` variables with outputs packed into ``bits``."""
+    """Boolean function of ``n`` variables, its outputs packed into the
+    little-endian uint64 ``words``: bit j of word k is f(64k + j).  Below
+    n = 6 the one word is cut to its 2**n valid bits.
+
+    The table keeps a read-only view of ``words``, so no holder of the
+    table (the ``lru_cache`` of ``sub_function`` among them) can change it.
+    """
 
     n: int
-    bits: int
+    words: np.ndarray
 
     def __post_init__(self) -> None:
         _check_arity(self.n)
-        if self.bits < 0 or self.bits >> (1 << self.n):
+        words = self.words
+        if not isinstance(words, np.ndarray) or words.dtype != np.dtype("<u8"):
+            raise ValueError("words must be a little-endian uint64 array")
+        if words.shape != (_word_count(self.n),):
+            raise ValueError(f"a table of arity {self.n} takes {_word_count(self.n)} words, "
+                             f"got shape {words.shape}")
+        if self.n < 6 and words[0] >> np.uint64(1 << self.n):
             raise ValueError("packed bits do not fit a table of this arity")
+        words = words.view()
+        words.flags.writeable = False
+        object.__setattr__(self, "words", words)
 
     @property
     def size(self) -> int:
         """Number of table entries, 2**n."""
         return 1 << self.n
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TruthTable):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.words, other.words)
+
     def __xor__(self, other: "TruthTable") -> "TruthTable":
-        return TruthTable(self.n, self.bits ^ _same_arity(self, other).bits)
+        return TruthTable(self.n, self.words ^ _same_arity(self, other).words)
 
     def __and__(self, other: "TruthTable") -> "TruthTable":
-        return TruthTable(self.n, self.bits & _same_arity(self, other).bits)
+        return TruthTable(self.n, self.words & _same_arity(self, other).words)
 
 
 def _same_arity(f: TruthTable, g: TruthTable) -> TruthTable:
@@ -113,8 +140,9 @@ class WalshSpectrum:
 
 
 def weight(table: TruthTable) -> int:
-    """Number of inputs mapped to 1."""
-    return table.bits.bit_count()
+    """Number of inputs mapped to 1: a popcount of the words.  Each word
+    counts 0..64 and the sum is at most 2**n <= 2**28, so int64 is exact."""
+    return int(np.bitwise_count(table.words).sum(dtype=np.int64))
 
 
 # _LOW[b] is the table of x -> b.x over the 64 inputs of one word, for a
@@ -130,16 +158,17 @@ def anf_table(n: int, monomials) -> TruthTable:
     """XOR of ``monomials``, each an iterable of variable indices.
 
     Repeated indices collapse (x * x = x), equal monomials cancel in pairs,
-    and the empty monomial is the constant 1.  The table is built on the
-    2**(n-6) little-endian uint64 words of the packed bits (one word, cut
-    to the 2**n valid bits, when n < 6), one NumPy op per monomial, so its
-    working memory is the words, their bytes and the packed int.
+    and the empty monomial is the constant 1.  The table is built on its
+    own 2**(n-6) little-endian uint64 words (one word, cut to the 2**n
+    valid bits, when n < 6), one NumPy op per monomial in place, and they
+    are returned read-only: its working memory is the words, 2**n / 8
+    bytes.
     """
     _check_arity(n)
     # Word k holds inputs 64k .. 64k + 63, so a variable v >= 6 is bit v - 6
     # of k: axis n - 1 - v of the (2,) * (n - 6) cube of words.  A variable
     # v < 6 varies inside each word, where x_v is the parity of (1 << v) & x.
-    words = np.zeros(1 << max(n - 6, 0), dtype="<u8")
+    words = np.zeros(_word_count(n), dtype="<u8")
     cube = words.reshape((2,) * max(n - 6, 0))
     valid = np.uint64((1 << min(1 << n, 64)) - 1)
     for monomial in monomials:
@@ -153,7 +182,7 @@ def anf_table(n: int, monomials) -> TruthTable:
             else:
                 where[n - 1 - v] = 1
         cube[tuple(where)] ^= word
-    return TruthTable(n, int.from_bytes(words.tobytes(), "little"))
+    return TruthTable(n, words)
 
 
 # The butterfly's low stages pair runs of only 1, 2, 4, ... entries, which
@@ -164,9 +193,9 @@ def anf_table(n: int, monomials) -> TruthTable:
 # runs of half * rows entries.  The tile, 2**12 * 64 * 4 bytes = 1 MiB at
 # most and 4 * 2**n bytes for n <= 12, and one block's byte indices cast
 # to intp, 2**12 * 64 / 8 * 8 bytes = 256 KiB at most, are all the memory
-# the transform adds to the spectrum and the packed table bytes; there is
-# no unpacked table, and the tile is small enough to stay in cache while
-# its stages run.
+# the transform adds to the spectrum; it reads the table's bytes as a view
+# of its words, there is no unpacked table, and the tile is small enough to
+# stay in cache while its stages run.
 _TILE_WIDTH = 1 << 12
 _TILE_ROWS = 64
 
@@ -219,20 +248,22 @@ def _tiled_stages(v: np.ndarray, tile: np.ndarray, fill, done: int) -> None:
 def walsh_transform(table: TruthTable) -> WalshSpectrum:
     """Full spectrum by the in-place butterfly, O(n * 2**n) int32 ops.
 
-    The packed table bytes are read once: each byte's 8-entry spectrum is
-    looked up in _BYTE_SPECTRA, a tile block at a time, so no unpacked
-    table is ever made; _tiled_stages runs the remaining stages.
+    The table's bytes, a view of its words, are read once: each byte's
+    8-entry spectrum is looked up in _BYTE_SPECTRA, a tile block at a time,
+    so no unpacked table is ever made; _tiled_stages runs the remaining
+    stages.
 
     int32 is exact: after stage k every entry is a signed count of 2**k
     inputs, so no value, final or partial, exceeds 2**n <= 2**HARD_MAX_N
     = 2**28 < 2**31 in magnitude.
     """
     size = table.size
+    raw = table.words.view(np.uint8)[: (size + 7) // 8]
     # A table under one byte (n <= 2) is repeated across it; the byte's
     # spectrum at c < 2**n is then reps times the table's own, exactly.
     reps = 8 // min(size, 8)
-    bits = table.bits if reps == 1 else table.bits * (0xFF // ((1 << size) - 1))
-    raw = np.frombuffer(bits.to_bytes(size * reps // 8, "little"), dtype=np.uint8)
+    if reps > 1:
+        raw = raw * np.uint8(0xFF // ((1 << size) - 1))  # 2**size - 1 times it is 255
     v = np.empty(size * reps, dtype=np.int32)
     row_bytes = min(v.shape[0], _TILE_WIDTH) // 8
 
@@ -277,8 +308,8 @@ def walsh_blocks(table: TruthTable):
     reused int32 buffer of 2**(n - k) entries (1 MiB up to n = 24) where
     _tiled_stages runs the low stages.  The buffer is overwritten by the
     next block, so a caller that keeps a block copies it.  Working memory:
-    the store, the packed bytes while they unpack (2**n / 8), the buffer
-    and one tile of at most 1 MiB.
+    the store, unpacked straight from a view of the table's words, the
+    buffer and one tile of at most 1 MiB.
     """
     if table.n <= _BLOCKED_ABOVE:
         yield 0, walsh_transform(table).values
@@ -290,10 +321,7 @@ def _blocks(table: TruthTable, k: int):
     """walsh_blocks with its top k stages on the int8 store; k must be at
     most min(_INT8_STAGES, n) for int8 to stay exact."""
     size = table.size
-    raw = table.bits.to_bytes((size + 7) // 8, "little")
-    store = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")[:size]
-    store = store.view(np.int8)
-    del raw  # the packed bytes go before the blocks' buffers come
+    store = np.unpackbits(table.words.view(np.uint8), bitorder="little")[:size].view(np.int8)
     store *= -2
     store += 1  # (-1)**f(x)
     span = size >> k
@@ -320,8 +348,9 @@ def walsh_at_many(table: TruthTable, masks) -> np.ndarray:
     checked against it; it never calls the transform.  The sum is
     word-packed: 64 inputs at a time, one XOR and one popcount per
     (mask, word) pair, so it costs O(len(masks) * 2**n / 64) word
-    operations.  Its working memory is the packed table bytes plus at most
-    1 MiB of block temporaries, beside the per-mask arrays and the answer.
+    operations.  It reads the table's words in place, so its working memory
+    is at most 1 MiB of block temporaries, beside the per-mask arrays and
+    the answer.
     """
     c = np.asarray(masks)
     if c.ndim != 1:
@@ -333,8 +362,8 @@ def walsh_at_many(table: TruthTable, masks) -> np.ndarray:
     # function is _LOW[c & 63], complemented when (c >> 6).k is odd.  A
     # table under one word (n <= 5) has k = 0 only, so no complement, and
     # its unused high bits are zero, so _LOW is cut to the valid bits.
-    nwords = (size + 63) // 64
-    words = np.frombuffer(table.bits.to_bytes(8 * nwords, "little"), dtype="<u8")
+    words = table.words
+    nwords = words.size
     c = c.astype(np.uint64)
     low = _LOW[c & np.uint64(63)] & np.uint64((1 << min(size, 64)) - 1)
     high = c >> np.uint64(6)

@@ -427,11 +427,15 @@ def _certificate_route(t: int, l: int) -> bool:
 
     Above _BLOCKED_ABOVE the butterfly is blocked and costs about 2**t
     operations a stage.  The certificate's work is its expected 2**(l-1)
-    kept rows times 4**(l-1) * 2**(t - t // 2) multiply-adds, within 2**t
-    when 8**(l-1) <= 2**(t // 2): l = 2..4 at every t above 20 (l = 2 then
-    declines after its bound), l = 5 from t = 24, and never l = 6 up to
-    the cap of 28, where the certificate is the slower route."""
-    return t > _BLOCKED_ABOVE and 3 * (l - 1) <= t // 2
+    kept rows times 4**(l-1) * 2**(t - t // 2) multiply-adds.  It is taken
+    for l = 2..5 at every t above 20 (l = 2 then declines after its bound).
+    Best of 3 on a 2-CPU Xeon with NumPy 2.4, butterfly against
+    certificate, both giving the same S(0), max and peak: l = 5 took 34
+    against 18 ms at t = 21, 57 against 25 ms at t = 22 and 115 against
+    32 ms at t = 23.  l = 6 stays on the butterfly up to the cap of 28:
+    70 against 125 ms at t = 22; from t = 26 the certificate is faster,
+    but its two int64 stacks grow to 128 MiB each at t = 28."""
+    return t > _BLOCKED_ABOVE and l <= 5
 
 
 def _route_witnesses(t: int, checks) -> tuple:

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -15,14 +16,21 @@ settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
 
 
+def from_int(n, bits):
+    """The table of n variables whose output at x is bit x of the int bits:
+    the packed int form, for tables drawn with getrandbits."""
+    words = 1 << max(n - 6, 0)
+    return TruthTable(n, np.frombuffer(bits.to_bytes(8 * words, "little"), dtype="<u8"))
+
+
 def bit(table, x):
-    """f(x), read from the packed bits."""
-    return (table.bits >> x) & 1
+    """f(x), read from the packed words."""
+    return int(table.words[x >> 6] >> np.uint64(x & 63)) & 1
 
 
 def constant(n, value):
     """The constant 0 or 1 function of n variables."""
-    return TruthTable(n, ((1 << (1 << n)) - 1) * value)
+    return from_int(n, ((1 << (1 << n)) - 1) * value)
 
 
 def linear(n, c):
@@ -57,5 +65,5 @@ def small_tables():
     rng = random.Random(1234)
     for n in range(1, 11):
         for _ in range(3):
-            corpus.append(TruthTable(n, rng.getrandbits(1 << n)))
+            corpus.append(from_int(n, rng.getrandbits(1 << n)))
     return corpus

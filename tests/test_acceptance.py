@@ -15,7 +15,6 @@ import numpy as np
 
 from rsbf import (
     MonomialRsbfSpec,
-    TruthTable,
     check_bound,
     check_factorization,
     check_family_identity,
@@ -33,6 +32,8 @@ from rsbf import (
     walsh_transform,
     weight,
 )
+
+from conftest import from_int
 
 PAIRS = [(i, j) for i in range(4) for j in range(4)]
 
@@ -181,7 +182,7 @@ def test_spectrum_properties_corpus(small_tables):
         checked += 1
     for n in range(11, 15):
         for _ in range(3):
-            tbl = TruthTable(n, rng.getrandbits(1 << n))
+            tbl = from_int(n, rng.getrandbits(1 << n))
             values = walsh_transform(tbl).values
             assert int(np.dot(values, values)) == 4**n
             assert int(values[0]) == tbl.size - 2 * weight(tbl)

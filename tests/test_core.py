@@ -15,6 +15,7 @@ from rsbf import (
     anf_table,
     monomial_rsbf,
     nonlinearity,
+    sub_function,
     walsh_at,
     walsh_at_many,
     walsh_blocks,
@@ -23,19 +24,50 @@ from rsbf import (
 )
 from rsbf import core
 
-from conftest import bit, constant, linear
+from conftest import bit, constant, from_int, linear
 
 
 def test_truth_table_validation():
+    word = np.zeros(1, dtype="<u8")
+    with pytest.raises(ValueError, match="arity"):
+        TruthTable(0, word)
+    with pytest.raises(ValueError, match="arity"):
+        TruthTable(HARD_MAX_N + 1, word)
+    # a bit at or above 2**n: input 16 of n = 2, and every bit of the word
+    with pytest.raises(ValueError, match="do not fit"):
+        TruthTable(2, np.array([1 << 16], dtype="<u8"))
+    with pytest.raises(ValueError, match="do not fit"):
+        TruthTable(2, np.array([(1 << 64) - 1], dtype="<u8"))
+    with pytest.raises(ValueError, match="words"):
+        TruthTable(7, word)
+    with pytest.raises(ValueError, match="words"):
+        TruthTable(3, np.zeros(2, dtype="<u8"))
+    with pytest.raises(ValueError, match="words"):
+        TruthTable(6, np.zeros((1, 1), dtype="<u8"))
+    for wrong in (np.zeros(1, dtype=np.int64), np.zeros(2, dtype=np.uint32),
+                  np.zeros(1, dtype=">u8"), 0b10010110):
+        with pytest.raises(ValueError, match="uint64"):
+            TruthTable(3, wrong)
+    assert TruthTable(3, np.array([0b10010110], dtype="<u8")).size == 8
+    assert from_int(3, 0b10010110) == TruthTable(3, np.array([0b10010110], dtype="<u8"))
+    assert from_int(3, 0b10010110) != from_int(3, 0b10010111)
+    assert from_int(3, 0) != from_int(4, 0)
+
+
+def test_table_words_are_read_only():
+    # sub_function's tables live in an lru_cache, so a write through one
+    # caller's table would change every later caller's
+    tbl = sub_function(1, 2, 10)
+    assert tbl.words.dtype == np.dtype("<u8") and tbl.words.shape == (16,)
     with pytest.raises(ValueError):
-        TruthTable(0, 0)
+        tbl.words[0] = 0
     with pytest.raises(ValueError):
-        TruthTable(HARD_MAX_N + 1, 0)
+        tbl.words[:] ^= np.uint64(1)
+    assert sub_function(1, 2, 10) is tbl
+    # the table keeps a read-only view of words passed in writeable
+    words = np.zeros(1, dtype="<u8")
     with pytest.raises(ValueError):
-        TruthTable(2, 1 << 16)
-    with pytest.raises(ValueError):
-        TruthTable(2, -1)
-    assert TruthTable(3, 0b10010110).size == 8
+        TruthTable(4, words).words[0] = 1
 
 
 def test_variable_table_projects_each_bit():
@@ -78,7 +110,7 @@ def test_anf_table_matches_pure_python_evaluation():
             ]
             if monomials and rng.random() < 0.5:
                 monomials.append(monomials[rng.randrange(len(monomials))])  # cancels
-            assert anf_table(n, monomials).bits == _anf_bits(n, monomials)
+            assert anf_table(n, monomials) == from_int(n, _anf_bits(n, monomials))
     # n <= 5 is under one 64-input word, n = 6 fills it, n = 7 takes two;
     # repeated indices, a repeated monomial, the empty monomial and the
     # empty list at each
@@ -93,11 +125,11 @@ def test_anf_table_matches_pure_python_evaluation():
             [[n - 1, n - 1, 0], [0]],
             [everything, [], everything[::-1]],
         ):
-            assert anf_table(n, monomials).bits == _anf_bits(n, monomials)
+            assert anf_table(n, monomials) == from_int(n, _anf_bits(n, monomials))
     # variables on both sides of v = 6, in one monomial and apart
     n = 10
     for monomials in ([[2, 7]], [[5, 6, 9], [0, 8], [6], [3]], [[9, 0, 9, 0], [6, 5, 4, 3, 2, 1]]):
-        assert anf_table(n, monomials).bits == _anf_bits(n, monomials)
+        assert anf_table(n, monomials) == from_int(n, _anf_bits(n, monomials))
     assert anf_table(3, [[]]) == constant(3, 1)
     assert anf_table(8, [[1, 7], [7, 1, 1]]) == constant(8, 0)
     for bad in (n, -1):
@@ -170,7 +202,7 @@ def test_walsh_transform_matches_pure_python_sum_on_every_small_table():
     for n in (1, 2, 3):
         masks = range(1 << n)
         for bits in range(1 << (1 << n)):
-            tbl = TruthTable(n, bits)
+            tbl = from_int(n, bits)
             assert walsh_transform(tbl).values.tolist() == _pure_python_walsh(tbl, masks)
 
 
@@ -187,26 +219,27 @@ def test_walsh_at_many_matches_pure_python_sum(small_tables):
     # takes two; all-ones tables show any input counted past the table's end
     rng = random.Random(64)
     for n in range(1, 8):
-        for tbl in (TruthTable(n, rng.getrandbits(1 << n)), constant(n, 1)):
+        for tbl in (from_int(n, rng.getrandbits(1 << n)), constant(n, 1)):
             assert walsh_at_many(tbl, np.arange(1 << n)).tolist() == _pure_python_walsh(tbl, range(1 << n))
     # n = 12: masks on both sides of the low six bits, and high bits only
     n = 12
     masks = [0, 63, 64, (1 << n) - 1, (1 << n) - 64]
-    for tbl in (TruthTable(n, rng.getrandbits(1 << n)), monomial_rsbf(MonomialRsbfSpec(n, 4, 1))):
+    for tbl in (from_int(n, rng.getrandbits(1 << n)), monomial_rsbf(MonomialRsbfSpec(n, 4, 1))):
         assert walsh_at_many(tbl, masks).tolist() == _pure_python_walsh(tbl, masks)
     # n <= 2: one packed byte holds the whole table; x0 and x0 x1 by hand
-    assert walsh_at_many(TruthTable(1, 0b10), np.arange(2)).tolist() == [0, 2]
-    assert walsh_at_many(TruthTable(2, 0b1000), np.arange(4)).tolist() == [2, 2, 2, -2]
+    assert walsh_at_many(from_int(1, 0b10), np.arange(2)).tolist() == [0, 2]
+    assert walsh_at_many(from_int(2, 0b1000), np.arange(4)).tolist() == [2, 2, 2, -2]
 
 
 def test_walsh_at_many_spans_word_blocks():
     # At n = 23 the 2**17 words take two blocks of word indices.  The
-    # reference is W(c) = 2**n - 2 * weight(f ^ c.x), a big-int popcount.
+    # reference is W(c) = 2**n - 2 * weight(f ^ c.x), a popcount of the
+    # words of f XORed with the built table of c.x.
     # Masks with bit 22 set complement every word of the second block.
     n = 23
     rng = random.Random(n)
     masks = [0, 1, 63, 64, (1 << 22) - 1, 1 << 22, (1 << 22) | 0b101, (1 << n) - 64, (1 << n) - 1]
-    for tbl in (TruthTable(n, rng.getrandbits(1 << n)), linear(n, (1 << 22) | 0b101)):
+    for tbl in (from_int(n, rng.getrandbits(1 << n)), linear(n, (1 << 22) | 0b101)):
         expected = [tbl.size - 2 * weight(tbl ^ linear(n, c)) for c in masks]
         assert walsh_at_many(tbl, masks).tolist() == expected
 
@@ -244,7 +277,7 @@ def test_tiled_transform_matches_direct_summation(n):
     edges = {0, 1, tile - 1, tile, (1 << n) - 1}
     masks = sorted({c for c in edges if c < 1 << n} | set(rng.sample(range(1 << n), 64)))
     member = monomial_rsbf(MonomialRsbfSpec(n, 4, 1 + n % 3))
-    for tbl in (TruthTable(n, rng.getrandbits(1 << n)), member):
+    for tbl in (from_int(n, rng.getrandbits(1 << n)), member):
         values = walsh_transform(tbl).values
         assert values.dtype == np.int32
         assert values[masks].tolist() == walsh_at_many(tbl, masks).tolist()
@@ -255,15 +288,15 @@ def test_tiled_transform_matches_direct_summation(n):
 
 def test_walsh_transform_working_memory():
     # NumPy reports its buffers to tracemalloc.  The transform may hold the
-    # int32 spectrum (4 bytes an input), the packed bytes (1/8 byte), one
-    # tile of at most 1 MiB and one block's byte indices cast to intp
-    # (2**15 of them, 256 KiB), plus 64 KiB of slack for small objects.
-    # Measured at n = 20: 1.376 MiB above the spectrum, against 1.4375 MiB
-    # allowed.  An unpacked table or an unblocked take's indices (1 MiB
-    # each at n = 20), or take buffering its out (a second spectrum, 4 MiB)
-    # does not fit.
+    # int32 spectrum (4 bytes an input), one tile of at most 1 MiB and one
+    # block's byte indices cast to intp (2**15 of them, 256 KiB), plus 64
+    # KiB of slack for small objects; it reads the table's bytes in place.
+    # Measured at n = 20: 1.252 MiB above the spectrum, against 1.3125 MiB
+    # allowed.  A copy of the packed bytes (128 KiB at n = 20), an unpacked
+    # table or an unblocked take's indices (1 MiB each), or take buffering
+    # its out (a second spectrum, 4 MiB) does not fit.
     n = 20
-    tbl = TruthTable(n, random.Random(n).getrandbits(1 << n))
+    tbl = from_int(n, random.Random(n).getrandbits(1 << n))
     size = 1 << n
     tracemalloc.start()
     try:
@@ -272,7 +305,7 @@ def test_walsh_transform_working_memory():
     finally:
         tracemalloc.stop()
     assert spectrum.values.nbytes == 4 * size
-    assert peak < 4 * size + size // 8 + (1 << 20) + (256 << 10) + (64 << 10)
+    assert peak < 4 * size + (1 << 20) + (256 << 10) + (64 << 10)
 
 
 def _read_blocks(blocks):
@@ -294,7 +327,7 @@ def test_walsh_blocks_concatenate_to_the_transform(n):
     rng = random.Random(n)
     member = monomial_rsbf(MonomialRsbfSpec(n, 4, 1 + n % 3))
     depths = sorted({0, 1, min(core._INT8_STAGES, n), min(core._INT8_STAGES, max(0, n - 18))})
-    for tbl in (TruthTable(n, rng.getrandbits(1 << n)), member):
+    for tbl in (from_int(n, rng.getrandbits(1 << n)), member):
         full = walsh_transform(tbl).values
         counts = []
         for blocks in [walsh_blocks(tbl)] + [core._blocks(tbl, k) for k in depths]:
@@ -341,15 +374,16 @@ def test_walsh_blocks_at_n24_against_direct_sums_and_parseval():
 
 
 def test_walsh_at_many_working_memory():
-    # NumPy reports its buffers to tracemalloc.  The oracle may hold the
-    # packed table bytes (1/8 byte an input), its block temporaries (1 MiB:
-    # a uint64 work array and uint64 word indices of 2**16 entries each) and
+    # NumPy reports its buffers to tracemalloc.  The oracle reads the
+    # table's words in place and may hold its block temporaries (1 MiB: a
+    # uint64 work array and uint64 word indices of 2**16 entries each) and
     # the int64 answer, plus 64 KiB of slack for small objects and the
-    # per-mask arrays (8 bytes a mask each).  A whole-table unpack (4 MiB at
-    # n = 22) or a second copy of the packed table (512 KiB) does not fit.
+    # per-mask arrays (8 bytes a mask each).  Measured at n = 22: 1,066,664
+    # B against 1,116,160 B allowed.  A whole-table unpack (4 MiB at n = 22)
+    # or a copy of the packed table (512 KiB) does not fit.
     n = 22
     rng = random.Random(n)
-    tbl = TruthTable(n, rng.getrandbits(1 << n))
+    tbl = from_int(n, rng.getrandbits(1 << n))
     masks = np.array(rng.sample(range(1 << n), 256), dtype=np.int64)
     tracemalloc.start()
     try:
@@ -358,24 +392,34 @@ def test_walsh_at_many_working_memory():
     finally:
         tracemalloc.stop()
     assert got.nbytes == 8 * 256
-    assert peak < (1 << n) // 8 + (1 << 20) + got.nbytes + (64 << 10)
+    assert peak < (1 << 20) + got.nbytes + (64 << 10)
 
 
 def test_monomial_rsbf_build_working_memory():
     # NumPy reports its buffers to tracemalloc.  A build may hold the uint64
-    # words of the table, their bytes and the packed int (1/8 byte an input
-    # each), plus 128 KiB of slack for small objects.  Measured at n = 22:
-    # 1,610,133 B against 1,703,936 B allowed.  A 2**n-bit pattern of one
-    # variable (512 KiB at n = 22) held beside the words does not fit.
+    # words of the table (1/8 byte an input, 512 KiB at n = 22) and a
+    # quarter of that again for small objects: measured 595,240 B against
+    # 655,360 B allowed.  Its bytes or a packed int held beside the words
+    # (512 KiB each) do not fit.  weight and walsh_at then read the words in
+    # place: weight's per-word counts (64 KiB) and the direct sum's block
+    # temporaries (1 MiB) measured 1,059,009 B against 1.1 MiB allowed; a
+    # copy of the table beside them does not fit.
     n = 22
+    table_bytes = (1 << n) // 8
     tracemalloc.start()
     try:
         tbl = monomial_rsbf(MonomialRsbfSpec(n, 4, 1))
-        peak = tracemalloc.get_traced_memory()[1]
+        build = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        wt, w = weight(tbl), walsh_at(tbl, 12345)
+        reads = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert tbl.n == n
-    assert peak < 3 * (1 << n) // 8 + (128 << 10)
+    assert tbl.words.nbytes == table_bytes
+    assert build < 1.25 * table_bytes
+    assert reads < 1.1 * (1 << 20)
+    assert w == walsh_at_many(tbl, [12345])[0] and tbl.size - 2 * wt == walsh_at(tbl, 0)
 
 
 def test_spectrum_getitem_range():
@@ -477,7 +521,7 @@ def test_spectrum_peaks_match_spectrum_argmax_random(data):
 @given(data=st.data())
 def test_transform_agrees_with_direct_summation_random(data):
     n = data.draw(st.integers(1, 9))
-    tbl = TruthTable(n, data.draw(st.integers(0, (1 << (1 << n)) - 1)))
+    tbl = from_int(n, data.draw(st.integers(0, (1 << (1 << n)) - 1)))
     spectrum = walsh_transform(tbl)
     c = data.draw(st.integers(0, tbl.size - 1))
     assert spectrum[c] == walsh_at(tbl, c)

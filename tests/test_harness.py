@@ -13,7 +13,6 @@ from rsbf import (
     HarnessConfig,
     TableArtifact,
     MonomialRsbfSpec,
-    TruthTable,
     check_bound,
     check_factorization,
     check_family_identity,
@@ -36,7 +35,7 @@ from rsbf import core, goldens, harness, recurrences, transfer
 from rsbf.goldens import load_reference_table
 from rsbf.harness import usable_cpus
 
-from conftest import bit
+from conftest import bit, constant, from_int
 
 
 def test_reference_tables_pass():
@@ -247,7 +246,7 @@ def test_factored_route_holds_for_any_factor(monkeypatch):
     # Random factors put the peak off S(0), give negative extremes, and tie
     # masks that rank differently under different strides.
     rng = random.Random(11)
-    factors = {t: TruthTable(t, rng.getrandbits(1 << t)) for t in range(1, 13)}
+    factors = {t: from_int(t, rng.getrandbits(1 << t)) for t in range(1, 13)}
     outputs = {t: np.array([bit(g, y) for y in range(1 << t)], dtype=np.uint8)
                for t, g in factors.items()}
 
@@ -258,7 +257,7 @@ def test_factored_route_holds_for_any_factor(monkeypatch):
         for cycle in dec.cycles:
             h ^= outputs[dec.t][sum(((x >> v) & 1) << j for j, v in enumerate(cycle))]
         packed = np.packbits(h, bitorder="little").tobytes()
-        return TruthTable(spec.n, int.from_bytes(packed, "little"))
+        return from_int(spec.n, int.from_bytes(packed, "little"))
 
     monkeypatch.setattr(harness, "monomial_rsbf", member)
     reports = scan_family([(n, 4, e) for n in range(2, 13) for e in range(1, n + 1)])
@@ -388,7 +387,7 @@ def test_factor_summary_ties_follow_the_running_peak(monkeypatch):
     t = 5
     placements = (tuple(range(t)), (0, 3, 1, 4, 2), (4, 3, 2, 1, 0))
     rng = np.random.default_rng(5)
-    monkeypatch.setattr(harness, "monomial_rsbf", lambda spec: TruthTable(t, 0))
+    monkeypatch.setattr(harness, "monomial_rsbf", lambda spec: constant(t, 0))
     grew = 0
     for i in range(200):
         values = rng.integers(-3, 4, 1 << t).astype(np.int32)
@@ -471,7 +470,7 @@ def test_direct_sums_fail_a_factor_with_blocks_out_of_place(monkeypatch):
     # direct oracle disagrees.  l = 6 keeps the factor on the butterfly;
     # the certificate never reads the patched table.
     t = 21
-    factor = TruthTable(t, random.Random(t).getrandbits(1 << t))
+    factor = from_int(t, random.Random(t).getrandbits(1 << t))
     monkeypatch.setattr(harness, "monomial_rsbf", lambda spec: factor)
     route = lambda report: [w for w in report.witnesses if w[0].startswith("route:")]
     assert route(scan_family([(t, 6, 1)])[0]) == []
@@ -491,24 +490,40 @@ def test_direct_sums_fail_a_factor_with_blocks_out_of_place(monkeypatch):
 
 
 def test_certified_factors_give_the_butterfly_stream(monkeypatch, caplog):
-    # With the certificate's threshold lowered to 16, l = 3 factors take it
-    # from t = 17 and l = 4 from t = 18 (8^3 <= 2^(t // 2)); the cases read
-    # the same fields as on the butterfly, stride 2 included (two cycles at
+    # With the certificate's threshold lowered to 16, l = 3..5 factors take
+    # it from t = 17 and l = 6 stays on the butterfly; the cases read the
+    # same fields as on the butterfly, stride 2 included (two cycles at
     # even n), and every factor logs its route.
     strip = lambda rs: [(r.check, r.params, r.status, r.witnesses) for r in rs]
     monkeypatch.setattr(harness, "_BLOCKED_ABOVE", 16)
-    cases = [(n, l, e) for l in (3, 4) for n in range(17, 23) for e in (1, 2)]
+    cases = [(n, l, e) for l in (3, 4, 5, 6) for n in range(17, 23) for e in (1, 2)]
     with caplog.at_level(logging.INFO, logger="rsbf.harness"):
         certified = scan_family(cases)
     lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("factor t=")]
     assert "factor t=17 l=3: certificate route, kept rows 4" in "\n".join(lines)
-    assert "factor t=17 l=4: butterfly route, kept rows -" in "\n".join(lines)
-    assert sum("certificate route, kept rows 8" in line for line in lines) == 5
+    assert "factor t=17 l=6: butterfly route, kept rows -" in "\n".join(lines)
+    for l, rows in ((3, 4), (4, 8), (5, 16)):
+        # t = 17..22, one factor each
+        assert sum(f"l={l}: certificate route, kept rows {rows}," in line for line in lines) == 6
     assert len(lines) == len(harness._factor_tasks(cases))
     monkeypatch.setattr(harness, "_certificate_route", lambda t, l: False)
     butterfly = scan_family(cases)
     assert strip(certified) == strip(butterfly)
     assert all(r.status == "pass" for r in certified)
+
+
+def test_l5_factor_at_t21_gives_the_butterfly_values_by_the_certificate():
+    # l = 5 takes the certificate from t = 21, l = 6 never does up to the cap
+    assert [harness._certificate_route(t, 5) for t in (20, 21, 28)] == [False, True, True]
+    assert not any(harness._certificate_route(t, 6) for t in range(1, 29))
+    placements = (tuple(range(21)),)
+    cert = harness._factor_summary(21, 5, placements)
+    butterfly = harness._butterfly_factor(21, 5, placements)
+    assert (cert.route, cert.rows, cert.witnesses) == ("certificate", 16, ())
+    assert (butterfly.route, butterfly.witnesses) == ("butterfly", ())
+    peak = lambda f: max(f.top, -f.bottom)
+    assert (cert.zero, cert.top, peak(cert)) == (butterfly.zero, butterfly.top, peak(butterfly))
+    assert butterfly.lowest_ties is None  # the peak is S(0), as the certificate says
 
 
 def test_certificate_falls_back_to_the_butterfly(monkeypatch):

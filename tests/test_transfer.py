@@ -122,7 +122,7 @@ def test_zero_recurrence_suites_working_memory():
     # A default-window eq26 + thm24 run traced 68,884 B on a fresh process
     # (the reference seeds load then) and 30 KB once loaded; the bound is
     # 256 KiB.  The table route it replaced traced 19.6 MB; one build at
-    # n = 20 already holds 384 KiB (words, bytes and packed int).
+    # n = 20 already holds 128 KiB of words.
     tracemalloc.start()
     try:
         reports = check_subfn_zero() + check_family_zero()
