@@ -24,7 +24,7 @@ from .core import (
     weight,
 )
 from .families import MonomialRsbfSpec, monomial_rsbf, sub_function
-from .harness import SUITES, HarnessConfig, run_all
+from .harness import SUITES, HarnessConfig, run_all, validate_windows
 from .report import write_jsonl
 
 
@@ -441,7 +441,7 @@ def _readers(key: str) -> str:
               default=DEFAULT_MAX_N, show_default=True,
               help="Skip cases above this arity.")
 @click.option("--seed", envvar="RSBF_SEED", type=int, default=0, show_default=True,
-              help="Seed for the sampled identity grids and the sweep spot checks.")
+              help="Seed for the sweep spot checks and the peak certificates' checksums.")
 @click.option("--format", "fmt", envvar="RSBF_FORMAT",
               type=click.Choice(["json", "text", "csv"]), default="json", show_default=True,
               help="json streams one report per line; csv only for the table checks.")
@@ -457,18 +457,12 @@ def check(ctx, which, l, n_range, e_range, workers, max_n, seed, fmt, out):
     exactly when a counterexample is found, because finding one is its job.
     """
     names = list(SUITES) if which == "all" else [which]
-    suites = [SUITES[name] for name in names]
     window = {"l": l, "n_range": n_range, "e_range": e_range}
     window = {key: value for key, value in window.items() if value is not None}
-    # every window is checked against every chosen suite before any runs
-    for key, value in window.items():
-        flag = f"--{key.replace('_', '-')}"
-        if not all(key in suite.windows for suite in suites):
-            raise click.UsageError(f"{flag} does not apply to check {which}")
-        low, text = (value, str(value)) if key == "l" else (value[0], f"{value[0]}..{value[1]}")
-        floor = max(suite.floor(key) for suite in suites)
-        if low < floor:
-            raise click.UsageError(f"check {which} takes {flag} from {floor} up, got {text}")
+    try:
+        validate_windows(names, window)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
     if l is not None and l >= 7:
         click.echo(f"# degree {l} is exploratory; no expected outcome is pinned", err=True)
     tables = [name for name, suite in SUITES.items() if suite.table]

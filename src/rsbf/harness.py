@@ -5,7 +5,9 @@ nonlinearity to weight.
 
 Every suite returns VerificationReport records.  Runs with the same
 configuration produce identical report streams apart from the elapsed
-fields; sampled grids draw their masks from a seeded generator.
+fields.  A suite's work is fixed by its windows: the identity grids check
+every mask, and the seed picks only the sweeps' spot checks and the peak
+certificates' checksums.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ __all__ = [
     "RunResult",
     "SUITES",
     "Suite",
+    "validate_windows",
     "check_reference_table",
     "check_identity_grid",
     "check_family_identity",
@@ -81,9 +84,8 @@ MAX_WITNESSES = 32
 
 # default scan windows
 TABLE_ARITIES = range(4, 12)
-GRID_EXHAUSTIVE_NS = range(8, 13)
-GRID_SAMPLED_NS = range(13, 17)
-GRID_SAMPLES = 10_000
+GRID_DIRECT_NS = range(8, 13)
+GRID_TRANSFORM_NS = range(13, 17)
 DECOMPOSITION_NS = range(7, 15)
 ZERO_RECURRENCE_NS = range(8, 23)
 BOUND_NS = range(4, 17)
@@ -222,55 +224,46 @@ def _reports(check: str, params_list, max_n: int, witnesses_of) -> list[Verifica
 
 def check_identity_grid(
     which: str,
-    n_values=None,
-    samples: int | None = None,
-    seed: int = DEFAULT_SEED,
+    n_values=GRID_DIRECT_NS,
+    transform: bool = False,
     max_n: int = DEFAULT_MAX_N,
 ) -> list[VerificationReport]:
     """Compare one arity-lowering identity against independently computed
-    coefficients, over all 16 variants.
+    coefficients, over all 16 variants and every mask whose top bit the
+    identity fixes.
 
-    With samples=None every admissible mask is checked and both sides use
-    the direct summation oracle.  Sampled runs use transform-backed values
-    so large arities stay cheap; samples >= 2**(n-1) takes every mask.
-    Each side is evaluated over a variant's whole mask array at once.
+    Both sides use the direct summation oracle, or with ``transform`` the
+    butterfly, so large arities stay cheap.  Each side is evaluated over a
+    variant's whole mask array at once.
     """
     if which not in ("lemma21", "lemma22"):
         raise ValueError(f"unknown identity grid {which!r}")
     top_bit = 0 if which == "lemma21" else 1
     identity = subfn_walsh_top0 if which == "lemma21" else subfn_walsh_top1
-    if n_values is None:
-        n_values = GRID_EXHAUSTIVE_NS
-    sampled = samples is not None
 
     def witnesses_of(params: dict) -> list:
         n = params["n"]
         half = 1 << (n - 1)
-        if not sampled or samples >= half:
-            masks = np.arange(half)
-        else:
-            rng = random.Random(seed * 1_000_003 + n * 101 + top_bit)
-            masks = np.array(sorted(rng.sample(range(half), samples)), dtype=np.int64)
-        if top_bit:
-            masks |= half
+        masks = np.arange(top_bit * half, (top_bit + 1) * half)
         witnesses = []
-        provider = _transform_provider() if sampled else None
+        provider = _transform_provider() if transform else None
         for i, j in SUB_PAIRS:
             tbl = sub_function(i, j, n)
-            lhs = walsh_transform(tbl).values[masks] if sampled else walsh_at_many(tbl, masks)
+            lhs = walsh_transform(tbl).values[masks] if transform else walsh_at_many(tbl, masks)
             rhs = identity(i, j, n, masks, provider)
             witnesses += [(f"f{i}{j}:c={c}", a, b) for c, a, b in _differences(masks, lhs, rhs)]
         return witnesses
 
-    route = "transform:sampled" if sampled else "direct"
+    # the label outlives the 10,000-mask draw it named: n = 13 and 14 already
+    # took every mask under it, and bench/refs/check-all.jsonl pins it
+    route = "transform:sampled" if transform else "direct"
     return _reports(which, [{"n": n, "id": route} for n in n_values], max_n, witnesses_of)
 
 
-def check_family_identity(n_values=None, max_n: int = DEFAULT_MAX_N) -> list[VerificationReport]:
+def check_family_identity(n_values=DECOMPOSITION_NS,
+                          max_n: int = DEFAULT_MAX_N) -> list[VerificationReport]:
     """Seven-term decomposition of the stride-1 family versus direct
     summation, every mask."""
-    if n_values is None:
-        n_values = DECOMPOSITION_NS
 
     def witnesses_of(params: dict) -> list:
         n = params["n"]
@@ -281,11 +274,12 @@ def check_family_identity(n_values=None, max_n: int = DEFAULT_MAX_N) -> list[Ver
     return _reports("eq23", [{"n": n} for n in n_values], max_n, witnesses_of)
 
 
-def check_subfn_zero(n_values=None, max_n: int = DEFAULT_MAX_N) -> list[VerificationReport]:
+def check_subfn_zero(n_values=ZERO_RECURRENCE_NS,
+                     max_n: int = DEFAULT_MAX_N) -> list[VerificationReport]:
     """Order-4 zero-mask recurrence for every variant, seeded from the
     stored reference table, versus the transfer-matrix value, which reads
     no truth table."""
-    n_values = list(ZERO_RECURRENCE_NS if n_values is None else n_values)
+    n_values = list(n_values)
     table = SpectralBaseTable.from_reference()
     # one chain pass yields every variant at every arity up to the largest
     transfer = subfn_zero_transfer(max([4] + [n for n in n_values if n <= max_n]))
@@ -303,12 +297,11 @@ def check_subfn_zero(n_values=None, max_n: int = DEFAULT_MAX_N) -> list[Verifica
     return _reports("eq26", [{"n": n} for n in n_values], max_n, witnesses_of)
 
 
-def check_family_zero(n_values=None, max_n: int = DEFAULT_MAX_N) -> list[VerificationReport]:
+def check_family_zero(n_values=ZERO_RECURRENCE_NS,
+                      max_n: int = DEFAULT_MAX_N) -> list[VerificationReport]:
     """Zero-mask recurrence for the stride-1 family, seeded from the stored
     reference table, versus the transfer-matrix value, which reads no truth
     table."""
-    if n_values is None:
-        n_values = ZERO_RECURRENCE_NS
     table = SpectralBaseTable.from_reference()
 
     def witnesses_of(params: dict) -> list:
@@ -319,10 +312,8 @@ def check_family_zero(n_values=None, max_n: int = DEFAULT_MAX_N) -> list[Verific
     return _reports("thm24", [{"n": n} for n in n_values], max_n, witnesses_of)
 
 
-def check_bound(n_values=None, max_n: int = DEFAULT_MAX_N) -> list[VerificationReport]:
+def check_bound(n_values=BOUND_NS, max_n: int = DEFAULT_MAX_N) -> list[VerificationReport]:
     """Spectral bound over all variants for each arity in the window."""
-    if n_values is None:
-        n_values = BOUND_NS
     return _reports("bound", [{"n": n} for n in n_values], max_n,
                     lambda params: spectral_bound_check(params["n"]))
 
@@ -684,34 +675,33 @@ def counterexample_search(
 
     Windows left as None take the l = 2 defaults from SWEEP_WINDOWS.
     Returns the per-case reports plus a summary that passes exactly when
-    at least one case shows nonlinearity below weight; each finding keeps
-    its witnesses in its own report line.
+    at least one case is a finding (_is_finding); each finding keeps its
+    witnesses in its own report line.
     """
-    (lo, hi), e_window = _sweep_window(2, n_range, e_range)
-    cases = sweep_cases((max(lo, 2), hi), e_window, l=2)
+    cases = sweep_cases(*_sweep_window(2, n_range, e_range), l=2)
     reports = scan_family(
         cases, workers=workers, max_n=max_n, check_name="counterexample", seed=seed
     )
-    found = [r for r in reports if r.status == "fail"]
-    elapsed = sum(r.elapsed_ms for r in reports)
-    if found:
-        summary = VerificationReport("counterexample", {"l": 2, "id": "summary"}, "pass", [], elapsed)
-    else:
-        summary = VerificationReport(
-            "counterexample",
-            {"l": 2, "id": "summary"},
-            "fail",
-            [("search", "some case with nonlinearity != weight", "none found")],
-            elapsed,
-        )
+    found = any(_is_finding(r) for r in reports)
+    witnesses = [] if found else [("search", "some case with nonlinearity != weight", "none found")]
+    summary = VerificationReport("counterexample", {"l": 2, "id": "summary"},
+                                 "pass" if found else "fail", witnesses,
+                                 sum(r.elapsed_ms for r in reports))
     return reports, summary
+
+
+def _is_finding(report: VerificationReport) -> bool:
+    """Whether a case fails on the theorem's claim alone (nonlinearity below
+    weight, a peak off mask 0); a case with any other witness is a fault."""
+    return report.status == "fail" and all(
+        w[0] == "weight-vs-nonlinearity" or w[0].startswith("peak:c=") for w in report.witnesses
+    )
 
 
 def _gating(report: VerificationReport) -> bool:
     # confirmed quadratic counterexamples are findings, not errors
-    if report.check == "counterexample" and "n" in report.params:
-        return False
-    return report.status == "fail"
+    finding = report.check == "counterexample" and "n" in report.params and _is_finding(report)
+    return report.status == "fail" and not finding
 
 
 @dataclass
@@ -774,18 +764,19 @@ def usable_cpus() -> int:
 
 
 def _arity(cfg: HarnessConfig, n_range) -> dict:
-    """The n_values and max_n keywords of a check over the arity window
-    ``n_range`` (None keeps the check's default)."""
-    n_values = None if n_range is None else range(n_range[0], n_range[1] + 1)
-    return {"n_values": n_values, "max_n": cfg.max_n}
+    """The max_n keyword of a check, and its n_values over the arity window
+    ``n_range`` when one is given (None keeps the check's default)."""
+    if n_range is None:
+        return {"max_n": cfg.max_n}
+    return {"n_values": range(n_range[0], n_range[1] + 1), "max_n": cfg.max_n}
 
 
 def _identity_suite(which: str, cfg: HarnessConfig, n_range=None) -> list[VerificationReport]:
-    # an explicit arity window is checked exhaustively only
+    # an explicit arity window is checked on the direct route only
     if n_range is not None:
         return check_identity_grid(which, **_arity(cfg, n_range))
     return check_identity_grid(which, max_n=cfg.max_n) + check_identity_grid(
-        which, n_values=GRID_SAMPLED_NS, samples=GRID_SAMPLES, seed=cfg.seed, max_n=cfg.max_n
+        which, n_values=GRID_TRANSFORM_NS, transform=True, max_n=cfg.max_n
     )
 
 
@@ -834,11 +825,11 @@ class Suite(NamedTuple):
 
 
 # The suites in run order.  Ranks put the longest first, so the short
-# suites fill in behind the long ones (Graham's list scheduling).  Traced
-# serial suite times of the default check-all on 2 CPUs: lemma21 0.18 s,
-# lemma22 0.18 s, conjecture 0.13 s, theorem 0.13 s, bound 0.07 s, eq23
-# 0.07 s, then cubic, counterexample and table1 near 0.02 s each and the
-# rest under 0.005 s.  The identity grids and the zero-mask recurrences
+# suites fill in behind the long ones (Graham's list scheduling).  Each
+# default suite alone in a fresh process, median of 7 on a 2-CPU Xeon:
+# lemma21 0.11 s, lemma22 0.13 s, conjecture 0.10 s, theorem 0.10 s, bound
+# and eq23 0.05 s, then cubic, counterexample and table1 near 0.02 s each
+# and the rest under 0.005 s.  The identity grids and the zero-mask recurrences
 # need n >= 8, the seven-term decomposition n >= 7 and the bound's family
 # values n >= 4; the sweeps take any n >= 1.
 SUITES = {
@@ -866,6 +857,23 @@ SUITES = {
 }
 
 
+def validate_windows(names, window: dict) -> None:
+    """Raise ValueError, before any suite runs, unless every suite in
+    ``names`` reads each window given in ``window`` (keywords of
+    ``Suite.windows``) and none of them starts below ``Suite.floor`` of any
+    of those suites.  run_all and ``rsbf check`` both call it, so a refused
+    window reads the same in the library and on the command line."""
+    for key, value in window.items():
+        unread = sorted(name for name in names if key not in SUITES[name].windows)
+        if unread:
+            raise ValueError(f"suites {unread} read no {key} window")
+        low, text = (value, value) if key == "l" else (value[0], f"{value[0]}..{value[1]}")
+        for name in sorted(names):
+            floor = SUITES[name].floor(key)
+            if low < floor:
+                raise ValueError(f"{name} takes {key} from {floor} up, got {text}")
+
+
 def _run_suite(name: str, cfg: HarnessConfig, window: dict) -> tuple[list, int]:
     """Suite ``name``'s records and the milliseconds it ran for, measured
     where it ran; a pool task, so every argument is picklable."""
@@ -879,8 +887,7 @@ def run_all(config: HarnessConfig | None = None, only=None, **window) -> RunResu
     configured caps.
 
     ``window`` overrides default windows, by the keywords of each
-    ``Suite.windows``; every chosen suite must read each one given, and
-    each must start at or above ``Suite.floor`` for every chosen suite.
+    ``Suite.windows``, as validate_windows allows.
 
     With more than one suite and more than one worker, each suite is one
     task on a single process pool, submitted by ``Suite.rank``, and runs
@@ -893,15 +900,7 @@ def run_all(config: HarnessConfig | None = None, only=None, **window) -> RunResu
     unknown = chosen - set(SUITES)
     if unknown:
         raise ValueError(f"unknown suites: {sorted(unknown)}")
-    for key in window:
-        unread = sorted(name for name in chosen if key not in SUITES[name].windows)
-        if unread:
-            raise ValueError(f"suites {unread} read no {key} window")
-        low = window[key] if key == "l" else window[key][0]
-        for name in sorted(chosen):
-            floor = SUITES[name].floor(key)
-            if low < floor:
-                raise ValueError(f"{name} takes {key} from {floor} up, got {low}")
+    validate_windows(chosen, window)
     names = [name for name in SUITES if name in chosen]
     workers = cfg.resolved_workers()
     if len(names) > 1 and workers > 1:

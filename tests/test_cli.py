@@ -406,35 +406,35 @@ def test_usage_errors_exit_2(runner):
     assert runner.invoke(main, ["check", "bound", "--n-range", "abc"]).exit_code == 2
     assert runner.invoke(main, ["check", "nosuch"]).exit_code == 2
     assert runner.invoke(main, ["check", "theorem", "--l", "1"]).exit_code == 2
-    # a window flag the chosen suite does not read is refused by name
-    for argv, flag in [
-        (["check", "all", "--n-range", "4..5"], "--n-range"),
-        (["check", "all", "--e-range", "1..2"], "--e-range"),
-        (["check", "all", "--l", "5"], "--l"),
-        (["check", "factor", "--n-range", "10..12"], "--n-range"),
-        (["check", "table1", "--l", "4"], "--l"),
-        (["check", "cubic", "--l", "3"], "--l"),
-        (["check", "bound", "--e-range", "1..2"], "--e-range"),
-    ]:
-        result = runner.invoke(main, argv)
-        assert result.exit_code == 2, argv
-        assert f"{flag} does not apply to check {argv[1]}" in result.output
-    # a window below a suite's domain is refused by name before any suite runs
+    # a window the chosen suites do not read, or one below a suite's
+    # domain, is refused with the harness's own message before any suite runs
     for argv, message in [
-        (["check", "bound", "--n-range", "0..2"], "check bound takes --n-range from 4 up, got 0..2"),
+        (["check", "all", "--n-range", "4..5"],
+         "suites ['factor', 'table1', 'table2'] read no n_range window"),
+        (["check", "all", "--e-range", "1..2"],
+         "suites ['bound', 'eq23', 'eq26', 'factor', 'lemma21', 'lemma22', 'table1', 'table2', "
+         "'thm24'] read no e_range window"),
+        (["check", "all", "--l", "5"],
+         "suites ['bound', 'counterexample', 'cubic', 'eq23', 'eq26', 'factor', 'lemma21', "
+         "'lemma22', 'table1', 'table2', 'thm24'] read no l window"),
+        (["check", "factor", "--n-range", "10..12"], "suites ['factor'] read no n_range window"),
+        (["check", "table1", "--l", "4"], "suites ['table1'] read no l window"),
+        (["check", "cubic", "--l", "3"], "suites ['cubic'] read no l window"),
+        (["check", "bound", "--e-range", "1..2"], "suites ['bound'] read no e_range window"),
+        (["check", "bound", "--n-range", "0..2"], "bound takes n_range from 4 up, got 0..2"),
         (["check", "counterexample", "--n-range", "2..3", "--e-range", "0..1"],
-         "check counterexample takes --e-range from 1 up, got 0..1"),
-        (["check", "eq26", "--n-range", "7..9"], "check eq26 takes --n-range from 8 up, got 7..9"),
-        (["check", "lemma21", "--n-range", "4..8"], "check lemma21 takes --n-range from 8 up"),
-        (["check", "eq23", "--n-range", "6..6"], "check eq23 takes --n-range from 7 up"),
-        (["check", "thm24", "--n-range", "4..8"], "check thm24 takes --n-range from 8 up"),
+         "counterexample takes e_range from 1 up, got 0..1"),
+        (["check", "eq26", "--n-range", "7..9"], "eq26 takes n_range from 8 up, got 7..9"),
+        (["check", "lemma21", "--n-range", "4..8"], "lemma21 takes n_range from 8 up, got 4..8"),
+        (["check", "eq23", "--n-range", "6..6"], "eq23 takes n_range from 7 up, got 6..6"),
+        (["check", "thm24", "--n-range", "4..8"], "thm24 takes n_range from 8 up, got 4..8"),
         (["check", "theorem", "--n-range", "0..3", "--e-range", "1..1"],
-         "check theorem takes --n-range from 1 up"),
-        (["check", "conjecture", "--l", "1"], "check conjecture takes --l from 2 up, got 1"),
+         "theorem takes n_range from 1 up, got 0..3"),
+        (["check", "conjecture", "--l", "1"], "conjecture takes l from 2 up, got 1"),
     ]:
         result = runner.invoke(main, argv)
         assert result.exit_code == 2, argv
-        assert message in result.output, argv
+        assert f"Error: {message}" in result.output, argv
         assert "Traceback" not in result.output
 
 
@@ -513,6 +513,21 @@ def test_check_counterexample_exit_zero_on_find(runner):
     last = json.loads(result.output.strip().splitlines()[-1])
     assert last["params"].get("id") == "summary"
     assert last["status"] == "pass"
+
+
+def test_check_counterexample_reports_n1(runner):
+    # one variable: x0 * x0 = x0, weight 1 and nonlinearity 0, a finding
+    result = runner.invoke(
+        main, ["check", "counterexample", "--n-range", "1..2", "--e-range", "1..1", "--workers", "1"]
+    )
+    assert result.exit_code == 0
+    records = [json.loads(line) for line in result.output.strip().splitlines()]
+    assert [r["params"] for r in records] == [
+        {"n": 1, "l": 2, "e": 1}, {"n": 2, "l": 2, "e": 1}, {"l": 2, "id": "summary"},
+    ]
+    assert records[0]["status"] == "fail"
+    assert records[0]["witnesses"] == [["weight-vs-nonlinearity", 1, 0], ["peak:c=1", 0, 2]]
+    assert records[2]["status"] == "pass"
 
 
 def test_check_table_csv_artifact(runner, tmp_path):

@@ -66,9 +66,8 @@ def test_lemma_grid_validation():
 
 
 def test_lemma_grid_oracles_agree():
-    # 128 samples at n = 8 take every mask, on the transform route
     direct = check_identity_grid("lemma21", n_values=[8])
-    fast = check_identity_grid("lemma21", n_values=[8], samples=128)
+    fast = check_identity_grid("lemma21", n_values=[8], transform=True)
     assert [direct[0].params["id"], fast[0].params["id"]] == ["direct", "transform:sampled"]
     assert direct[0].status == fast[0].status == "pass"
 
@@ -113,18 +112,41 @@ def test_grid_witnesses_keep_order_and_cap(monkeypatch):
 
     monkeypatch.setattr(harness, "_transform_provider", wrong_provider)
     for which in ("lemma21", "lemma22"):
-        (report,) = check_identity_grid(which, n_values=[8], samples=128)
+        (report,) = check_identity_grid(which, n_values=[8], transform=True)
         assert report.status == "fail"
         assert report.witnesses == _loop_grid_witnesses(which, 8, wrong_provider())
 
 
 def test_sampled_grid_is_reproducible():
-    a = check_identity_grid("lemma22", n_values=[15], samples=200, seed=7)
-    b = check_identity_grid("lemma22", n_values=[15], samples=200, seed=7)
+    a = check_identity_grid("lemma22", n_values=[15], transform=True)
+    b = check_identity_grid("lemma22", n_values=[15], transform=True)
     assert [(r.params, r.status, r.witnesses) for r in a] == [
         (r.params, r.status, r.witnesses) for r in b
     ]
     assert a[0].params["id"] == "transform:sampled"
+
+
+def test_upper_grid_checks_every_mask(monkeypatch):
+    transform_provider = harness._transform_provider
+    # f2j on 13 variables is read only by lemma22's f0j at n = 15, so f20
+    # wrong at mask 20 moves f00 at masks 2**14 + 20 and 2**14 + 2**13 + 20
+    # alone; the 10,000 masks that grid used to draw at seed 0 left out both
+    old_draw = {c | 1 << 14 for c in random.Random(15 * 101 + 1).sample(range(1 << 14), 10_000)}
+    bad = [(1 << 14) + 20, (1 << 14) + (1 << 13) + 20]
+    assert not old_draw & set(bad)
+
+    def wrong_provider():
+        right = transform_provider()
+        return lambda i, j, m, c: right(i, j, m, c) + ((i, j, m) == (2, 0, 13)) * (c == 20)
+
+    monkeypatch.setattr(harness, "_transform_provider", wrong_provider)
+    result = run_all(HarnessConfig(workers=1), only=["lemma22"])
+    failing = [(r.params, r.witnesses) for r in result.reports if r.status == "fail"]
+    # the identity adds f20's coefficient with sign -1 at the first mask
+    # (bit 13 clear) and +1 at the second
+    values = walsh_transform(sub_function(0, 0, 15)).values
+    want = [(f"f00:c={c}", int(values[c]), int(values[c]) + sign) for c, sign in zip(bad, (-1, 1))]
+    assert failing == [({"n": 15, "id": "transform:sampled"}, want)]
 
 
 def test_max_n_produces_skip_reports():
@@ -618,13 +640,15 @@ def test_run_all_rejects_unknown_suite():
     with pytest.raises(ValueError):
         run_all(HarnessConfig(), only=["tablez"])
     # a window every chosen suite must read, checked before anything runs
-    with pytest.raises(ValueError, match="table1"):
+    with pytest.raises(ValueError, match=r"^suites \['table1'\] read no n_range window$"):
         run_all(HarnessConfig(), only=["bound", "table1"], n_range=(4, 5))
     # and a window below a chosen suite's domain, also before anything runs
-    with pytest.raises(ValueError, match="bound takes n_range from 4 up"):
+    with pytest.raises(ValueError, match=r"^bound takes n_range from 4 up, got 0\.\.2$"):
         run_all(HarnessConfig(), only=["bound"], n_range=(0, 2))
-    with pytest.raises(ValueError, match="counterexample takes e_range from 1 up"):
+    with pytest.raises(ValueError, match=r"^counterexample takes e_range from 1 up, got 0\.\.1$"):
         run_all(HarnessConfig(), only=["counterexample"], n_range=(2, 3), e_range=(0, 1))
+    with pytest.raises(ValueError, match=r"^conjecture takes l from 2 up, got 1$"):
+        run_all(HarnessConfig(), only=["conjecture"], l=1)
 
 
 def test_config_validation():
@@ -794,3 +818,24 @@ def test_quadratic_findings_do_not_gate_run_all():
     ]
     assert per_case_fails  # the findings are there
     assert result.exit_code == 0  # but the run is still considered clean
+
+
+def test_route_fault_in_a_quadratic_case_gates(monkeypatch):
+    summary_of = harness._factor_summary
+
+    def faulty(t, *args):
+        factor = summary_of(t, *args)
+        return factor._replace(witnesses=factor.witnesses + ((f"route:parseval:t={t}", 4**t, 0),))
+
+    monkeypatch.setattr(harness, "_factor_summary", faulty)
+    window = {"n_range": (3, 5), "e_range": (1, 1)}
+    result = run_all(HarnessConfig(workers=1), only=["counterexample"], **window)
+    *cases, summary = result.reports
+    # n = 4 fails on the route witness alone; n = 3 and 5 are findings
+    # unpatched, and now carry the route witness beside them
+    assert [r.params["n"] for r in cases] == [3, 4, 5]
+    assert cases[1].witnesses == [("route:parseval:t=4", 256, 0)]
+    # a case with a route witness is a fault: it gates, and is no finding
+    assert result.failures == result.reports
+    assert summary.status == "fail"
+    assert result.exit_code == 1

@@ -39,6 +39,8 @@ REMOVED = (
     "suite_windows",
     "window_floor",
     "_N_FLOORS",
+    # the identity grids check every mask, so no sample size is left
+    "GRID_SAMPLES",
 )
 
 # (module, name) that bench/ reads: its imports, the cache counters, and
@@ -105,7 +107,8 @@ def test_removed_names_are_gone():
     for name in ("validate", "from_brute_force"):
         assert not hasattr(rsbf.SpectralBaseTable, name), name
     for func, keyword in ((rsbf.check_subfn_zero, "base"), (rsbf.check_family_zero, "base"),
-                          (rsbf.family_zero_value, "base"), (rsbf.check_factorization, "cases")):
+                          (rsbf.family_zero_value, "base"), (rsbf.check_factorization, "cases"),
+                          (rsbf.check_identity_grid, "samples"), (rsbf.check_identity_grid, "seed")):
         assert keyword not in inspect.signature(func).parameters, func.__name__
 
 
