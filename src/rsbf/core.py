@@ -188,16 +188,18 @@ def anf_table(n: int, monomials) -> TruthTable:
 # The butterfly's low stages pair runs of only 1, 2, 4, ... entries, which
 # NumPy handles in short strided loops.  So the first three stages come
 # from _BYTE_SPECTRA, one 8-entry row per table byte, and the spectrum is
-# viewed as rows of _TILE_WIDTH entries, up to _TILE_ROWS rows at a time
-# copied transposed into one int32 tile; there stage half pairs contiguous
-# runs of half * rows entries.  The tile, 2**12 * 64 * 4 bytes = 1 MiB at
-# most and 4 * 2**n bytes for n <= 12, and one block's byte indices cast
-# to intp, 2**12 * 64 / 8 * 8 bytes = 256 KiB at most, are all the memory
-# the transform adds to the spectrum; it reads the table's bytes as a view
-# of its words, there is no unpacked table, and the tile is small enough to
-# stay in cache while its stages run.
+# viewed as rows of _TILE_WIDTH entries, a block of rows at a time copied
+# transposed into a pair of tiles; there stage half pairs contiguous runs
+# of half * rows entries, out of place from one tile to the other.  The
+# pair takes _TILE_BYTES, 1 MiB, whatever its dtype: 64 rows of int16 or
+# 32 of int32 (4 * 2**n bytes or 8 * 2**n bytes in all for n <= 12).  It
+# and one block's byte indices cast to intp, 2**12 * 64 / 8 * 8 bytes =
+# 256 KiB at most, are all the memory the transform adds to the spectrum;
+# it reads the table's bytes as a view of its words, there is no unpacked
+# table, and the tiles are small enough to stay in cache while their
+# stages run.
 _TILE_WIDTH = 1 << 12
-_TILE_ROWS = 64
+_TILE_BYTES = 1 << 20
 
 
 def _stages(v: np.ndarray, half: int, stop: int) -> None:
@@ -215,47 +217,68 @@ def _stages(v: np.ndarray, half: int, stop: int) -> None:
 # _BYTE_SPECTRA[b] is the spectrum of the byte b read as a table of three
 # variables, input x at bit x: the first three butterfly stages run on the
 # (-1)**bit rows of all 256 bytes.  It is built by the butterfly alone and
-# shares nothing with the direct oracle.
-_BYTE_SPECTRA = np.arange(256, dtype=np.int32)[:, None] >> np.arange(8, dtype=np.int32)
+# shares nothing with the direct oracle.  Its entries are at most 8 in
+# magnitude, and it is int16 to match the transform's tiles.
+_BYTE_SPECTRA = np.arange(256, dtype=np.int16)[:, None] >> np.arange(8, dtype=np.int16)
 _BYTE_SPECTRA = 1 - 2 * (_BYTE_SPECTRA & 1)
 _stages(_BYTE_SPECTRA.reshape(-1), 1, 8)
 
 
-def _tiled_stages(v: np.ndarray, tile: np.ndarray, fill, done: int) -> None:
+def _tiles(size: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The pair of tiles for a spectrum, or block, of ``size`` entries:
+    _TILE_BYTES in all, or less when ``size`` entries fill them."""
+    entries = min(size, _TILE_BYTES // (2 * np.dtype(dtype).itemsize))
+    return np.empty(entries, dtype=dtype), np.empty(entries, dtype=dtype)
+
+
+def _tiled_stages(v: np.ndarray, tiles, fill, done: int) -> None:
     """Every butterfly stage of the flat int32 array v, in place.
 
-    v is viewed as rows of _TILE_WIDTH entries.  For each block of up to
-    _TILE_ROWS of them, fill(block, r0) returns rows r0 .. r0 + len(block)
-    with their first ``done`` stages already run (block itself, or rows of
-    another array, widened as they are copied).  They are copied transposed
-    into ``tile`` (at least min(len(v), _TILE_WIDTH * _TILE_ROWS) entries),
-    where stage half pairs contiguous runs of half * rows entries, and the
-    stages from _TILE_WIDTH up run on the whole array (Bailey's four-step
-    layout); the stages commute, so the order does not change the result.
+    v is viewed as rows of _TILE_WIDTH entries, taken a block of as many
+    rows as a tile of ``tiles`` holds.  fill(r0, rows, spare) returns rows
+    r0 .. r0 + rows - 1 of v with their first ``done`` stages already run,
+    as a (rows, width) array: rows of another array, or rows it writes into
+    the tile ``spare``.  They are copied transposed into the other tile,
+    where stage half pairs contiguous runs of half * rows entries, each
+    stage one add and one subtract from one tile into the other, and
+    widened into v as they are copied back.  The stages from _TILE_WIDTH up
+    run on the whole array (Bailey's four-step layout); the stages commute,
+    so the order does not change the result.  The tiles' dtype must hold
+    every entry the tile stages form.
     """
     width = min(v.shape[0], _TILE_WIDTH)
     grid = v.reshape(-1, width)
-    for r0 in range(0, grid.shape[0], _TILE_ROWS):
-        block = grid[r0 : r0 + _TILE_ROWS]
+    block_rows = tiles[0].shape[0] // width
+    for r0 in range(0, grid.shape[0], block_rows):
+        block = grid[r0 : r0 + block_rows]
         rows = block.shape[0]
-        t = tile[: width * rows]
-        t.reshape(width, rows)[...] = fill(block, r0).T
-        _stages(t, rows << done, width * rows)
-        block[...] = t.reshape(width, rows).T
+        a, b = (t[: width * rows] for t in tiles)
+        b.reshape(width, rows)[...] = fill(r0, rows, a).T
+        half = rows << done
+        while half < width * rows:
+            src, dst = b.reshape(-1, 2, half), a.reshape(-1, 2, half)
+            np.add(src[:, 0], src[:, 1], out=dst[:, 0])
+            np.subtract(src[:, 0], src[:, 1], out=dst[:, 1])
+            a, b = b, a
+            half <<= 1
+        block[...] = b.reshape(width, rows).T
     _stages(v, width, v.shape[0])
 
 
 def walsh_transform(table: TruthTable) -> WalshSpectrum:
-    """Full spectrum by the in-place butterfly, O(n * 2**n) int32 ops.
+    """Full spectrum by the butterfly, O(n * 2**n) integer ops.
 
     The table's bytes, a view of its words, are read once: each byte's
     8-entry spectrum is looked up in _BYTE_SPECTRA, a tile block at a time,
-    so no unpacked table is ever made; _tiled_stages runs the remaining
-    stages.
+    straight into one int16 tile, so no unpacked table is ever made;
+    _tiled_stages runs the remaining stages.
 
-    int32 is exact: after stage k every entry is a signed count of 2**k
-    inputs, so no value, final or partial, exceeds 2**n <= 2**HARD_MAX_N
-    = 2**28 < 2**31 in magnitude.
+    After stage k every entry is a signed count of 2**k inputs, so no
+    value, final or partial, exceeds 2**k in magnitude.  The lookup covers
+    stages 1..3 and the tile stages 4..12, the low 12 mask bits, so every
+    tile entry is at most 2**12 < 2**15 in magnitude and int16 is exact
+    there.  The stages on the row bits run on the int32 spectrum, exact to
+    2**n <= 2**HARD_MAX_N = 2**28 < 2**31.
     """
     size = table.size
     raw = table.words.view(np.uint8)[: (size + 7) // 8]
@@ -267,14 +290,14 @@ def walsh_transform(table: TruthTable) -> WalshSpectrum:
     v = np.empty(size * reps, dtype=np.int32)
     row_bytes = min(v.shape[0], _TILE_WIDTH) // 8
 
-    def fill(block: np.ndarray, r0: int) -> np.ndarray:
-        # mode="clip" lets take write straight into the block; the default
-        # "raise" buffers out, a second spectrum
-        byte_rows = raw[r0 * row_bytes : (r0 + block.shape[0]) * row_bytes]
-        np.take(_BYTE_SPECTRA, byte_rows, axis=0, out=block.reshape(-1, 8), mode="clip")
-        return block
+    def fill(r0: int, rows: int, spare: np.ndarray) -> np.ndarray:
+        # mode="clip" lets take write straight into the tile; the default
+        # "raise" buffers out, a second tile
+        byte_rows = raw[r0 * row_bytes : (r0 + rows) * row_bytes]
+        np.take(_BYTE_SPECTRA, byte_rows, axis=0, out=spare.reshape(-1, 8), mode="clip")
+        return spare.reshape(rows, -1)
 
-    _tiled_stages(v, np.empty(min(v.shape[0], _TILE_WIDTH * _TILE_ROWS), dtype=np.int32), fill, 3)
+    _tiled_stages(v, _tiles(v.shape[0], np.int16), fill, 3)
     if reps > 1:
         v = v[:size] // reps
     return WalshSpectrum(table.n, v)
@@ -309,7 +332,7 @@ def walsh_blocks(table: TruthTable):
     _tiled_stages runs the low stages.  The buffer is overwritten by the
     next block, so a caller that keeps a block copies it.  Working memory:
     the store, unpacked straight from a view of the table's words, the
-    buffer and one tile of at most 1 MiB.
+    buffer and a pair of int32 tiles of at most 1 MiB in all.
     """
     if table.n <= _BLOCKED_ABOVE:
         yield 0, walsh_transform(table).values
@@ -327,16 +350,19 @@ def _blocks(table: TruthTable, k: int):
     span = size >> k
     _stages(store, span, size)
     v = np.empty(span, dtype=np.int32)
-    tile = np.empty(min(span, _TILE_WIDTH * _TILE_ROWS), dtype=np.int32)
+    # the tile stages take entries of up to 2**k to 2**(k + 12) in
+    # magnitude, past int16 for the k >= 3 that n > _BLOCKED_ABOVE takes
+    tiles = _tiles(span, np.int32)
     width = min(span, _TILE_WIDTH)
     for offset in range(0, size, span):
         rows = store[offset : offset + span].reshape(-1, width)
-        _tiled_stages(v, tile, lambda block, r0: rows[r0 : r0 + block.shape[0]], 0)
+        _tiled_stages(v, tiles, lambda r0, count, spare: rows[r0 : r0 + count], 0)
         yield offset, v
 
 
-# Direct sums run over blocks of this many (mask, word) pairs, so the uint64
-# work array and the uint64 word indices take 512 KiB each at most.
+# Direct sums run over blocks of this many (row, word) pairs, so the uint64
+# work array and the uint64 word indices take 512 KiB each at most.  On a
+# dense mask set a block of words and its G take half that each.
 _WORD_BLOCK = 1 << 16
 
 
@@ -346,48 +372,109 @@ def walsh_at_many(table: TruthTable, masks) -> np.ndarray:
 
     Deliberately independent of walsh_transform so the butterfly can be
     checked against it; it never calls the transform.  The sum is
-    word-packed: 64 inputs at a time, one XOR and one popcount per
-    (mask, word) pair, so it costs O(len(masks) * 2**n / 64) word
-    operations.  It reads the table's words in place, so its working memory
-    is at most 1 MiB of block temporaries, beside the per-mask arrays and
-    the answer.
+    word-packed, 64 inputs at a time.  Word k of the little-endian table
+    holds inputs x = 64k + j, where c.x = l.j + h.k for the low mask
+    l = c & 63 and the high mask h = c >> 6.  So
+
+        W(c) = sum over k of s(h, k) * G[k, l],
+
+    with s(h, k) = (-1)**popcount(h & k) and G[k, l] = 64 - 2 *
+    popcount(word_k ^ _LOW[l]), the word's own sum at low l (on the 2**n
+    valid bits of the one word when n < 6).
+
+    On a dense mask set G is counted once per word and distinct low, at
+    most 64 of them, s once per word and high in the span of the highs,
+    and the sum is an int64 matrix product of the two: each (high, low)
+    pair is summed once and read by every mask that has it.  A scattered
+    set is summed one mask at a time: one XOR and one popcount per
+    (mask, word) pair, the word complemented where s(h, k) = -1.  The
+    choice follows a count of NumPy passes.
+
+    Over all highs W is a Walsh transform of G's columns, but it is not
+    taken as one: each coefficient is its own sum over every word, so no
+    value passes through another and the route shares nothing with the
+    butterfly.  It costs O(len(masks) * 2**n / 64) word operations.  It
+    reads the table's words in place, so its working memory is at most 1
+    MiB of block temporaries, beside the per-mask arrays, the dense
+    rectangle (under 8 entries a mask) and the answer.
     """
     c = np.asarray(masks)
     if c.ndim != 1:
         raise ValueError(f"masks must be one-dimensional, got shape {c.shape}")
     c = _check_masks(table.n, c)
-    size = table.size
-    # Word k of the little-endian table holds inputs 64k .. 64k + 63.  At
-    # x = 64k + j, c.x = (c & 63).j + (c >> 6).k, so over word k the linear
-    # function is _LOW[c & 63], complemented when (c >> 6).k is odd.  A
-    # table under one word (n <= 5) has k = 0 only, so no complement, and
-    # its unused high bits are zero, so _LOW is cut to the valid bits.
     words = table.words
     nwords = words.size
-    c = c.astype(np.uint64)
-    low = _LOW[c & np.uint64(63)] & np.uint64((1 << min(size, 64)) - 1)
-    high = c >> np.uint64(6)
-    # ones counts the inputs where f(x) + c.x is odd: at most 2**n <= 2**28.
-    # One work array and one vector of word indices serve every block.
-    ones = np.zeros(c.size, dtype=np.int64)
-    width = min(nwords, _WORD_BLOCK)
-    rows = _WORD_BLOCK // width
+    # a table under one word (n <= 5) has its unused high bits zero, so
+    # _LOW is cut to the valid bits and a word counts min(2**n, 64) inputs
+    valid = min(table.size, 64)
+    cut = np.uint64((1 << valid) - 1)
+    high, low = c >> 6, c & 63
+    # In NumPy passes over the words, a mask summed alone costs about 8; a
+    # rectangle costs about 5 for each row of s and of G, one for each
+    # (high, low) pair, every high in the span by every distinct low, and
+    # some 2**15 in all for its extra calls.  Its span is read only when
+    # a span of one high would pay, so one or two masks cost nothing more.
+    most = min(c.size, 64)  # distinct lows, at most
+    alone = nwords * 8 * c.size
+
+    def rectangle(span: int) -> int:
+        return nwords * (span * most + 5 * (span + most)) + (1 << 15)
+
+    dense = False
+    if rectangle(1) <= alone:
+        h0 = int(high.min())
+        span = int(high.max()) - h0 + 1
+        dense = rectangle(span) <= alone
+    if dense:
+        seen = np.zeros(64, dtype=bool)
+        seen[low] = True
+        lows = np.flatnonzero(seen)
+        rows = np.arange(h0, h0 + span, dtype=np.uint64)
+        low_words = _LOW[lows] & cut
+        width = min(nwords, 1 << (_WORD_BLOCK // (2 * lows.size)).bit_length() - 1)
+        g = np.empty((lows.size, width), dtype=np.uint64)
+        # sums[h - h0, j]: W at high h and the j-th distinct low
+        sums = np.zeros((span, lows.size), dtype=np.int64)
+    else:
+        rows = high.astype(np.uint64)
+        row_words = _LOW[low] & cut
+        width = min(nwords, _WORD_BLOCK)
+        # ones[r]: the inputs where f(x) + c.x is odd, at most 2**n
+        ones = np.zeros(c.size, dtype=np.int64)
+    row_block = _WORD_BLOCK // width
     k = np.arange(width, dtype=np.uint64)
-    work = np.empty((min(rows, c.size), width), dtype=np.uint64)
+    work = np.empty((min(row_block, rows.size), width), dtype=np.uint64)
+    # |G| <= 64 and a sum runs over at most 2**n <= 2**28 inputs, so every
+    # partial sum is exact in int64
     for k0 in range(0, nwords, width):
-        for r0 in range(0, c.size, rows):
-            r1 = min(r0 + rows, c.size)
+        block = words[k0 : k0 + width]
+        if dense:
+            np.bitwise_xor(block, low_words[:, None], out=g)
+            np.bitwise_count(g, out=g)
+            g_int = g.view(np.int64)
+            g_int *= -2
+            g_int += valid  # G
+        for r0 in range(0, rows.size, row_block):
+            r1 = min(r0 + row_block, rows.size)
             t = work[: r1 - r0]
-            np.bitwise_and(high[r0:r1, None], k, out=t)
+            np.bitwise_and(rows[r0:r1, None], k, out=t)
             np.bitwise_count(t, out=t)
-            t &= np.uint64(1)
-            np.negative(t, out=t)  # all ones where the word is complemented
-            t ^= words[k0 : k0 + width]
-            t ^= low[r0:r1, None]
-            np.bitwise_count(t, out=t)
-            ones[r0:r1] += t.view(np.int64).sum(axis=1)  # counts 0..64
+            t &= np.uint64(1)  # h.k mod 2
+            if dense:
+                s = t.view(np.int64)
+                s *= -2
+                s += 1  # s(h, k)
+                sums[r0:r1] += s @ g_int.T
+            else:
+                np.negative(t, out=t)  # all ones where the word is complemented
+                t ^= block
+                t ^= row_words[r0:r1, None]
+                np.bitwise_count(t, out=t)
+                ones[r0:r1] += t.view(np.int64).sum(axis=1)  # counts 0..64
         k += np.uint64(width)
-    return size - 2 * ones
+    if dense:
+        return sums[high - h0, (np.cumsum(seen) - 1)[low]]
+    return table.size - 2 * ones
 
 
 def walsh_at(table: TruthTable, mask) -> int:

@@ -587,14 +587,15 @@ def scan_family(
     _factor_summary: a peak certificate where _certificate_route allows
     and it holds, else the butterfly.  A case carries its factor's
     ``route:`` witnesses, and these checks of its own back the factored
-    route: every case with n <= CROSS_CHECK_MAX_N against its full
-    transform, field by field; and, for each arity above that, one case
-    with e % n != 1 drawn from ``seed`` whose W(0) is checked against the
-    popcount of its own stride-e table (a case with e % n == 1 is its
-    factor, whose table route:factor-zero has already counted, so an
-    arity with no other case gets no spot check).  One log line per
-    factor gives its route, kept rows and seconds.  Results come back
-    sorted by (l, n, e) regardless of worker count.
+    route: every case with n <= CROSS_CHECK_MAX_N against the full
+    transform of its table, field by field, one transform per distinct
+    table; and, for each arity above that, one case with e % n != 1
+    drawn from ``seed`` whose W(0) is checked against the popcount of its
+    own stride-e table (a case with e % n == 1 is its factor, whose table
+    route:factor-zero has already counted, so an arity with no other case
+    gets no spot check).  One log line per factor gives its route, kept
+    rows and seconds.  Results come back sorted by (l, n, e) regardless
+    of worker count.
     """
     reports = []
     todo = []
@@ -609,15 +610,23 @@ def scan_family(
         if n > CROSS_CHECK_MAX_N and e % n != 1:
             above.setdefault(n, []).append((n, l, e))
     spots = sorted(random.Random(seed * 1_000_003 + n).choice(group) for n, group in above.items())
+    # a full transform's fields are its table's alone, so the cases up to
+    # CROSS_CHECK_MAX_N that build the same words (stride e and n - e give
+    # one monomial set) share the transform of the first of them
+    first_of: dict = {}  # cross-checked case -> the case transformed for it
+    firsts: dict = {}  # (n, table words) -> that case
+    for case in todo:
+        if case[0] <= CROSS_CHECK_MAX_N:
+            words = monomial_rsbf(MonomialRsbfSpec(*case)).words.tobytes()
+            first_of[case] = firsts.setdefault((case[0], words), case)
     factors: dict = {}  # (t, l) -> _Factor
-    full: dict = {}  # case -> _family_case tuple, for n <= CROSS_CHECK_MAX_N
+    full: dict = {}  # first case -> _family_case tuple
     spot: dict = {}  # case -> _table_zero result, for the drawn cases
     # (size, function, arguments, result dict, key), factors before checks
     # of the same size so a transform never runs behind a big table build
     jobs = [(t, _factor_summary, (t, l, cycles, seed), factors, (t, l))
             for (t, l), cycles in _factor_tasks(todo).items()]
-    jobs += [(case[0], _family_case, (case,), full, case)
-             for case in todo if case[0] <= CROSS_CHECK_MAX_N]
+    jobs += [(case[0], _family_case, (case,), full, case) for case in firsts.values()]
     jobs += [(case[0], _table_zero, (case,), spot, case) for case in spots]
     if workers > 1 and len(jobs) > 1:
         # largest arity first, one task at a time, so the big transforms
@@ -632,6 +641,7 @@ def scan_family(
         log.info("factor t=%d l=%d: %s route, kept rows %s, %.3f s",
                  t, l, factor.route, "-" if factor.rows is None else factor.rows, factor.seconds)
     uses = Counter(factor_of[case] for case in todo)
+    sharing = Counter(first_of.values())
     for case in todo:
         n, l, e = case
         key = factor_of[case]
@@ -646,9 +656,10 @@ def scan_family(
         # each factor's time is shared among the cases built on it
         seconds = factor.seconds / uses[key]
         witnesses += factor.witnesses
-        if case in full:
-            *fields, ms = full[case][3:]
-            seconds += ms / 1000
+        if case in first_of:
+            first = first_of[case]
+            *fields, ms = full[first][3:]
+            seconds += ms / 1000 / sharing[first]
             for name, want, got in zip(_ROUTE_FIELDS, fields, factored):
                 if got is not None and want != got:
                     witnesses.append((f"route:{name}", want, got))
@@ -827,9 +838,9 @@ class Suite(NamedTuple):
 # The suites in run order.  Ranks put the longest first, so the short
 # suites fill in behind the long ones (Graham's list scheduling).  Each
 # default suite alone in a fresh process, median of 7 on a 2-CPU Xeon:
-# lemma21 0.11 s, lemma22 0.13 s, conjecture 0.10 s, theorem 0.10 s, bound
-# and eq23 0.05 s, then cubic, counterexample and table1 near 0.02 s each
-# and the rest under 0.005 s.  The identity grids and the zero-mask recurrences
+# lemma21 0.15 s, lemma22 0.14 s, conjecture 0.11 s, theorem 0.09 s, bound
+# 0.06 s, then eq23, cubic, counterexample and table1 at 0.02 to 0.03 s
+# each and the rest under 0.01 s.  The identity grids and the zero-mask recurrences
 # need n >= 8, the seven-term decomposition n >= 7 and the bound's family
 # values n >= 4; the sweeps take any n >= 1.
 SUITES = {

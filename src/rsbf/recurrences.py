@@ -47,9 +47,9 @@ def _sign(parity):
 
 
 def _direct_provider(i: int, j: int, n: int, c):
-    # each distinct mask is summed once, whatever the arity
-    masks, where = np.unique(c, return_inverse=True)
-    return walsh_at_many(sub_function(i, j, n), masks)[where].reshape(np.shape(c))
+    # the masks go to the oracle as they come, repeats and all: where a
+    # rectangle pays, it sums each distinct (high, low) pair once
+    return walsh_at_many(sub_function(i, j, n), np.ravel(c)).reshape(np.shape(c))
 
 
 def _int64_provider(sub_walsh: SubWalsh | None) -> SubWalsh:

@@ -244,6 +244,61 @@ def test_walsh_at_many_spans_word_blocks():
         assert walsh_at_many(tbl, masks).tolist() == expected
 
 
+def test_walsh_at_many_mask_shapes():
+    # The oracle sums a dense mask set as a rectangle of (high, low) pairs
+    # and a scattered one mask by mask; it picks by its cost count, so
+    # each shape below is sized to reach the route named.  Every mask
+    # comes back at its own position, repeats included.
+    rng = random.Random(7)
+    for n in range(1, 8):
+        # word edges: n <= 5 is under one word, n = 6 fills it, n = 7 takes two
+        for tbl in (from_int(n, rng.getrandbits(1 << n)), constant(n, 1)):
+            want = _pure_python_walsh(tbl, range(1 << n))
+            # dense: every mask, shuffled and repeated to 2**13 masks
+            order = list(range(1 << n))
+            rng.shuffle(order)
+            masks = np.array(order * (1 << (13 - n)))
+            assert walsh_at_many(tbl, masks).tolist() == [want[c] for c in masks]
+            # scattered: a few masks, unsorted and repeated
+            masks = [rng.randrange(1 << n) for _ in range(5)]
+            masks += masks[:2]
+            assert walsh_at_many(tbl, masks).tolist() == [want[c] for c in masks]
+    n = 10
+    tbl = from_int(n, rng.getrandbits(1 << n))
+    want = _pure_python_walsh(tbl, range(1 << n))
+    # dense: the half-space of masks with the top bit set, shuffled
+    masks = np.arange(1 << (n - 1), 1 << n)
+    rng.shuffle(masks)
+    assert walsh_at_many(tbl, masks).tolist() == [want[c] for c in masks]
+    # scattered: far-apart masks, including the extremes
+    masks = [1023, 0, 517, 64, 63, 1023, 300]
+    assert walsh_at_many(tbl, masks).tolist() == [want[c] for c in masks]
+    # n = 16: a scattered set against the popcount reference
+    n = 16
+    tbl = from_int(n, rng.getrandbits(1 << n))
+    masks = [rng.randrange(1 << n) for _ in range(24)]
+    expected = [tbl.size - 2 * weight(tbl ^ linear(n, c)) for c in masks]
+    assert walsh_at_many(tbl, masks).tolist() == expected
+
+
+def test_walsh_at_many_dense_set_spans_word_blocks():
+    # At n = 23 the dense route takes the 2**17 words in blocks of 2**16 /
+    # (2 * lows) words, 4096 here.  High 2**16 negates every word from
+    # k = 2**16 on, whole blocks at once; high 2**16 - 1 changes sign
+    # inside each block.  Eight (high, low) pairs, each 64 times, make the
+    # set dense.  Reference: the popcount form.
+    n = 23
+    rng = random.Random(n)
+    tbl = from_int(n, rng.getrandbits(1 << n))
+    pairs = [((1 << 16) - 1, 0), ((1 << 16) - 1, 63), ((1 << 16) - 1, 5), (1 << 16, 0),
+             (1 << 16, 63), (1 << 16, 40), ((1 << 16) - 1, 33), (1 << 16, 33)]
+    distinct = [h << 6 | low for h, low in pairs]
+    expected = {c: tbl.size - 2 * weight(tbl ^ linear(n, c)) for c in distinct}
+    masks = distinct * 64
+    rng.shuffle(masks)
+    assert walsh_at_many(tbl, masks).tolist() == [expected[c] for c in masks]
+
+
 def test_walsh_at_rejects_any_int_out_of_range():
     tbl = constant(4, 0)
     for mask in (1 << 64, 1 << 70, -(1 << 70)):
@@ -265,6 +320,32 @@ def test_walsh_transform_is_exact_int32_at_full_range():
         assert np.count_nonzero(values) == 1
         masks = [c, 0, 1, (1 << n) - 1]
         assert walsh_at_many(tbl, masks).tolist() == values[masks].tolist()
+
+
+@pytest.mark.parametrize("n", range(12, 21))
+def test_tile_holds_int16_extremes(n):
+    # The lookup and the tile run the stages on the low 12 mask bits in
+    # int16.  A constant or linear table puts +-2**12 there, the most any
+    # tile entry reaches: at low mask c & 4095 in every row, where the
+    # tile's last stage leaves it, for masks of both signs and with the
+    # high bits set or clear.  The reference is the popcount form W(c) =
+    # 2**n - 2 * weight(f ^ c.x); every other coefficient is 0.
+    low = (1 << 12) - 1
+    cases = [
+        (constant(n, 0), 0),
+        (constant(n, 1), 0),
+        (linear(n, low), low),
+        (linear(n, low) ^ constant(n, 1), low),
+        (linear(n, (1 << n) - 1), (1 << n) - 1),
+        (linear(n, (1 << n) - 1 - low) ^ constant(n, 1), (1 << n) - 1 - low),
+    ]
+    for tbl, c in cases:
+        values = walsh_transform(tbl).values
+        assert values.dtype == np.int32
+        want = tbl.size - 2 * weight(tbl ^ linear(n, c))
+        assert abs(want) == 1 << n
+        assert int(values[c]) == want
+        assert np.count_nonzero(values) == 1
 
 
 @pytest.mark.parametrize("n", range(11, 19))
@@ -321,12 +402,13 @@ def _read_blocks(blocks):
 
 @pytest.mark.parametrize("n", range(1, 23))
 def test_walsh_blocks_concatenate_to_the_transform(n):
-    # The public route, and the int8 route at every depth k it can take
-    # here: k = n - 18 is 0, 1, 2 at n = 18, 19, 20, and k = min(6, n)
-    # makes 2**k blocks of 1 .. 2**(n - 6) entries.
+    # The public route, and the int8 route at every depth k it can take,
+    # k = 0 .. min(6, n): its int32 tiles then take 2**k blocks of 1 ..
+    # 2**n entries, the low stages of 2**(n - k - 12) tile blocks each
+    # from n - k = 18 up.  walsh_blocks takes k = n - 18 from n = 21 up.
     rng = random.Random(n)
     member = monomial_rsbf(MonomialRsbfSpec(n, 4, 1 + n % 3))
-    depths = sorted({0, 1, min(core._INT8_STAGES, n), min(core._INT8_STAGES, max(0, n - 18))})
+    depths = list(range(min(core._INT8_STAGES, n) + 1))
     for tbl in (from_int(n, rng.getrandbits(1 << n)), member):
         full = walsh_transform(tbl).values
         counts = []

@@ -318,6 +318,28 @@ def test_wrong_factor_fails_cross_checked_case(monkeypatch):
     assert ("route:nl", nl, nl + 1) in ten.witnesses
 
 
+def test_cases_with_one_table_share_its_full_transform(monkeypatch):
+    # (5, 4, 1) and (5, 4, 2) build the same words (every 4-subset of 5
+    # variables), (7, 4, 3) and (7, 4, 4) too (strides e and n - e), and
+    # (7, 4, 1) its own; one full transform serves each table, and every
+    # case sharing it is compared with that result, field by field
+    right = harness._family_case
+    calls = []
+
+    def wrong_zero(args):
+        calls.append(args)
+        n, l, e, wt, nl, peak, k_abs, abs_max, zero, ms = right(args)
+        return (n, l, e, wt, nl, peak, k_abs, abs_max, zero + 2, ms)
+
+    monkeypatch.setattr(harness, "_family_case", wrong_zero)
+    cases = [(5, 4, 1), (5, 4, 2), (7, 4, 1), (7, 4, 3), (7, 4, 4)]
+    reports = scan_family(cases)
+    assert sorted(calls) == [(5, 4, 1), (7, 4, 1), (7, 4, 3)]
+    for report in reports:
+        zero = dict((w[0], w[1]) for w in report.witnesses)["route:zero"]
+        assert ("route:zero", zero, zero - 2) in report.witnesses
+
+
 def test_seeded_spot_check_catches_wrong_zero_above_cap(monkeypatch):
     right = harness._factor_summary
 
@@ -723,8 +745,12 @@ def test_pools_are_capped_at_their_task_count(monkeypatch):
     monkeypatch.setattr(harness, "ProcessPoolExecutor", _InlinePool(sizes))
     cases = sweep_cases((4, 6), (1, 2), 4)
     reports = scan_family(cases, workers=10**6)
-    # one job per distinct factor plus one full-route job per case (n <= 16)
-    assert sizes == [len(harness._factor_tasks(cases)) + len(cases)]
+    # one job per distinct factor plus one full-route job per distinct table
+    # (n <= 16): (4, 4, 1) and (4, 4, 2) are both 0, and (5, 4, 1) and
+    # (5, 4, 2) both take every 4-subset of the 5 variables
+    tables = {(case[0], monomial_rsbf(MonomialRsbfSpec(*case)).words.tobytes()) for case in cases}
+    assert len(tables) == len(cases) - 2
+    assert sizes == [len(harness._factor_tasks(cases)) + len(tables)]
     assert _without_elapsed(reports) == _without_elapsed(scan_family(cases, workers=1))
     sizes.clear()
     chosen = ["table2", "bound", "theorem"]
