@@ -6,8 +6,9 @@ nonlinearity to weight.
 Every suite returns VerificationReport records.  Runs with the same
 configuration produce identical report streams apart from the elapsed
 fields.  A suite's work is fixed by its windows: the identity grids check
-every mask, and the seed picks only the sweeps' spot checks and the peak
-certificates' checksums.
+every mask, and the seed picks only the sweeps' spot checks and the
+checksums of the transfer stacks, the peak certificates' and the
+bound's.
 """
 
 from __future__ import annotations
@@ -47,11 +48,10 @@ from .families import (
 )
 from .recurrences import (
     SpectralBaseTable,
+    _lowered_sums,
     family_walsh_via_subfns,
     family_zero_recurrence,
     spectral_bound_check,
-    subfn_walsh_top0,
-    subfn_walsh_top1,
     subfn_zero_recurrence,
 )
 from .report import TableArtifact, VerificationReport
@@ -234,25 +234,27 @@ def check_identity_grid(
 
     Both sides use the direct summation oracle, or with ``transform`` the
     butterfly, so large arities stay cheap.  Each side is evaluated over a
-    variant's whole mask array at once.
+    variant's whole mask array at once, and the right-hand sides one column
+    j at a time: the four variants of a column share their lower-arity
+    terms, and no other column's terms are alive beside them.
     """
     if which not in ("lemma21", "lemma22"):
         raise ValueError(f"unknown identity grid {which!r}")
     top_bit = 0 if which == "lemma21" else 1
-    identity = subfn_walsh_top0 if which == "lemma21" else subfn_walsh_top1
 
     def witnesses_of(params: dict) -> list:
         n = params["n"]
         half = 1 << (n - 1)
         masks = np.arange(top_bit * half, (top_bit + 1) * half)
-        witnesses = []
         provider = _transform_provider() if transform else None
-        for i, j in SUB_PAIRS:
-            tbl = sub_function(i, j, n)
-            lhs = walsh_transform(tbl).values[masks] if transform else walsh_at_many(tbl, masks)
-            rhs = identity(i, j, n, masks, provider)
-            witnesses += [(f"f{i}{j}:c={c}", a, b) for c, a, b in _differences(masks, lhs, rhs)]
-        return witnesses
+        sums = _lowered_sums(top_bit, n, masks, provider)
+        found = {}
+        for j in range(4):
+            for i, rhs in sums(range(4), j):
+                tbl = sub_function(i, j, n)
+                lhs = walsh_transform(tbl).values[masks] if transform else walsh_at_many(tbl, masks)
+                found[i, j] = [(f"f{i}{j}:c={c}", a, b) for c, a, b in _differences(masks, lhs, rhs)]
+        return [witness for pair in SUB_PAIRS for witness in found[pair]]
 
     # the label outlives the 10,000-mask draw it named: n = 13 and 14 already
     # took every mask under it, and bench/refs/check-all.jsonl pins it
@@ -312,10 +314,13 @@ def check_family_zero(n_values=ZERO_RECURRENCE_NS,
     return _reports("thm24", [{"n": n} for n in n_values], max_n, witnesses_of)
 
 
-def check_bound(n_values=BOUND_NS, max_n: int = DEFAULT_MAX_N) -> list[VerificationReport]:
-    """Spectral bound over all variants for each arity in the window."""
+def check_bound(n_values=BOUND_NS, max_n: int = DEFAULT_MAX_N,
+                seed: int = DEFAULT_SEED) -> list[VerificationReport]:
+    """Spectral bound over all variants for each arity in the window, from
+    the open-chain row bounds, with its stack checksums drawn from
+    ``seed``."""
     return _reports("bound", [{"n": n} for n in n_values], max_n,
-                    lambda params: spectral_bound_check(params["n"]))
+                    lambda params: spectral_bound_check(params["n"], seed))
 
 
 def check_factorization(max_n: int = DEFAULT_MAX_N) -> list[VerificationReport]:
@@ -837,34 +842,35 @@ class Suite(NamedTuple):
 
 # The suites in run order.  Ranks put the longest first, so the short
 # suites fill in behind the long ones (Graham's list scheduling).  Each
-# default suite alone in a fresh process, median of 7 on a 2-CPU Xeon:
-# lemma21 0.15 s, lemma22 0.14 s, conjecture 0.11 s, theorem 0.09 s, bound
-# 0.06 s, then eq23, cubic, counterexample and table1 at 0.02 to 0.03 s
-# each and the rest under 0.01 s.  The identity grids and the zero-mask recurrences
-# need n >= 8, the seven-term decomposition n >= 7 and the bound's family
-# values n >= 4; the sweeps take any n >= 1.
+# default suite alone in a fresh process, median of 7 on a 2-CPU Xeon
+# (the middle of three such runs): conjecture 0.10 s, lemma21 0.09 s,
+# theorem and lemma22 0.08 s, then cubic, table1, counterexample and eq23
+# at 0.02 to 0.03 s each, bound 0.013 s, and the rest under 0.01 s.  The
+# identity grids and the zero-mask recurrences need n >= 8, the seven-term
+# decomposition n >= 7 and the bound's family values n >= 4; the sweeps
+# take any n >= 1.
 SUITES = {
-    "table1": Suite(lambda cfg: check_reference_table(1), rank=8, table=True),
-    "table2": Suite(lambda cfg: check_reference_table(2), rank=11, table=True),
-    "lemma21": Suite(partial(_identity_suite, "lemma21"), rank=0, n_floor=8),
-    "lemma22": Suite(partial(_identity_suite, "lemma22"), rank=1, n_floor=8),
+    "table1": Suite(lambda cfg: check_reference_table(1), rank=5, table=True),
+    "table2": Suite(lambda cfg: check_reference_table(2), rank=10, table=True),
+    "lemma21": Suite(partial(_identity_suite, "lemma21"), rank=1, n_floor=8),
+    "lemma22": Suite(partial(_identity_suite, "lemma22"), rank=3, n_floor=8),
     "eq23": Suite(lambda cfg, n_range=None: check_family_identity(**_arity(cfg, n_range)),
-                  rank=5, n_floor=7),
+                  rank=7, n_floor=7),
     "eq26": Suite(lambda cfg, n_range=None: check_subfn_zero(**_arity(cfg, n_range)),
                   rank=12, n_floor=8),
     "thm24": Suite(lambda cfg, n_range=None: check_family_zero(**_arity(cfg, n_range)),
-                   rank=10, n_floor=8),
-    "bound": Suite(lambda cfg, n_range=None: check_bound(**_arity(cfg, n_range)),
-                   rank=4, n_floor=4),
-    "factor": Suite(lambda cfg: check_factorization(max_n=cfg.max_n), rank=9),
+                   rank=9, n_floor=8),
+    "bound": Suite(lambda cfg, n_range=None: check_bound(**_arity(cfg, n_range), seed=cfg.seed),
+                   rank=8, n_floor=4),
+    "factor": Suite(lambda cfg: check_factorization(max_n=cfg.max_n), rank=11),
     "theorem": Suite(lambda cfg, l=4, n_range=None, e_range=None:
-                     _sweep("theorem", (l,), cfg, n_range, e_range), rank=3),
+                     _sweep("theorem", (l,), cfg, n_range, e_range), rank=2),
     # the theorem's claim at degree 3, so its reports carry that label
-    "cubic": Suite(partial(_sweep, "theorem", (3,)), rank=6),
+    "cubic": Suite(partial(_sweep, "theorem", (3,)), rank=4),
     "conjecture": Suite(lambda cfg, l=None, n_range=None, e_range=None:
                         _sweep("conjecture", (5, 6) if l is None else (l,), cfg, n_range, e_range),
-                        rank=2),
-    "counterexample": Suite(_counterexample, rank=7),
+                        rank=0),
+    "counterexample": Suite(_counterexample, rank=6),
 }
 
 

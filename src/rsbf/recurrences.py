@@ -13,6 +13,7 @@ same (i, j, n, masks) signature.
 from __future__ import annotations
 
 import logging
+import random
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable, Mapping
@@ -20,8 +21,9 @@ from typing import Any, Callable, Mapping
 import numpy as np
 
 from . import goldens
-from .core import _check_masks, walsh_at_many, walsh_transform, weight
+from .core import HARD_MAX_N, _check_masks, walsh_at_many, weight
 from .families import MonomialRsbfSpec, monomial_rsbf, sub_function
+from .transfer import _HEAD_MASKS, _TAIL_MASKS, _checksum, _product_signs, _sign, _stack
 
 __all__ = [
     "SpectralBaseTable",
@@ -42,10 +44,6 @@ SubWalsh = Callable[[int, int, int, Any], Any]
 log = logging.getLogger(__name__)
 
 
-def _sign(parity):
-    return 1 - 2 * (parity & 1)
-
-
 def _direct_provider(i: int, j: int, n: int, c):
     # the masks go to the oracle as they come, repeats and all: where a
     # rectangle pays, it sums each distinct (high, low) pair once
@@ -62,15 +60,64 @@ def _result(total):
     return total if np.ndim(total) else int(total)
 
 
-def _checked(i: int, j: int, n: int, c, top_bit: int, floor: int):
-    if not (0 <= i <= 3 and 0 <= j <= 3):
-        raise ValueError(f"variant indices must be in 0..3, got ({i},{j})")
-    if n < floor:
-        raise ValueError(f"reduction needs n >= {floor}, got {n}")
+# Lemma 2.1 (top coefficient 0) and Lemma 2.2 (top coefficient 1): variant
+# i's coefficient at arity n and mask c is the sum of its terms
+# (factor, i', drop, bits), each factor * (-1)^(c_{n-k} summed over k in
+# bits) * W_{i'j}(c mod 2^(n - drop)) on n - drop variables
+_LOWERED = {
+    0: (((2, 0, 2, ()), (2, 0, 3, (2,)), (2, 0, 4, (2, 3))),
+        ((2, 0, 2, ()), (2, 0, 3, (2,)), (2, 3, 4, (2, 3, 4))),
+        ((2, 0, 2, ()), (2, 0, 4, (2, 3))),
+        ((2, 0, 3, (2,)), (2, 3, 4, (2, 3, 4)))),
+    1: (((1, 1, 2, (2,)), (-1, 2, 2, (2,))),
+        ((1, 1, 2, (2,)), (-1, 3, 2, (2,))),
+        ((1, 1, 2, (2,)), (1, 3, 2, (2,))),
+        ((2, 0, 2, ()), (2, 0, 4, (2, 3)))),
+}
+
+
+def _lowered_sums(top_bit: int, n: int, c, sub_walsh: SubWalsh | None = None):
+    """Evaluator (variants, j) -> a generator of (i, coefficients of
+    variant (i, j) at the masks c) by the identity _LOWERED[top_bit], in
+    the order of ``variants``.  Needs n >= 8.
+
+    The masks are split once, here: their lowered masks, and their signs
+    as int8 arrays.  Each call takes each distinct lower-arity term
+    (i', j, n - drop) from the provider once and shares it among the
+    variants asked for, so one column j's four right-hand sides cost 4
+    provider calls (Lemma 2.1) or 5 (Lemma 2.2), and only that column's
+    terms and one right-hand side are alive at a time."""
+    if n < 8:
+        raise ValueError(f"reduction needs n >= 8, got {n}")
     c = _check_masks(n, c)
     if np.any((c >> (n - 1)) & 1 != top_bit):
         raise ValueError(f"top coefficient must be {top_bit} for this identity")
-    return c
+    table = _LOWERED[top_bit]
+    terms = {term[1:] for variant in table for term in variant}
+    lowered = {drop: c & ((1 << (n - drop)) - 1) for _, drop, _ in terms}
+    signs = {bits: _sign(sum((c >> (n - k)) & 1 for k in bits)) for _, _, bits in terms}
+    if np.ndim(c):
+        signs = {bits: np.asarray(sign, dtype=np.int8) for bits, sign in signs.items()}
+    w = _int64_provider(sub_walsh)
+
+    def sums(variants, j: int):
+        values: dict = {}  # (i', drop) -> its coefficients, int64
+        for i in variants:
+            total = 0
+            for factor, low, drop, bits in table[i]:
+                if (low, drop) not in values:
+                    values[low, drop] = w(low, j, n - drop, lowered[drop])
+                # factor * sign is int8 (|2| at most); the product with the
+                # int64 term, and so the sum, is int64
+                total += factor * signs[bits] * values[low, drop]
+            yield i, _result(total)
+
+    return sums
+
+
+def _check_variant(i: int, j: int) -> None:
+    if not (0 <= i <= 3 and 0 <= j <= 3):
+        raise ValueError(f"variant indices must be in 0..3, got ({i},{j})")
 
 
 def subfn_walsh_top0(i: int, j: int, n: int, c, sub_walsh: SubWalsh | None = None):
@@ -79,43 +126,16 @@ def subfn_walsh_top0(i: int, j: int, n: int, c, sub_walsh: SubWalsh | None = Non
 
     ``c`` is one mask (the answer is an int) or an int64 mask array (the
     answer is an int64 array of the same shape)."""
-    c = _checked(i, j, n, c, 0, 8)
-    w = _int64_provider(sub_walsh)
-    b2, b3, b4 = (c >> (n - 2)) & 1, (c >> (n - 3)) & 1, (c >> (n - 4)) & 1
-    c2, c3, c4 = c & ((1 << (n - 2)) - 1), c & ((1 << (n - 3)) - 1), c & ((1 << (n - 4)) - 1)
-    if i == 0:
-        total = (2 * w(0, j, n - 2, c2)
-                 + 2 * _sign(b2) * w(0, j, n - 3, c3)
-                 + 2 * _sign(b2 + b3) * w(0, j, n - 4, c4))
-    elif i == 1:
-        total = (2 * w(0, j, n - 2, c2)
-                 + 2 * _sign(b2) * w(0, j, n - 3, c3)
-                 + 2 * _sign(b2 + b3 + b4) * w(3, j, n - 4, c4))
-    elif i == 2:
-        total = 2 * w(0, j, n - 2, c2) + 2 * _sign(b2 + b3) * w(0, j, n - 4, c4)
-    else:
-        total = (2 * _sign(b2) * w(0, j, n - 3, c3)
-                 + 2 * _sign(b2 + b3 + b4) * w(3, j, n - 4, c4))
-    return _result(total)
+    _check_variant(i, j)
+    return next(_lowered_sums(0, n, c, sub_walsh)((i,), j))[1]
 
 
 def subfn_walsh_top1(i: int, j: int, n: int, c, sub_walsh: SubWalsh | None = None):
     """Variant coefficient at a mask whose top coefficient is 1, rewritten
     over variants two or four variables down.  Needs n >= 8.  ``c`` is an
     int or an int64 array, as for subfn_walsh_top0."""
-    c = _checked(i, j, n, c, 1, 8)
-    w = _int64_provider(sub_walsh)
-    b2, b3 = (c >> (n - 2)) & 1, (c >> (n - 3)) & 1
-    c2, c4 = c & ((1 << (n - 2)) - 1), c & ((1 << (n - 4)) - 1)
-    if i == 0:
-        total = _sign(b2) * w(1, j, n - 2, c2) + _sign(1 + b2) * w(2, j, n - 2, c2)
-    elif i == 1:
-        total = _sign(b2) * w(1, j, n - 2, c2) + _sign(1 + b2) * w(3, j, n - 2, c2)
-    elif i == 2:
-        total = _sign(b2) * w(1, j, n - 2, c2) + _sign(b2) * w(3, j, n - 2, c2)
-    else:
-        total = 2 * w(0, j, n - 2, c2) + 2 * _sign(b2 + b3) * w(0, j, n - 4, c4)
-    return _result(total)
+    _check_variant(i, j)
+    return next(_lowered_sums(1, n, c, sub_walsh)((i,), j))[1]
 
 
 def family_walsh_via_subfns(n: int, c, sub_walsh: SubWalsh | None = None):
@@ -207,27 +227,63 @@ def family_zero_value(n: int) -> int:
     return _run_zero_recurrence(_family_seeds(), n)
 
 
-def _eight_magnitudes(values: np.ndarray) -> np.ndarray:
-    # int64: a magnitude may reach 2**28 at the hard cap, and 8 * 2**28 = 2**31
-    # overflows int32
-    return 8 * np.abs(values.astype(np.int64))
-
-
-def spectral_bound_check(n: int) -> list[tuple[str, int, int]]:
+def spectral_bound_check(n: int, seed: int = 0) -> list[tuple[str, int, int]]:
     """Witnesses (f<i><j>:c=<mask>, bound, 8|w|) where 8*|variant
     coefficient| fails to stay below the family zero value three variables
     up, over all 16 variants and all masks with c_1 set, in variant then
-    mask order; empty when the bound holds."""
-    bound = family_zero_value(n + 3)
-    masks = np.nonzero(np.arange(1 << n) & 2)[0]
-    observed_max = 0
-    witnesses: list[tuple[str, int, int]] = []
-    for i in range(4):
-        for j in range(4):
-            scaled = _eight_magnitudes(walsh_transform(sub_function(i, j, n)).values[masks])
-            observed_max = max(observed_max, int(scaled.max()))
-            for k in np.nonzero(scaled >= bound)[0]:
-                witnesses.append((f"f{i}{j}:c={int(masks[k])}", bound, int(scaled[k])))
-    log.info("bound n=%d: max 8|w| = %d against %d", n, observed_max, bound)
-    return witnesses
+    mask order; empty when the bound holds.  Needs 4 <= n <= HARD_MAX_N.
 
+    Each variant is an open chain of transfer steps (``rsbf.transfer``):
+    with h = (n - 3) // 2 and c = c_0c_1c_2 + (a << 3) + (b << (3 + h)),
+    W_ij(c) = u_j(c_0c_1c_2)^T A_a B_b t_i, where u_j is variant j's head
+    over (x_0, x_1, x_2) with the mask's low three bits, A_a and B_b are
+    the products of the h low and the n - 3 - h high steps, and t_i is
+    variant i's tail.  By the triangle inequality no mask of row
+    (j, c_0c_1c_2, a) beats the sum over states s of |(u_j^T A_a)[s]|
+    times the max over b of |(B_b t_i)[s]|; only the rows whose 8 * bound
+    reaches the family value are multiplied out (n = 4..6 keep some, and
+    no larger n up to the cap keeps any).  A state has two predecessors
+    and two successors under a step, so |(u_j^T A_a)[s]| <= 2^h and
+    |(B_b t_i)[s]| <= 2^(n - 3 - h); a row bound over the 8 states, and
+    any coefficient, is then at most 2^n, and 8 times it at most 2^31 at
+    the cap: int64 holds every product and sum.
+
+    Both stacks are checked against the step matrices with checksums
+    drawn from ``seed``; a mismatch is a ``route:stack:n=<n>`` witness
+    (want, got), ahead of the variant witnesses."""
+    if not 4 <= n <= HARD_MAX_N:
+        raise ValueError(f"the bound needs n in 4..{HARD_MAX_N}, got {n}")
+    bound = family_zero_value(n + 3)
+    h = (n - 3) // 2
+    low, high = _stack(4, h), _stack(4, n - 3 - h)
+    rng = random.Random(seed)
+    witnesses = [(f"route:stack:n={n}", want, got)
+                 for want, got in (_checksum(low, 4, rng), _checksum(high, 4, rng)) if want != got]
+    # heads[j, k] = u_j(low[k]) over the states, for the low masks c_0c_1c_2 with c_1 = 1
+    states = np.arange(8)
+    low_masks = np.flatnonzero(states & 2)
+    parity = _sign(np.bitwise_count(low_masks[:, None] & states).astype(np.int64))
+    heads = np.array([_product_signs(_HEAD_MASKS, j) for j in range(4)])[:, None, :] * parity
+    # rows[j, k, s, a] = (u_j(low[k])^T A_a)[s]
+    rows = np.einsum("jkr,rsa->jksa", heads, low)
+    size = np.abs(rows)
+    kept = largest = 0
+    for i in range(4):
+        # cols[s, b] = (B_b t_i)[s]
+        cols = np.einsum("srb,r->sb", high, np.array(_product_signs(_TAIL_MASKS, i)))
+        scaled = 8 * np.einsum("jksa,s->jka", size, np.abs(cols).max(axis=1))
+        largest = max(largest, int(scaled.max()))
+        j, k, a = np.nonzero(scaled >= bound)
+        kept += j.size
+        if not j.size:
+            continue
+        # 8|W| at every mask of the kept rows: kept row r, high part b
+        eight = 8 * np.abs(np.einsum("rs,sb->rb", rows[j, k, :, a], cols))
+        masks = low_masks[k, None] + (a[:, None] << 3) + (np.arange(cols.shape[1]) << (3 + h))
+        r, b = np.nonzero(eight >= bound)
+        for x in np.lexsort((masks[r, b], j[r])):
+            label = f"f{i}{j[r[x]]}:c={masks[r[x], b[x]]}"
+            witnesses.append((label, bound, int(eight[r[x], b[x]])))
+    log.info("bound n=%d: %d rows kept, largest 8 * row bound %d against %d",
+             n, kept, largest, bound)
+    return witnesses

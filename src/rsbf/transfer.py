@@ -32,7 +32,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import _check_masks
-from .recurrences import _sign
 
 __all__ = [
     "transfer_matrix",
@@ -47,6 +46,16 @@ __all__ = [
 # the AND of the state bits its mask names, x_0 and x_{n-3} in bit 0
 _HEAD_MASKS = (0b111, 0b011, 0b001)
 _TAIL_MASKS = (0b111, 0b110, 0b100)
+
+
+def _sign(parity):
+    return 1 - 2 * (parity & 1)
+
+
+def _product_signs(masks: tuple[int, ...], k: int) -> list[int]:
+    """(-1)^(sum of the first k products of ``masks``) at each of the 8
+    states over three variables: a head or tail vector at mask 0."""
+    return [_sign(sum((s & m) == m for m in masks[:k])) for s in range(8)]
 
 
 def transfer_matrix(l: int, bit: int) -> list[list[int]]:
@@ -115,8 +124,8 @@ def subfn_zero_transfer(n_max: int) -> dict[int, dict[tuple[int, int], int]]:
     if n_max < 4:
         raise ValueError(f"variants need arity at least 4, got {n_max}")
     step = _entries(4)[0]
-    chains = [[_sign(sum((s & m) == m for m in _HEAD_MASKS[:j])) for s in range(8)] for j in range(4)]
-    tails = [[_sign(sum((s & m) == m for m in _TAIL_MASKS[:i])) for s in range(8)] for i in range(4)]
+    chains = [_product_signs(_HEAD_MASKS, j) for j in range(4)]
+    tails = [_product_signs(_TAIL_MASKS, i) for i in range(4)]
     values = {}
     for m in range(4, n_max + 1):
         chains = [_advance(v, step) for v in chains]
@@ -194,12 +203,13 @@ def _checksum(stack: np.ndarray, l: int, rng: random.Random) -> tuple[int, int]:
     z = [rng.randrange(1, _PRIME) for _ in range(m)]
     u = [rng.randrange(1, _PRIME) for _ in range(states)]
     v = [rng.randrange(1, _PRIME) for _ in range(states)]
-    # want: the product of the small sparse steps, on Python ints
+    # want: u^T advanced through the small sparse steps, one vector on
+    # Python ints, then read against v
     even, odd = _entries(l)
-    rows = [[int(s == r) for s in range(states)] for r in range(states)]
+    row = u
     for zi in z:
-        step = even + [(s, t, zi * sign) for s, t, sign in odd]
-        rows = [[x % _PRIME for x in _advance(row, step)] for row in rows]
+        row = [x % _PRIME for x in _advance(row, even + [(s, t, zi * sign) for s, t, sign in odd])]
+    want = sum(a * b for a, b in zip(row, v)) % _PRIME
     # got: weights z^x by doubling (bit i of x is step i), each below the
     # prime; |z^x P_x| < 2^(31 + m), so a run of 2^(31 - m) of them sums
     # below 2^62 and the running total never wraps int64
@@ -212,11 +222,7 @@ def _checksum(stack: np.ndarray, l: int, rng: random.Random) -> tuple[int, int]:
     for x0 in range(0, flat.shape[1], run):
         total = (total + flat[:, x0 : x0 + run] @ w[x0 : x0 + run]) % _PRIME
     got = total.reshape(states, states).tolist()
-
-    def read(matrix) -> int:
-        return sum(u[r] * v[s] * matrix[r][s] for r in range(states) for s in range(states)) % _PRIME
-
-    return read(rows), read(got)
+    return want, sum(u[r] * v[s] * got[r][s] for r in range(states) for s in range(states)) % _PRIME
 
 
 def _row_bounds(low: np.ndarray, high: np.ndarray) -> np.ndarray:

@@ -76,7 +76,9 @@ def test_direct_routes_never_call_the_butterfly(monkeypatch):
     def refuse(table):
         raise AssertionError("the direct route called walsh_transform")
 
-    for module in (core, recurrences, harness):
+    # recurrences no longer imports the butterfly at all
+    assert not hasattr(recurrences, "walsh_transform")
+    for module in (core, harness):
         monkeypatch.setattr(module, "walsh_transform", refuse)
     grid = check_identity_grid("lemma21", n_values=[8])
     assert [r.status for r in grid] == ["pass"]
@@ -147,6 +149,44 @@ def test_upper_grid_checks_every_mask(monkeypatch):
     values = walsh_transform(sub_function(0, 0, 15)).values
     want = [(f"f00:c={c}", int(values[c]), int(values[c]) + sign) for c, sign in zip(bad, (-1, 1))]
     assert failing == [({"n": 15, "id": "transform:sampled"}, want)]
+
+
+@pytest.mark.parametrize("which", ["lemma21", "lemma22"])
+def test_column_sums_match_each_variant(which):
+    # a grid evaluates a column's four right-hand sides together, sharing
+    # their lower-arity terms; each must equal its variant's own identity
+    top_bit = 0 if which == "lemma21" else 1
+    identity = subfn_walsh_top0 if which == "lemma21" else subfn_walsh_top1
+    for n in range(8, 17):
+        half = 1 << (n - 1)
+        masks = np.arange(top_bit * half, (top_bit + 1) * half)
+        for provider in (None, harness._transform_provider()):
+            sums = recurrences._lowered_sums(top_bit, n, masks, provider)
+            for j in range(4):
+                column = list(sums(range(4), j))
+                assert [i for i, _ in column] == [0, 1, 2, 3]
+                for i, rhs in column:
+                    assert rhs.dtype == np.int64
+                    assert np.array_equal(rhs, identity(i, j, n, masks, provider)), (n, i, j)
+
+
+@pytest.mark.parametrize("which", ["lemma21", "lemma22"])
+def test_transform_grid_arity_working_memory(which):
+    # NumPy reports its buffers to tracemalloc.  One n = 16 arity holds its
+    # 2**15 int64 masks (256 KiB), their lowered masks and int8 signs, one
+    # column's lower-arity terms (at most five, 256 KiB each), one
+    # right-hand side and its sum, a variant's transform with its 1 MiB
+    # tile, and the provider's cached lower spectra.  Measured 3.9 MB
+    # (lemma21) and 4.3 MB (lemma22); every column's terms, or all 16
+    # right-hand sides, alive at once would add 3 MiB or more.
+    tracemalloc.start()
+    try:
+        (report,) = check_identity_grid(which, n_values=[16], transform=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.status == "pass"
+    assert peak < 5 << 20
 
 
 def test_max_n_produces_skip_reports():
@@ -222,6 +262,28 @@ def test_bound_witnesses_are_capped(monkeypatch):
     (report,) = check_bound(n_values=[10])
     assert (report.check, report.params, report.status) == ("bound", {"n": 10}, "fail")
     assert report.witnesses == uncapped[:32] + [("more-witnesses", 16 * 512 - 32, "truncated")]
+
+
+def test_corrupted_bound_stack_fails_route_stack(monkeypatch):
+    # n = 10 splits its 7 steps 3 + 4; the high stack's last matrix with
+    # its largest entry zeroed moves that stack's checksum, and no row
+    # bound comes near the family value at n = 10
+    right = recurrences._stack
+
+    def wrong(l, m):
+        stack = right(l, m)
+        if m == 4:
+            last = stack[..., -1]
+            last[np.unravel_index(np.argmax(np.abs(last)), last.shape)] = 0
+        return stack
+
+    assert [r.status for r in check_bound(n_values=[10], seed=1)] == ["pass"]
+    monkeypatch.setattr(recurrences, "_stack", wrong)
+    (report,) = check_bound(n_values=[10])
+    assert report.status == "fail"
+    assert [w[0] for w in report.witnesses] == ["route:stack:n=10"]
+    want, got = report.witnesses[0][1:]
+    assert want != got and 0 <= min(want, got) and max(want, got) < transfer._PRIME
 
 
 def test_scan_family_workers_match_serial():
@@ -822,8 +884,8 @@ def test_run_all_pools_suites_longest_first(monkeypatch):
     # at max_n = 1 every case but the two tables is skipped
     result = run_all(HarnessConfig(max_n=1, workers=2))
     assert submitted == [
-        "lemma21", "lemma22", "conjecture", "theorem", "bound", "eq23",
-        "cubic", "counterexample", "table1", "factor", "thm24", "table2", "eq26",
+        "conjecture", "lemma21", "theorem", "lemma22", "cubic", "table1",
+        "counterexample", "eq23", "bound", "thm24", "table2", "factor", "eq26",
     ]
     # the records still come back in SUITES order, the tables beside the reports
     assert [t.name for t in result.tables] == ["table1", "table2"]

@@ -22,7 +22,7 @@ from rsbf import (
     weight,
 )
 
-from rsbf.recurrences import _eight_magnitudes
+from rsbf import core, families, harness, recurrences, transfer
 
 PAIRS = [(i, j) for i in range(4) for j in range(4)]
 
@@ -106,12 +106,68 @@ def test_identity_array_form_matches_scalar_form():
         family_walsh_via_subfns(7, np.array([0, 128]))
 
 
-def test_bound_product_is_int64_at_the_hard_cap():
-    # 8 * 2**28 = 2**31 would wrap in int32; a synthetic spectrum slice
-    # stands in for the 2**28-entry transform
-    scaled = _eight_magnitudes(np.array([1 << 28, -(1 << 28), 3], dtype=np.int32))
-    assert scaled.dtype == np.int64
-    assert scaled.tolist() == [1 << 31, 1 << 31, 24]
+def _chain_value(i, j, n, c):
+    """W_ij(c) on Python ints: variant j's head with the mask's low three
+    bits, n - 3 sparse steps T_{c_k}, then variant i's tail."""
+    steps = transfer._entries(4)
+    head = transfer._product_signs(transfer._HEAD_MASKS, j)
+    vec = [sign * (-1) ** bin(s & c).count("1") for s, sign in enumerate(head)]
+    for k in range(3, n):
+        vec = transfer._advance(vec, steps[(c >> k) & 1])
+    return sum(a * b for a, b in zip(vec, transfer._product_signs(transfer._TAIL_MASKS, i)))
+
+
+def test_bound_product_is_int64_at_the_hard_cap(monkeypatch):
+    # at the cap the width argument allows 8|w| up to 2**31, which int32
+    # cannot hold; with the family value forced to 2**27 the kept rows are
+    # multiplied out, and every witness must match the chain on Python
+    # ints, which has no width at all
+    assert spectral_bound_check(28) == []
+    monkeypatch.setattr(recurrences, "family_zero_value", lambda n: 1 << 27)
+    witnesses = spectral_bound_check(28)
+    assert len(witnesses) == 18
+    for label, bound, eight in witnesses:
+        i, j, c = int(label[1]), int(label[2]), int(label.split("=")[1])
+        assert (bound, eight) == (1 << 27, 8 * abs(_chain_value(i, j, 28, c))), label
+        assert eight >= 1 << 27 and c & 2
+
+
+def _butterfly_bound(n, bound):
+    """The bound by 16 transforms, as it was computed before the open
+    chains: the reference for spectral_bound_check."""
+    masks = np.flatnonzero(np.arange(1 << n) & 2)
+    witnesses = []
+    for i, j in PAIRS:
+        scaled = 8 * np.abs(walsh_transform(sub_function(i, j, n)).values[masks].astype(np.int64))
+        witnesses += [(f"f{i}{j}:c={int(masks[k])}", bound, int(scaled[k]))
+                      for k in np.flatnonzero(scaled >= bound)]
+    return witnesses
+
+
+def test_bound_matches_the_butterfly_version(monkeypatch):
+    # at the family value and with it cut to a third, a fifth and a ninth,
+    # so the kept rows are multiplied out at every arity
+    right = family_zero_value
+    counts = {}
+    for div in (1, 3, 5, 9):
+        monkeypatch.setattr(recurrences, "family_zero_value", lambda n, div=div: right(n) // div)
+        for n in range(4, 17):
+            got = spectral_bound_check(n)
+            assert got == _butterfly_bound(n, right(n + 3) // div), (n, div)
+            counts[n, div] = len(got)
+    assert [counts[14, div] for div in (1, 3, 5, 9)] == [0, 12, 40, 182]
+
+
+def test_check_bound_reads_no_table(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the bound built a table or ran the butterfly")
+
+    for module in (core, families, recurrences, harness):
+        for name in ("walsh_transform", "sub_function"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    reports = check_bound()
+    assert [(r.params, r.status) for r in reports] == [({"n": n}, "pass") for n in range(4, 17)]
 
 
 def test_identities_accept_value_provider():

@@ -146,6 +146,36 @@ def test_stacks_hold_the_ordered_step_products():
                 assert (stack[..., x] == product).all(), (l, m, x)
 
 
+def _matrix_want(stack, l, seed):
+    """The want side of ``_checksum`` as a matrix: every row of the
+    identity advanced through the steps, then read through u and v."""
+    rng = random.Random(seed)
+    states = 1 << (l - 1)
+    m = stack.shape[2].bit_length() - 1
+    z = [rng.randrange(1, transfer._PRIME) for _ in range(m)]
+    u = [rng.randrange(1, transfer._PRIME) for _ in range(states)]
+    v = [rng.randrange(1, transfer._PRIME) for _ in range(states)]
+    even, odd = transfer._entries(l)
+    rows = [[int(s == r) for s in range(states)] for r in range(states)]
+    for zi in z:
+        step = even + [(s, t, zi * sign) for s, t, sign in odd]
+        rows = [[x % transfer._PRIME for x in transfer._advance(row, step)] for row in rows]
+    return sum(u[r] * v[s] * rows[r][s] for r in range(states) for s in range(states)) % transfer._PRIME
+
+
+def test_checksum_vector_form_matches_the_matrix_form():
+    for l in range(2, 7):
+        for m in (1, 5, 12):
+            stack = transfer._stack(l, m)
+            for seed in (0, 1, 2):
+                want, got = transfer._checksum(stack, l, random.Random(seed))
+                assert want == got == _matrix_want(stack, l, seed), (l, m, seed)
+            # one entry off: got moves, want does not
+            stack[0, -1, -1] += 1
+            want, got = transfer._checksum(stack, l, random.Random(0))
+            assert want == _matrix_want(stack, l, 0) != got, (l, m)
+
+
 def _certificate_against(values, t, l, cert):
     """Check a certificate's fields against the whole spectrum ``values``
     (int64, mask order) and the row bounds; returns the kept rows."""
