@@ -250,7 +250,7 @@ def check_identity_grid(
         sums = _lowered_sums(top_bit, n, masks, provider)
         found = {}
         for j in range(4):
-            for i, rhs in sums(range(4), j):
+            for i, rhs in sums(j):
                 tbl = sub_function(i, j, n)
                 lhs = walsh_transform(tbl).values[masks] if transform else walsh_at_many(tbl, masks)
                 found[i, j] = [(f"f{i}{j}:c={c}", a, b) for c, a, b in _differences(masks, lhs, rhs)]

@@ -76,15 +76,16 @@ _LOWERED = {
 }
 
 
-def _lowered_sums(top_bit: int, n: int, c, sub_walsh: SubWalsh | None = None):
-    """Evaluator (variants, j) -> a generator of (i, coefficients of
-    variant (i, j) at the masks c) by the identity _LOWERED[top_bit], in
-    the order of ``variants``.  Needs n >= 8.
+def _lowered_sums(top_bit: int, n: int, c, sub_walsh: SubWalsh | None = None,
+                  variants=range(4)):
+    """Evaluator j -> a generator of (i, coefficients of variant (i, j) at
+    the masks c) for each i in ``variants``, in that order, by the identity
+    _LOWERED[top_bit].  Needs n >= 8.
 
-    The masks are split once, here: their lowered masks, and their signs
-    as int8 arrays.  Each call takes each distinct lower-arity term
-    (i', j, n - drop) from the provider once and shares it among the
-    variants asked for, so one column j's four right-hand sides cost 4
+    The masks are split once, here: the lowered masks and the signs (int8
+    arrays) that those variants read.  Each call takes each distinct
+    lower-arity term (i', j, n - drop) from the provider once and shares it
+    among the variants, so one column j's four right-hand sides cost 4
     provider calls (Lemma 2.1) or 5 (Lemma 2.2), and only that column's
     terms and one right-hand side are alive at a time."""
     if n < 8:
@@ -92,19 +93,19 @@ def _lowered_sums(top_bit: int, n: int, c, sub_walsh: SubWalsh | None = None):
     c = _check_masks(n, c)
     if np.any((c >> (n - 1)) & 1 != top_bit):
         raise ValueError(f"top coefficient must be {top_bit} for this identity")
-    table = _LOWERED[top_bit]
-    terms = {term[1:] for variant in table for term in variant}
+    table = {i: _LOWERED[top_bit][i] for i in variants}
+    terms = {term[1:] for variant in table.values() for term in variant}
     lowered = {drop: c & ((1 << (n - drop)) - 1) for _, drop, _ in terms}
     signs = {bits: _sign(sum((c >> (n - k)) & 1 for k in bits)) for _, _, bits in terms}
     if np.ndim(c):
         signs = {bits: np.asarray(sign, dtype=np.int8) for bits, sign in signs.items()}
     w = _int64_provider(sub_walsh)
 
-    def sums(variants, j: int):
+    def sums(j: int):
         values: dict = {}  # (i', drop) -> its coefficients, int64
-        for i in variants:
+        for i, variant in table.items():
             total = 0
-            for factor, low, drop, bits in table[i]:
+            for factor, low, drop, bits in variant:
                 if (low, drop) not in values:
                     values[low, drop] = w(low, j, n - drop, lowered[drop])
                 # factor * sign is int8 (|2| at most); the product with the
@@ -127,7 +128,7 @@ def subfn_walsh_top0(i: int, j: int, n: int, c, sub_walsh: SubWalsh | None = Non
     ``c`` is one mask (the answer is an int) or an int64 mask array (the
     answer is an int64 array of the same shape)."""
     _check_variant(i, j)
-    return next(_lowered_sums(0, n, c, sub_walsh)((i,), j))[1]
+    return next(_lowered_sums(0, n, c, sub_walsh, (i,))(j))[1]
 
 
 def subfn_walsh_top1(i: int, j: int, n: int, c, sub_walsh: SubWalsh | None = None):
@@ -135,7 +136,7 @@ def subfn_walsh_top1(i: int, j: int, n: int, c, sub_walsh: SubWalsh | None = Non
     over variants two or four variables down.  Needs n >= 8.  ``c`` is an
     int or an int64 array, as for subfn_walsh_top0."""
     _check_variant(i, j)
-    return next(_lowered_sums(1, n, c, sub_walsh)((i,), j))[1]
+    return next(_lowered_sums(1, n, c, sub_walsh, (i,))(j))[1]
 
 
 def family_walsh_via_subfns(n: int, c, sub_walsh: SubWalsh | None = None):

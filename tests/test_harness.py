@@ -163,7 +163,7 @@ def test_column_sums_match_each_variant(which):
         for provider in (None, harness._transform_provider()):
             sums = recurrences._lowered_sums(top_bit, n, masks, provider)
             for j in range(4):
-                column = list(sums(range(4), j))
+                column = list(sums(j))
                 assert [i for i, _ in column] == [0, 1, 2, 3]
                 for i, rhs in column:
                     assert rhs.dtype == np.int64
