@@ -30,6 +30,7 @@ __all__ = [
     "HARD_MAX_N",
     "DEFAULT_MAX_N",
     "TruthTable",
+    "TableStack",
     "WalshSpectrum",
     "weight",
     "anf_table",
@@ -52,6 +53,23 @@ def _word_count(n: int) -> int:
     return 1 << max(n - 6, 0)
 
 
+def _read_only_words(n: int, words, ndim: int) -> np.ndarray:
+    """A read-only view of ``words``, checked to be tables of arity n: a
+    little-endian uint64 array of ``ndim`` dimensions, the last of
+    _word_count(n) words and any other of at least one row, with nothing
+    set past the 2**n valid bits of a one-word table (n < 6)."""
+    if not isinstance(words, np.ndarray) or words.dtype != np.dtype("<u8"):
+        raise ValueError("words must be a little-endian uint64 array")
+    if words.ndim != ndim or words.shape[-1] != _word_count(n) or not words.shape[0]:
+        raise ValueError(f"a table of arity {n} takes {_word_count(n)} words, "
+                         f"got shape {words.shape}")
+    if n < 6 and np.any(words >> np.uint64(1 << n)):
+        raise ValueError("packed bits do not fit a table of this arity")
+    words = words.view()
+    words.flags.writeable = False
+    return words
+
+
 @dataclass(frozen=True, eq=False)
 class TruthTable:
     """Boolean function of ``n`` variables, its outputs packed into the
@@ -67,17 +85,7 @@ class TruthTable:
 
     def __post_init__(self) -> None:
         _check_arity(self.n)
-        words = self.words
-        if not isinstance(words, np.ndarray) or words.dtype != np.dtype("<u8"):
-            raise ValueError("words must be a little-endian uint64 array")
-        if words.shape != (_word_count(self.n),):
-            raise ValueError(f"a table of arity {self.n} takes {_word_count(self.n)} words, "
-                             f"got shape {words.shape}")
-        if self.n < 6 and words[0] >> np.uint64(1 << self.n):
-            raise ValueError("packed bits do not fit a table of this arity")
-        words = words.view()
-        words.flags.writeable = False
-        object.__setattr__(self, "words", words)
+        object.__setattr__(self, "words", _read_only_words(self.n, self.words, 1))
 
     @property
     def size(self) -> int:
@@ -94,6 +102,42 @@ class TruthTable:
 
     def __and__(self, other: "TruthTable") -> "TruthTable":
         return TruthTable(self.n, self.words & _same_arity(self, other).words)
+
+
+@dataclass(frozen=True, eq=False)
+class TableStack:
+    """Tables of one arity ``n`` as the rows of one read-only uint64 array
+    ``words`` of shape (tables, words a table), each row packed as a
+    TruthTable's words.
+
+    walsh_transform and walsh_at_many take a stack in one pass over all its
+    rows, so NumPy's fixed cost per call, which is most of a call's time at
+    small n, is paid once for the stack; a TruthTable is the one-row case.
+    """
+
+    n: int
+    words: np.ndarray
+
+    def __post_init__(self) -> None:
+        _check_arity(self.n)
+        object.__setattr__(self, "words", _read_only_words(self.n, self.words, 2))
+
+    @classmethod
+    def of(cls, tables) -> "TableStack":
+        """The stack of ``tables``, one or more of one arity, in order."""
+        tables = list(tables)
+        if not tables:
+            raise ValueError("a stack takes at least one table")
+        for table in tables:
+            _same_arity(tables[0], table)
+        return cls(tables[0].n, np.stack([table.words for table in tables]))
+
+    def __len__(self) -> int:
+        return self.words.shape[0]
+
+    def __reduce__(self):
+        # a stack sent to a pool worker is rebuilt there, read-only again
+        return TableStack, (self.n, self.words)
 
 
 def _same_arity(f: TruthTable, g: TruthTable) -> TruthTable:
@@ -126,13 +170,14 @@ def _check_masks(n: int, masks):
 
 @dataclass(frozen=True, eq=False)
 class WalshSpectrum:
-    """All 2**n Walsh coefficients of one function, indexed by mask."""
+    """All 2**n Walsh coefficients of one function, indexed by mask; the
+    spectra of a TableStack hold one such row of ``values`` per table."""
 
     n: int
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.values.shape != (1 << self.n,):
+        if self.values.ndim > 2 or self.values.shape[-1:] != (1 << self.n,):
             raise ValueError("spectrum length must be 2**n")
 
     def __getitem__(self, mask) -> int:
@@ -231,22 +276,25 @@ def _tiles(size: int, dtype) -> tuple[np.ndarray, np.ndarray]:
     return np.empty(entries, dtype=dtype), np.empty(entries, dtype=dtype)
 
 
-def _tiled_stages(v: np.ndarray, tiles, fill, done: int) -> None:
-    """Every butterfly stage of the flat int32 array v, in place.
+def _tiled_stages(v: np.ndarray, tiles, fill, done: int, span: int) -> None:
+    """Every butterfly stage of each run of ``span`` entries of the flat
+    int32 array v, in place: v holds one spectrum, or one per row of a
+    stack, and no stage pairs entries of two runs.
 
-    v is viewed as rows of _TILE_WIDTH entries, taken a block of as many
-    rows as a tile of ``tiles`` holds.  fill(r0, rows, spare) returns rows
-    r0 .. r0 + rows - 1 of v with their first ``done`` stages already run,
-    as a (rows, width) array: rows of another array, or rows it writes into
-    the tile ``spare``.  They are copied transposed into the other tile,
-    where stage half pairs contiguous runs of half * rows entries, each
-    stage one add and one subtract from one tile into the other, and
-    widened into v as they are copied back.  The stages from _TILE_WIDTH up
-    run on the whole array (Bailey's four-step layout); the stages commute,
-    so the order does not change the result.  The tiles' dtype must hold
-    every entry the tile stages form.
+    Each run is viewed as rows of width min(span, _TILE_WIDTH) entries,
+    taken a block of as many rows as a tile of ``tiles`` holds.
+    fill(r0, rows, spare) returns rows r0 .. r0 + rows - 1 of v with their
+    first ``done`` stages already run, as a (rows, width) array: rows of
+    another array, or rows it writes into the tile ``spare``.  They are
+    copied transposed into the other tile, where stage half pairs
+    contiguous runs of half * rows entries, each stage one add and one
+    subtract from one tile into the other, and widened into v as they are
+    copied back.  The stages from _TILE_WIDTH up to span run on the whole
+    array (Bailey's four-step layout); the stages commute, so the order
+    does not change the result.  The tiles' dtype must hold every entry
+    the tile stages form.
     """
-    width = min(v.shape[0], _TILE_WIDTH)
+    width = min(span, _TILE_WIDTH)
     grid = v.reshape(-1, width)
     block_rows = tiles[0].shape[0] // width
     for r0 in range(0, grid.shape[0], block_rows):
@@ -262,33 +310,39 @@ def _tiled_stages(v: np.ndarray, tiles, fill, done: int) -> None:
             a, b = b, a
             half <<= 1
         block[...] = b.reshape(width, rows).T
-    _stages(v, width, v.shape[0])
+    _stages(v, width, span)
 
 
-def walsh_transform(table: TruthTable) -> WalshSpectrum:
-    """Full spectrum by the butterfly, O(n * 2**n) integer ops.
+def walsh_transform(tables) -> WalshSpectrum:
+    """Full spectrum by the butterfly, O(n * 2**n) integer ops a table.
 
-    The table's bytes, a view of its words, are read once: each byte's
+    ``tables`` is a TruthTable, whose spectrum comes back, or a TableStack,
+    whose spectra come back as the (tables, 2**n) values of one
+    WalshSpectrum, row r the spectrum of table r.  A stack is one pass over
+    the concatenated bytes of its rows, a view of their words: each byte's
     8-entry spectrum is looked up in _BYTE_SPECTRA, a tile block at a time,
     straight into one int16 tile, so no unpacked table is ever made;
-    _tiled_stages runs the remaining stages.
+    _tiled_stages runs the remaining stages of each row, those on the mask
+    bits below n only, so no stage pairs entries of two tables.
 
     After stage k every entry is a signed count of 2**k inputs, so no
     value, final or partial, exceeds 2**k in magnitude.  The lookup covers
     stages 1..3 and the tile stages 4..12, the low 12 mask bits, so every
     tile entry is at most 2**12 < 2**15 in magnitude and int16 is exact
     there.  The stages on the row bits run on the int32 spectrum, exact to
-    2**n <= 2**HARD_MAX_N = 2**28 < 2**31.
+    2**n <= 2**HARD_MAX_N = 2**28 < 2**31, whatever the number of rows.
     """
-    size = table.size
-    raw = table.words.view(np.uint8)[: (size + 7) // 8]
+    n, size = tables.n, 1 << tables.n
+    words = tables.words.reshape(-1, _word_count(n))
+    raw = words.view(np.uint8)[:, : (size + 7) // 8].reshape(-1)
     # A table under one byte (n <= 2) is repeated across it; the byte's
     # spectrum at c < 2**n is then reps times the table's own, exactly.
     reps = 8 // min(size, 8)
     if reps > 1:
         raw = raw * np.uint8(0xFF // ((1 << size) - 1))  # 2**size - 1 times it is 255
-    v = np.empty(size * reps, dtype=np.int32)
-    row_bytes = min(v.shape[0], _TILE_WIDTH) // 8
+    span = size * reps  # entries a table
+    v = np.empty(words.shape[0] * span, dtype=np.int32)
+    row_bytes = min(span, _TILE_WIDTH) // 8
 
     def fill(r0: int, rows: int, spare: np.ndarray) -> np.ndarray:
         # mode="clip" lets take write straight into the tile; the default
@@ -297,10 +351,11 @@ def walsh_transform(table: TruthTable) -> WalshSpectrum:
         np.take(_BYTE_SPECTRA, byte_rows, axis=0, out=spare.reshape(-1, 8), mode="clip")
         return spare.reshape(rows, -1)
 
-    _tiled_stages(v, _tiles(v.shape[0], np.int16), fill, 3)
+    _tiled_stages(v, _tiles(v.shape[0], np.int16), fill, 3, span)
+    v = v.reshape(-1, span)
     if reps > 1:
-        v = v[:size] // reps
-    return WalshSpectrum(table.n, v)
+        v = v[:, :size] // reps
+    return WalshSpectrum(n, v.reshape(tables.words.shape[:-1] + (size,)))
 
 
 # walsh_blocks hands out the spectrum in blocks of 2**_BLOCK_BITS masks, 1
@@ -356,19 +411,25 @@ def _blocks(table: TruthTable, k: int):
     width = min(span, _TILE_WIDTH)
     for offset in range(0, size, span):
         rows = store[offset : offset + span].reshape(-1, width)
-        _tiled_stages(v, tiles, lambda r0, count, spare: rows[r0 : r0 + count], 0)
+        _tiled_stages(v, tiles, lambda r0, count, spare: rows[r0 : r0 + count], 0, span)
         yield offset, v
 
 
 # Direct sums run over blocks of this many (row, word) pairs, so the uint64
-# work array and the uint64 word indices take 512 KiB each at most.  On a
-# dense mask set a block of words and its G take half that each.
+# work array and the uint64 word indices take 512 KiB each at most, for a
+# table or a whole stack.  On a dense mask set a block of words and its G
+# take half that each.
 _WORD_BLOCK = 1 << 16
 
 
-def walsh_at_many(table: TruthTable, masks) -> np.ndarray:
+def _pow2_at_most(x: int) -> int:
+    return 1 << (max(x, 1).bit_length() - 1)
+
+
+def walsh_at_many(tables, masks) -> np.ndarray:
     """Walsh coefficients at each of ``masks`` by direct summation over all
-    inputs, as an int64 vector.
+    inputs, as an int64 vector for a TruthTable and an int64 (tables,
+    masks) matrix for a TableStack, row r that of table r.
 
     Deliberately independent of walsh_transform so the butterfly can be
     checked against it; it never calls the transform.  The sum is
@@ -380,45 +441,48 @@ def walsh_at_many(table: TruthTable, masks) -> np.ndarray:
 
     with s(h, k) = (-1)**popcount(h & k) and G[k, l] = 64 - 2 *
     popcount(word_k ^ _LOW[l]), the word's own sum at low l (on the 2**n
-    valid bits of the one word when n < 6).
+    valid bits of the one word when n < 6).  s depends on the masks alone,
+    so it is formed once for a whole stack, and G once for each table.
 
     On a dense mask set G is counted once per word and distinct low, at
     most 64 of them, s once per word and high in the span of the highs,
     and the sum is an int64 matrix product of the two: each (high, low)
     pair is summed once and read by every mask that has it.  A scattered
     set is summed one mask at a time: one XOR and one popcount per
-    (mask, word) pair, the word complemented where s(h, k) = -1.  The
+    (table, mask, word), the word complemented where s(h, k) = -1.  The
     choice follows a count of NumPy passes.
 
     Over all highs W is a Walsh transform of G's columns, but it is not
     taken as one: each coefficient is its own sum over every word, so no
     value passes through another and the route shares nothing with the
-    butterfly.  It costs O(len(masks) * 2**n / 64) word operations.  It
-    reads the table's words in place, so its working memory is at most 1
-    MiB of block temporaries, beside the per-mask arrays, the dense
-    rectangle (under 8 entries a mask) and the answer.
+    butterfly.  It costs O(len(masks) * 2**n / 64) word operations a
+    table.  It reads the tables' words in place, so its working memory is
+    at most 1 MiB of block temporaries, beside the per-mask arrays, the
+    dense rectangle (under 8 entries a mask and table) and the answer.
     """
     c = np.asarray(masks)
     if c.ndim != 1:
         raise ValueError(f"masks must be one-dimensional, got shape {c.shape}")
-    c = _check_masks(table.n, c)
-    words = table.words
-    nwords = words.size
+    n = tables.n
+    c = _check_masks(n, c)
+    words = tables.words.reshape(-1, _word_count(n))
+    count, nwords = words.shape
     # a table under one word (n <= 5) has its unused high bits zero, so
     # _LOW is cut to the valid bits and a word counts min(2**n, 64) inputs
-    valid = min(table.size, 64)
+    valid = min(1 << n, 64)
     cut = np.uint64((1 << valid) - 1)
     high, low = c >> 6, c & 63
-    # In NumPy passes over the words, a mask summed alone costs about 8; a
-    # rectangle costs about 5 for each row of s and of G, one for each
-    # (high, low) pair, every high in the span by every distinct low, and
-    # some 2**15 in all for its extra calls.  Its span is read only when
-    # a span of one high would pay, so one or two masks cost nothing more.
+    # In NumPy passes over the words, a mask summed alone costs about 4
+    # for its s and 4 a table; a rectangle costs about 5 for each row of s
+    # and of each table's G, one for each (table, high, low), every high in
+    # the span by every distinct low, and some 2**15 in all for its extra
+    # calls.  Its span is read only when a span of one high would pay, so
+    # one or two masks cost nothing more.
     most = min(c.size, 64)  # distinct lows, at most
-    alone = nwords * 8 * c.size
+    alone = nwords * 4 * (1 + count) * c.size
 
     def rectangle(span: int) -> int:
-        return nwords * (span * most + 5 * (span + most)) + (1 << 15)
+        return nwords * (count * span * most + 5 * (span + count * most)) + (1 << 15)
 
     dense = False
     if rectangle(1) <= alone:
@@ -431,50 +495,58 @@ def walsh_at_many(table: TruthTable, masks) -> np.ndarray:
         lows = np.flatnonzero(seen)
         rows = np.arange(h0, h0 + span, dtype=np.uint64)
         low_words = _LOW[lows] & cut
-        width = min(nwords, 1 << (_WORD_BLOCK // (2 * lows.size)).bit_length() - 1)
-        g = np.empty((lows.size, width), dtype=np.uint64)
-        # sums[h - h0, j]: W at high h and the j-th distinct low
-        sums = np.zeros((span, lows.size), dtype=np.int64)
+        width = min(nwords, _pow2_at_most(_WORD_BLOCK // (2 * count * lows.size)))
+        g = np.empty((count, lows.size, width), dtype=np.uint64)
+        # sums[h - h0, r, j]: W of table r at high h and the j-th distinct low
+        sums = np.zeros((span, count, lows.size), dtype=np.int64)
     else:
         rows = high.astype(np.uint64)
         row_words = _LOW[low] & cut
-        width = min(nwords, _WORD_BLOCK)
-        # ones[r]: the inputs where f(x) + c.x is odd, at most 2**n
-        ones = np.zeros(c.size, dtype=np.int64)
-    row_block = _WORD_BLOCK // width
+        width = min(nwords, _pow2_at_most(_WORD_BLOCK // count))
+        # ones[r, m]: the inputs where table r's f(x) + c_m.x is odd, at most 2**n
+        ones = np.zeros((count, c.size), dtype=np.int64)
+    # the work array holds s on the dense route, and on the scattered route
+    # one row of words for each table and mask
+    layers = 1 if dense else count
+    row_block = max(_WORD_BLOCK // (width * layers), 1)
     k = np.arange(width, dtype=np.uint64)
-    work = np.empty((min(row_block, rows.size), width), dtype=np.uint64)
+    work = np.empty((layers, min(row_block, rows.size), width), dtype=np.uint64)
     # |G| <= 64 and a sum runs over at most 2**n <= 2**28 inputs, so every
     # partial sum is exact in int64
     for k0 in range(0, nwords, width):
-        block = words[k0 : k0 + width]
+        block = words[:, k0 : k0 + width]
         if dense:
-            np.bitwise_xor(block, low_words[:, None], out=g)
+            np.bitwise_xor(block[:, None, :], low_words[:, None], out=g)
             np.bitwise_count(g, out=g)
             g_int = g.view(np.int64)
             g_int *= -2
             g_int += valid  # G
         for r0 in range(0, rows.size, row_block):
             r1 = min(r0 + row_block, rows.size)
-            t = work[: r1 - r0]
-            np.bitwise_and(rows[r0:r1, None], k, out=t)
-            np.bitwise_count(t, out=t)
-            t &= np.uint64(1)  # h.k mod 2
+            t = work[:, : r1 - r0]
+            first = t[0]
+            np.bitwise_and(rows[r0:r1, None], k, out=first)
+            np.bitwise_count(first, out=first)
+            first &= np.uint64(1)  # h.k mod 2
             if dense:
-                s = t.view(np.int64)
+                s = first.view(np.int64)
                 s *= -2
                 s += 1  # s(h, k)
-                sums[r0:r1] += s @ g_int.T
+                sums[r0:r1] += (s @ g_int.reshape(-1, width).T).reshape(r1 - r0, count, -1)
             else:
-                np.negative(t, out=t)  # all ones where the word is complemented
-                t ^= block
+                np.negative(first, out=first)  # all ones where the word is complemented
+                if count > 1:  # every other table's rows from the first's
+                    np.bitwise_xor(t[:1], block[1:, None, :], out=t[1:])
+                first ^= block[0]
                 t ^= row_words[r0:r1, None]
                 np.bitwise_count(t, out=t)
-                ones[r0:r1] += t.view(np.int64).sum(axis=1)  # counts 0..64
+                ones[:, r0:r1] += t.view(np.int64).sum(axis=2)  # counts 0..64
         k += np.uint64(width)
     if dense:
-        return sums[high - h0, (np.cumsum(seen) - 1)[low]]
-    return table.size - 2 * ones
+        values = sums[high - h0, :, (np.cumsum(seen) - 1)[low]].T
+    else:
+        values = (1 << n) - 2 * ones
+    return values.reshape(tables.words.shape[:-1] + (c.size,))
 
 
 def walsh_at(table: TruthTable, mask) -> int:

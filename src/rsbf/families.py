@@ -67,6 +67,11 @@ def _tail(first: int, last: int, count: int) -> list:
 _HEADS = ((0, 1, 2), (0, 1), (0,))
 
 
+# every variant of an arity shares its chain; four entries serve an identity
+# grid arity, which reads the chains at n and the three arities below it,
+# and the cap keeps a library sweep over many arities from holding all
+# their chains (32 MiB each at n = 28)
+@lru_cache(maxsize=4)
 def quartic_chain(n: int) -> TruthTable:
     """XOR of the n-3 windows x_i x_{i+1} x_{i+2} x_{i+3}, no wraparound."""
     _check_arity(n)
@@ -79,13 +84,14 @@ def quartic_chain(n: int) -> TruthTable:
 # sweep over many arities from growing the cache for the life of the process
 @lru_cache(maxsize=256)
 def sub_function(i: int, j: int, n: int) -> TruthTable:
-    """The chain plus the (i, j)-indexed tail and head corrections."""
+    """The chain plus the (i, j)-indexed tail and head corrections: the
+    shared chain table XOR at most six correction monomials."""
     if not (0 <= i <= 3 and 0 <= j <= 3):
         raise ValueError(f"variant indices must be in 0..3, got ({i},{j})")
     _check_arity(n)
     if n < 4:
         raise ValueError(f"variants need arity at least 4, got {n}")
-    return anf_table(n, _chain(n) + _tail(n - 3, n - 1, i) + list(_HEADS[:j]))
+    return quartic_chain(n) ^ anf_table(n, _tail(n - 3, n - 1, i) + list(_HEADS[:j]))
 
 
 def monomial_rsbf(spec: MonomialRsbfSpec) -> TruthTable:

@@ -32,6 +32,7 @@ from .core import (
     DEFAULT_MAX_N,
     HARD_MAX_N,
     SpectrumPeaks,
+    TableStack,
     walsh_at,
     walsh_at_many,
     walsh_blocks,
@@ -39,6 +40,7 @@ from .core import (
     weight,
 )
 from .families import (
+    CycleDecomposition,
     MonomialRsbfSpec,
     _aligned_spectrum,
     cycle_decompose,
@@ -105,6 +107,14 @@ CROSS_CHECK_MAX_N = 16
 # a sweep factor's tied peak masks and squares are taken this many
 # coefficients at a time
 _TIE_BLOCK = 1 << 16
+# A stack handed to walsh_transform holds at most this many spectrum
+# entries, 256 KiB of int32, and one table at least: one table at n = 16,
+# four at n = 14, sixteen at n = 12.  Per table, on a 2-CPU Xeon with
+# NumPy 2.4, a stack of four took 18 against 42 us alone at n = 8, 40
+# against 120 us at n = 12 and 130 against 276 us at n = 14, and a stack
+# of two 467 against 566 us at n = 16, where stacks buy little and the
+# spectra of a grid column's four variants would set its working memory.
+STACK_ENTRIES = 1 << 16
 
 
 def _elapsed_ms(t0: float) -> int:
@@ -142,32 +152,42 @@ def _cap_witnesses(witnesses: list) -> list:
     return witnesses
 
 
+def _runs(stack: TableStack):
+    """``stack`` as runs of consecutive tables, each a TableStack of at
+    most STACK_ENTRIES spectrum entries (one table at least), to be
+    transformed one run at a time."""
+    rows = max(1, STACK_ENTRIES >> stack.n)
+    for r0 in range(0, len(stack), rows):
+        yield TableStack(stack.n, stack.words[r0 : r0 + rows])
+
+
 def _table1_artifact(route_bad: list) -> TableArtifact:
     arities = list(TABLE_ARITIES)
     # the ten variants with i <= j, then the stride-1 family
     builds = [(f"f{i}{j}", partial(sub_function, i, j)) for i in range(4) for j in range(i, 4)]
     builds.append(("F4", lambda n: monomial_rsbf(MonomialRsbfSpec(n, 4, 1))))
+    # fast[k][r], direct[k][r]: W(0) of builds[r]'s table at arities[k], by
+    # the butterfly and by the oracle, each one call an arity
+    fast, direct = [], []
+    for n in arities:
+        stack = TableStack.of(build(n) for _, build in builds)
+        fast.append([int(w) for run in _runs(stack) for w in walsh_transform(run).values[:, 0]])
+        direct.append(walsh_at_many(stack, [0])[:, 0].tolist())
     rows = []
-    for label, build in builds:
-        values = []
-        for n in arities:
-            tbl = build(n)
-            fast = walsh_transform(tbl)[0]
-            direct = walsh_at(tbl, 0)
-            if fast != direct:
-                route_bad.append((f"route:{label}:n={n}", direct, fast))
-            values.append(fast)
-        rows.append((label, values))
+    for r, (label, _) in enumerate(builds):
+        for k, n in enumerate(arities):
+            if fast[k][r] != direct[k][r]:
+                route_bad.append((f"route:{label}:n={n}", direct[k][r], fast[k][r]))
+        rows.append((label, [column[r] for column in fast]))
     return TableArtifact("table1", "n", [str(n) for n in arities], rows)
 
 
 def _table2_artifact(route_bad: list) -> TableArtifact:
     masks = np.nonzero(np.arange(32) & 2)[0]
+    stack = TableStack.of(sub_function(i, j, 5) for i, j in SUB_PAIRS)
+    spectra = [row for run in _runs(stack) for row in walsh_transform(run).values[:, masks]]
     columns = []
-    for i, j in SUB_PAIRS:
-        tbl = sub_function(i, j, 5)
-        fast = walsh_transform(tbl).values[masks]
-        direct = walsh_at_many(tbl, masks)
+    for (i, j), fast, direct in zip(SUB_PAIRS, spectra, walsh_at_many(stack, masks)):
         route_bad += [(f"route:f{i}{j}:c={c}", d, f) for c, f, d in _differences(masks, fast, direct)]
         columns.append(fast.tolist())
     rows = [(str(c), [col[k] for col in columns]) for k, c in enumerate(masks.tolist())]
@@ -190,15 +210,21 @@ def check_reference_table(which: int) -> tuple[TableArtifact, VerificationReport
 
 
 def _transform_provider():
+    """A provider (recurrences.SubWalsh) reading cached butterfly spectra:
+    the pairs of a call not cached yet are transformed together, one
+    _runs run at a time, so one call's terms cost one stacked transform."""
     cache: dict = {}
 
-    def get(i: int, j: int, m: int, c: int) -> int:
-        key = (i, j, m)
-        spectrum = cache.get(key)
-        if spectrum is None:
-            spectrum = walsh_transform(sub_function(i, j, m)).values
-            cache[key] = spectrum
-        return spectrum[c]
+    def get(pairs, m: int, c):
+        todo = [(i, j) for i, j in pairs if (i, j, m) not in cache]
+        if todo:
+            stack = TableStack.of(sub_function(i, j, m) for i, j in todo)
+            spectra = (row for run in _runs(stack) for row in walsh_transform(run).values)
+            cache.update(((i, j, m), values) for (i, j), values in zip(todo, spectra))
+        out = np.empty((len(pairs),) + np.shape(c), dtype=np.int64)
+        for r, (i, j) in enumerate(pairs):
+            out[r] = cache[i, j, m][c]
+        return out
 
     return get
 
@@ -234,9 +260,10 @@ def check_identity_grid(
 
     Both sides use the direct summation oracle, or with ``transform`` the
     butterfly, so large arities stay cheap.  Each side is evaluated over a
-    variant's whole mask array at once, and the right-hand sides one column
-    j at a time: the four variants of a column share their lower-arity
-    terms, and no other column's terms are alive beside them.
+    variant's whole mask array at once, one column j at a time: the four
+    variants of a column are one stack on the left, and share their
+    lower-arity terms, one provider call an arity, on the right; no other
+    column's terms are alive beside them.
     """
     if which not in ("lemma21", "lemma22"):
         raise ValueError(f"unknown identity grid {which!r}")
@@ -250,10 +277,18 @@ def check_identity_grid(
         sums = _lowered_sums(top_bit, n, masks, provider)
         found = {}
         for j in range(4):
-            for i, rhs in sums(j):
-                tbl = sub_function(i, j, n)
-                lhs = walsh_transform(tbl).values[masks] if transform else walsh_at_many(tbl, masks)
-                found[i, j] = [(f"f{i}{j}:c={c}", a, b) for c, a, b in _differences(masks, lhs, rhs)]
+            # the column's four variants as one stack: one direct sum, or a
+            # transform a _runs run, read at the masks as it is made so that
+            # no spectrum outlives its run
+            stack = TableStack.of(sub_function(i, j, n) for i in range(4))
+            if transform:
+                lhs = (row for run in _runs(stack) for row in walsh_transform(run).values[:, masks])
+            else:
+                lhs = walsh_at_many(stack, masks)
+            # each left side comes before its right side, so a transform
+            # runs beside the last right side only, not the next one too
+            for left, (i, rhs) in zip(lhs, sums(j)):
+                found[i, j] = [(f"f{i}{j}:c={c}", a, b) for c, a, b in _differences(masks, left, rhs)]
         return [witness for pair in SUB_PAIRS for witness in found[pair]]
 
     # the label outlives the 10,000-mask draw it named: n = 13 and 14 already
@@ -371,17 +406,30 @@ def _sweep_window(l: int, n_range=None, e_range=None):
     return n_range or default_n, default_e if e_range is None else e_range
 
 
-def _family_case(args: tuple[int, int, int]):
-    """(n, l, e, weight, nl, peak ok, k_abs, abs_max, W(0), ms) of one sweep
-    case from its full 2**n transform: the cross-check route."""
-    n, l, e = args
+def _family_cases(cases, stack: TableStack) -> list:
+    """(n, l, e, weight, nl, peak ok, k_abs, abs_max, W(0), ms) of each
+    sweep case of one arity from the full 2**n transform of its table, row
+    r of ``stack`` that of cases[r]: the cross-check route, one job for an
+    arity's tables (n <= CROSS_CHECK_MAX_N in the sweeps), transformed one
+    _runs run at a time into full int32 spectra.  ms is the job's time
+    shared evenly among its cases."""
     t0 = time.perf_counter()
-    tbl = monomial_rsbf(MonomialRsbfSpec(n, l, e))
-    peaks = SpectrumPeaks.of(n, walsh_blocks(tbl))
-    _, signed_max, k_abs, abs_max = peaks.argmax()
-    nl = (tbl.size - signed_max) // 2
-    peak = abs_max <= peaks.zero
-    return (n, l, e, weight(tbl), nl, peak, k_abs, abs_max, peaks.zero, _elapsed_ms(t0))
+    n = stack.n
+    weights = np.bitwise_count(stack.words).sum(axis=1, dtype=np.int64).tolist()
+    found = []
+    spectra = (row for run in _runs(stack) for row in walsh_transform(run).values)
+    for (_, l, e), wt, values in zip(cases, weights, spectra):
+        peaks = SpectrumPeaks.of(n, [(0, values)])
+        _, signed_max, k_abs, abs_max = peaks.argmax()
+        nl = ((1 << n) - signed_max) // 2
+        found.append((n, l, e, wt, nl, abs_max <= peaks.zero, k_abs, abs_max, peaks.zero))
+    ms = (time.perf_counter() - t0) * 1000 / len(found)
+    return [(*fields, ms) for fields in found]
+
+
+def _family_case(args: tuple[int, int, int]):
+    """_family_cases of the one case (n, l, e), its table built here."""
+    return _family_cases([args], TableStack.of([monomial_rsbf(MonomialRsbfSpec(*args))]))[0]
 
 
 class _Factor(NamedTuple):
@@ -526,17 +574,16 @@ def _butterfly_factor(t: int, l: int, placements) -> _Factor:
                    "butterfly", None, time.perf_counter() - t0)
 
 
-def _factored_case(case: tuple[int, int, int], factor: _Factor) -> tuple:
-    """(weight, nl, peak ok, k_abs, abs_max, W(0)) of case (n, l, e) from
-    its factor; k_abs is None where the case passes its peak check.
+def _factored_case(dec: CycleDecomposition, factor: _Factor) -> tuple:
+    """(weight, nl, peak ok, k_abs, abs_max, W(0)) of the case whose cycles
+    are ``dec`` (its cycle_decompose), from its factor; k_abs is None
+    where the case passes its peak check.
 
     The spectrum is the s-fold product of the factor's, one factor per
     rotation cycle, so W(0) = S(0)**s and the peak magnitude is peak**s.
     """
-    n, _, e = case
-    dec = cycle_decompose(n, e)
     zero_value = factor.zero**dec.s
-    size = 1 << n
+    size = 1 << dec.n
     # the largest product of s independent factors comes from the running
     # largest and smallest partial products
     hi = lo = 1
@@ -564,12 +611,12 @@ def _table_zero(case: tuple[int, int, int]) -> tuple[int, float]:
     return tbl.size - 2 * weight(tbl), time.perf_counter() - t0
 
 
-def _factor_tasks(cases) -> dict:
+def _factor_tasks(decs: dict) -> dict:
     """(t, l) -> the first cycles of the cases built on that factor, the
-    placements its summary ranks tied masks under."""
+    placements its summary ranks tied masks under; ``decs`` maps each case
+    (n, l, e) to its cycle_decompose(n, e)."""
     placements: dict = {}
-    for n, l, e in cases:
-        dec = cycle_decompose(n, e)
+    for (_, l, _), dec in decs.items():
         placements.setdefault((dec.t, l), set()).add(dec.cycles[0])
     return {key: tuple(sorted(cycles)) for key, cycles in placements.items()}
 
@@ -594,7 +641,8 @@ def scan_family(
     ``route:`` witnesses, and these checks of its own back the factored
     route: every case with n <= CROSS_CHECK_MAX_N against the full
     transform of its table, field by field, one transform per distinct
-    table; and, for each arity above that, one case with e % n != 1
+    table and one job (_family_cases) per arity's distinct tables; and,
+    for each arity above that, one case with e % n != 1
     drawn from ``seed`` whose W(0) is checked against the popcount of its
     own stride-e table (a case with e % n == 1 is its factor, whose table
     route:factor-zero has already counted, so an arity with no other case
@@ -609,7 +657,7 @@ def scan_family(
             reports.append(_skip(check_name, {"n": n, "l": l, "e": e}, max_n, n))
         else:
             todo.append((n, l, e))
-    factor_of = {(n, l, e): (cycle_decompose(n, e).t, l) for n, l, e in todo}
+    decs = {case: cycle_decompose(case[0], case[2]) for case in todo}
     above: dict = {}  # n -> its cases, for each n above the cross-check cap
     for n, l, e in todo:
         if n > CROSS_CHECK_MAX_N and e % n != 1:
@@ -617,21 +665,29 @@ def scan_family(
     spots = sorted(random.Random(seed * 1_000_003 + n).choice(group) for n, group in above.items())
     # a full transform's fields are its table's alone, so the cases up to
     # CROSS_CHECK_MAX_N that build the same words (stride e and n - e give
-    # one monomial set) share the transform of the first of them
+    # one monomial set) share the transform of the first of them; the
+    # tables built to find them are the ones transformed, one job an arity
     first_of: dict = {}  # cross-checked case -> the case transformed for it
     firsts: dict = {}  # (n, table words) -> that case
+    checked: dict = {}  # n -> (first cases, their tables)
     for case in todo:
         if case[0] <= CROSS_CHECK_MAX_N:
-            words = monomial_rsbf(MonomialRsbfSpec(*case)).words.tobytes()
-            first_of[case] = firsts.setdefault((case[0], words), case)
+            tbl = monomial_rsbf(MonomialRsbfSpec(*case))
+            first = firsts.setdefault((case[0], tbl.words.tobytes()), case)
+            if first is case:
+                group = checked.setdefault(case[0], ([], []))
+                group[0].append(case)
+                group[1].append(tbl)
+            first_of[case] = first
     factors: dict = {}  # (t, l) -> _Factor
-    full: dict = {}  # first case -> _family_case tuple
+    arity_jobs: dict = {}  # n -> _family_cases list, in the order of its first cases
     spot: dict = {}  # case -> _table_zero result, for the drawn cases
     # (size, function, arguments, result dict, key), factors before checks
     # of the same size so a transform never runs behind a big table build
     jobs = [(t, _factor_summary, (t, l, cycles, seed), factors, (t, l))
-            for (t, l), cycles in _factor_tasks(todo).items()]
-    jobs += [(case[0], _family_case, (case,), full, case) for case in firsts.values()]
+            for (t, l), cycles in _factor_tasks(decs).items()]
+    jobs += [(n, _family_cases, (group[0], TableStack.of(group[1])), arity_jobs, n)
+             for n, group in checked.items()]
     jobs += [(case[0], _table_zero, (case,), spot, case) for case in spots]
     if workers > 1 and len(jobs) > 1:
         # largest arity first, one task at a time, so the big transforms
@@ -642,16 +698,18 @@ def scan_family(
         results = [fn(*args) for _, fn, args, _, _ in jobs]
     for (_, _, _, sink, key), value in zip(jobs, results):
         sink[key] = value
+    full = {fields[:3]: fields for group in arity_jobs.values() for fields in group}
     for (t, l), factor in sorted(factors.items()):
         log.info("factor t=%d l=%d: %s route, kept rows %s, %.3f s",
                  t, l, factor.route, "-" if factor.rows is None else factor.rows, factor.seconds)
+    factor_of = {case: (dec.t, case[1]) for case, dec in decs.items()}
     uses = Counter(factor_of[case] for case in todo)
     sharing = Counter(first_of.values())
     for case in todo:
         n, l, e = case
         key = factor_of[case]
         factor = factors[key]
-        factored = _factored_case(case, factor)
+        factored = _factored_case(decs[case], factor)
         wt, nl, peak, k_abs, abs_max, zero_value = factored
         witnesses = []
         if nl != wt:
@@ -842,35 +900,35 @@ class Suite(NamedTuple):
 
 # The suites in run order.  Ranks put the longest first, so the short
 # suites fill in behind the long ones (Graham's list scheduling).  Each
-# default suite alone in a fresh process, median of 7 on a 2-CPU Xeon
-# (the middle of three such runs): conjecture 0.10 s, lemma21 0.09 s,
-# theorem and lemma22 0.08 s, then cubic, table1, counterexample and eq23
-# at 0.02 to 0.03 s each, bound 0.013 s, and the rest under 0.01 s.  The
+# default suite alone in a fresh process, median of 7 on a 2-CPU Xeon:
+# conjecture 0.10 s, lemma21 and lemma22 0.09 s, theorem 0.08 s, then
+# cubic, counterexample and eq23 at about 0.02 s each, bound 0.015 s,
+# table1 0.009 s, and the rest under 0.007 s.  The
 # identity grids and the zero-mask recurrences need n >= 8, the seven-term
 # decomposition n >= 7 and the bound's family values n >= 4; the sweeps
 # take any n >= 1.
 SUITES = {
-    "table1": Suite(lambda cfg: check_reference_table(1), rank=5, table=True),
+    "table1": Suite(lambda cfg: check_reference_table(1), rank=8, table=True),
     "table2": Suite(lambda cfg: check_reference_table(2), rank=10, table=True),
     "lemma21": Suite(partial(_identity_suite, "lemma21"), rank=1, n_floor=8),
-    "lemma22": Suite(partial(_identity_suite, "lemma22"), rank=3, n_floor=8),
+    "lemma22": Suite(partial(_identity_suite, "lemma22"), rank=2, n_floor=8),
     "eq23": Suite(lambda cfg, n_range=None: check_family_identity(**_arity(cfg, n_range)),
-                  rank=7, n_floor=7),
+                  rank=6, n_floor=7),
     "eq26": Suite(lambda cfg, n_range=None: check_subfn_zero(**_arity(cfg, n_range)),
                   rank=12, n_floor=8),
     "thm24": Suite(lambda cfg, n_range=None: check_family_zero(**_arity(cfg, n_range)),
                    rank=9, n_floor=8),
     "bound": Suite(lambda cfg, n_range=None: check_bound(**_arity(cfg, n_range), seed=cfg.seed),
-                   rank=8, n_floor=4),
+                   rank=7, n_floor=4),
     "factor": Suite(lambda cfg: check_factorization(max_n=cfg.max_n), rank=11),
     "theorem": Suite(lambda cfg, l=4, n_range=None, e_range=None:
-                     _sweep("theorem", (l,), cfg, n_range, e_range), rank=2),
+                     _sweep("theorem", (l,), cfg, n_range, e_range), rank=3),
     # the theorem's claim at degree 3, so its reports carry that label
     "cubic": Suite(partial(_sweep, "theorem", (3,)), rank=4),
     "conjecture": Suite(lambda cfg, l=None, n_range=None, e_range=None:
                         _sweep("conjecture", (5, 6) if l is None else (l,), cfg, n_range, e_range),
                         rank=0),
-    "counterexample": Suite(_counterexample, rank=6),
+    "counterexample": Suite(_counterexample, rank=5),
 }
 
 

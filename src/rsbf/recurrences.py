@@ -7,7 +7,7 @@ identities rewrite a coefficient at arity n in terms of variant
 coefficients two to four variables down, at one mask or at a whole int64
 mask array in one call; by default the lower-arity values come from the
 direct summation oracle, but a caller may inject any provider with the
-same (i, j, n, masks) signature.
+same (pairs, n, masks) signature.
 """
 
 from __future__ import annotations
@@ -16,12 +16,12 @@ import logging
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
 from . import goldens
-from .core import HARD_MAX_N, _check_masks, walsh_at_many, weight
+from .core import HARD_MAX_N, TableStack, _check_masks, walsh_at_many, weight
 from .families import MonomialRsbfSpec, monomial_rsbf, sub_function
 from .transfer import _HEAD_MASKS, _TAIL_MASKS, _checksum, _product_signs, _sign, _stack
 
@@ -37,23 +37,29 @@ __all__ = [
     "spectral_bound_check",
 ]
 
-# (i, j, n, masks) -> coefficients of variant (i, j) at arity n; masks is an
-# int or an int64 array, and the answer has the same shape
-SubWalsh = Callable[[int, int, int, Any], Any]
+# (pairs, n, masks) -> the coefficients of each variant (i, j) of pairs at
+# arity n and the masks, one row a pair: shape (len(pairs), *shape(masks)).
+# A provider takes every term of one arity that an identity reads in one
+# call, so a stacked kernel pays its fixed cost once for all of them.
+SubWalsh = Callable[[Sequence[tuple[int, int]], int, Any], Any]
 
 log = logging.getLogger(__name__)
 
 
-def _direct_provider(i: int, j: int, n: int, c):
-    # the masks go to the oracle as they come, repeats and all: where a
+def _direct_provider(pairs, n: int, c):
+    # one direct sum for all the pairs, over their stack, or over the table
+    # itself for one pair (its one-row case, with no stack to copy); the
+    # masks go to the oracle as they come, repeats and all: where a
     # rectangle pays, it sums each distinct (high, low) pair once
-    return walsh_at_many(sub_function(i, j, n), np.ravel(c)).reshape(np.shape(c))
+    tables = [sub_function(i, j, n) for i, j in pairs]
+    stack = tables[0] if len(tables) == 1 else TableStack.of(tables)
+    return walsh_at_many(stack, np.ravel(c)).reshape((len(pairs),) + np.shape(c))
 
 
 def _int64_provider(sub_walsh: SubWalsh | None) -> SubWalsh:
     # identity sums run in int64 whatever width the provider returns
     w = sub_walsh or _direct_provider
-    return lambda i, j, m, c: np.asarray(w(i, j, m, c), dtype=np.int64)
+    return lambda pairs, m, c: np.asarray(w(pairs, m, c), dtype=np.int64)
 
 
 def _result(total):
@@ -76,6 +82,16 @@ _LOWERED = {
 }
 
 
+def _checked(top_bit: int, n: int, c):
+    """The masks c of arity n >= 8, each with top coefficient top_bit."""
+    if n < 8:
+        raise ValueError(f"reduction needs n >= 8, got {n}")
+    c = _check_masks(n, c)
+    if np.any((c >> (n - 1)) & 1 != top_bit):
+        raise ValueError(f"top coefficient must be {top_bit} for this identity")
+    return c
+
+
 def _lowered_sums(top_bit: int, n: int, c, sub_walsh: SubWalsh | None = None,
                   variants=range(4)):
     """Evaluator j -> a generator of (i, coefficients of variant (i, j) at
@@ -83,31 +99,32 @@ def _lowered_sums(top_bit: int, n: int, c, sub_walsh: SubWalsh | None = None,
     _LOWERED[top_bit].  Needs n >= 8.
 
     The masks are split once, here: the lowered masks and the signs (int8
-    arrays) that those variants read.  Each call takes each distinct
-    lower-arity term (i', j, n - drop) from the provider once and shares it
-    among the variants, so one column j's four right-hand sides cost 4
-    provider calls (Lemma 2.1) or 5 (Lemma 2.2), and only that column's
-    terms and one right-hand side are alive at a time."""
-    if n < 8:
-        raise ValueError(f"reduction needs n >= 8, got {n}")
-    c = _check_masks(n, c)
-    if np.any((c >> (n - 1)) & 1 != top_bit):
-        raise ValueError(f"top coefficient must be {top_bit} for this identity")
+    arrays) that those variants read.  Each call takes the distinct
+    lower-arity terms (i', j, n - drop) from the provider in one call per
+    arity and shares them among the variants, so one column j's four
+    right-hand sides cost 3 provider calls (Lemma 2.1) or 2 (Lemma 2.2),
+    and only that column's terms and one right-hand side are alive at a
+    time."""
+    c = _checked(top_bit, n, c)
     table = {i: _LOWERED[top_bit][i] for i in variants}
-    terms = {term[1:] for variant in table.values() for term in variant}
-    lowered = {drop: c & ((1 << (n - drop)) - 1) for _, drop, _ in terms}
-    signs = {bits: _sign(sum((c >> (n - k)) & 1 for k in bits)) for _, _, bits in terms}
+    terms = [term for variant in table.values() for term in variant]
+    lows: dict = {}  # drop -> the distinct i' read at arity n - drop
+    for drop, low in sorted({(drop, low) for _, low, drop, _ in terms}):
+        lows.setdefault(drop, []).append(low)
+    lowered = {drop: c & ((1 << (n - drop)) - 1) for drop in lows}
+    signs = {bits: _sign(sum((c >> (n - k)) & 1 for k in bits)) for *_, bits in terms}
     if np.ndim(c):
         signs = {bits: np.asarray(sign, dtype=np.int8) for bits, sign in signs.items()}
     w = _int64_provider(sub_walsh)
 
     def sums(j: int):
-        values: dict = {}  # (i', drop) -> its coefficients, int64
+        values = {}  # (i', drop) -> its coefficients, int64
+        for drop, low in lows.items():
+            rows = w([(i, j) for i in low], n - drop, lowered[drop])
+            values.update(((i, drop), row) for i, row in zip(low, rows))
         for i, variant in table.items():
             total = 0
             for factor, low, drop, bits in variant:
-                if (low, drop) not in values:
-                    values[low, drop] = w(low, j, n - drop, lowered[drop])
                 # factor * sign is int8 (|2| at most); the product with the
                 # int64 term, and so the sum, is int64
                 total += factor * signs[bits] * values[low, drop]
@@ -116,9 +133,27 @@ def _lowered_sums(top_bit: int, n: int, c, sub_walsh: SubWalsh | None = None,
     return sums
 
 
+def _lowered_at(top_bit: int, i: int, j: int, n: int, c: int, sub_walsh: SubWalsh | None) -> int:
+    """Variant (i, j) at one int mask c by the identity _LOWERED[top_bit],
+    on Python ints: one provider call a term and no set-up."""
+    w = sub_walsh or _direct_provider
+    total = 0
+    for factor, low, drop, bits in _LOWERED[top_bit][i]:
+        sign = _sign(sum((c >> (n - k)) & 1 for k in bits))
+        total += factor * sign * int(w([(low, j)], n - drop, c & ((1 << (n - drop)) - 1))[0])
+    return total
+
+
 def _check_variant(i: int, j: int) -> None:
     if not (0 <= i <= 3 and 0 <= j <= 3):
         raise ValueError(f"variant indices must be in 0..3, got ({i},{j})")
+
+
+def _identity(top_bit: int, i: int, j: int, n: int, c, sub_walsh: SubWalsh | None):
+    _check_variant(i, j)
+    if np.ndim(c):
+        return next(_lowered_sums(top_bit, n, c, sub_walsh, (i,))(j))[1]
+    return _lowered_at(top_bit, i, j, n, _checked(top_bit, n, c), sub_walsh)
 
 
 def subfn_walsh_top0(i: int, j: int, n: int, c, sub_walsh: SubWalsh | None = None):
@@ -127,16 +162,18 @@ def subfn_walsh_top0(i: int, j: int, n: int, c, sub_walsh: SubWalsh | None = Non
 
     ``c`` is one mask (the answer is an int) or an int64 mask array (the
     answer is an int64 array of the same shape)."""
-    _check_variant(i, j)
-    return next(_lowered_sums(0, n, c, sub_walsh, (i,))(j))[1]
+    return _identity(0, i, j, n, c, sub_walsh)
 
 
 def subfn_walsh_top1(i: int, j: int, n: int, c, sub_walsh: SubWalsh | None = None):
     """Variant coefficient at a mask whose top coefficient is 1, rewritten
     over variants two or four variables down.  Needs n >= 8.  ``c`` is an
     int or an int64 array, as for subfn_walsh_top0."""
-    _check_variant(i, j)
-    return next(_lowered_sums(1, n, c, sub_walsh, (i,))(j))[1]
+    return _identity(1, i, j, n, c, sub_walsh)
+
+
+# the seven variants of family_walsh_via_subfns, in the order of its terms
+_SEVEN = ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0), (3, 3))
 
 
 def family_walsh_via_subfns(n: int, c, sub_walsh: SubWalsh | None = None):
@@ -148,14 +185,14 @@ def family_walsh_via_subfns(n: int, c, sub_walsh: SubWalsh | None = None):
     c = _check_masks(n, c)
     b1, b2, b3 = (c >> (n - 1)) & 1, (c >> (n - 2)) & 1, (c >> (n - 3)) & 1
     c3 = c & ((1 << (n - 3)) - 1)
-    w = _int64_provider(sub_walsh)
-    total = ((1 + _sign(b2)) * w(0, 0, n - 3, c3)
-             + _sign(b1) * w(0, 1, n - 3, c3)
-             + _sign(b2 + b1) * w(0, 2, n - 3, c3)
-             + _sign(b3) * w(1, 0, n - 3, c3)
-             + _sign(b3 + b1) * w(1, 1, n - 3, c3)
-             + _sign(b3 + b2) * w(2, 0, n - 3, c3)
-             + _sign(b3 + b2 + b1) * w(3, 3, n - 3, c3))
+    w = _int64_provider(sub_walsh)(_SEVEN, n - 3, c3)  # one call for all seven terms
+    total = ((1 + _sign(b2)) * w[0]
+             + _sign(b1) * w[1]
+             + _sign(b2 + b1) * w[2]
+             + _sign(b3) * w[3]
+             + _sign(b3 + b1) * w[4]
+             + _sign(b3 + b2) * w[5]
+             + _sign(b3 + b2 + b1) * w[6])
     return _result(total)
 
 

@@ -1,3 +1,4 @@
+import pickle
 import random
 import tracemalloc
 
@@ -10,6 +11,7 @@ from rsbf import (
     HARD_MAX_N,
     MonomialRsbfSpec,
     SpectrumPeaks,
+    TableStack,
     TruthTable,
     WalshSpectrum,
     anf_table,
@@ -242,6 +244,57 @@ def test_walsh_at_many_spans_word_blocks():
     for tbl in (from_int(n, rng.getrandbits(1 << n)), linear(n, (1 << 22) | 0b101)):
         expected = [tbl.size - 2 * weight(tbl ^ linear(n, c)) for c in masks]
         assert walsh_at_many(tbl, masks).tolist() == expected
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_stacked_kernels_equal_one_table_kernels(n):
+    # Row r of a stack's spectra and direct sums is table r's own: n <= 2
+    # takes the byte replication path and n <= 5 one-word tables, and the
+    # stack repeats a row.  Masks: empty, one mask repeated, scattered,
+    # the dense upper half-space and, up to n = 14, every mask.
+    rng = random.Random(200 + n)
+    tables = [from_int(n, rng.getrandbits(1 << n)) for _ in range(3)]
+    tables.append(tables[1])
+    if n >= 4:
+        tables.append(sub_function(3, 1, n))
+    stack = TableStack.of(tables)
+    spectra = walsh_transform(stack).values
+    assert spectra.shape == (len(tables), 1 << n) and spectra.dtype == np.int32
+    mask_sets = [
+        np.array([], dtype=np.int64),
+        np.array([rng.randrange(1 << n)] * 9),
+        np.array(rng.sample(range(1 << n), min(5, 1 << n))),
+        np.arange(1 << (n - 1), 1 << n),
+    ]
+    if n <= 14:
+        mask_sets.append(np.arange(1 << n))
+    for masks in mask_sets:
+        got = walsh_at_many(stack, masks)
+        assert got.shape == (len(tables), masks.size) and got.dtype == np.int64
+        for r, tbl in enumerate(tables):
+            assert got[r].tolist() == walsh_at_many(tbl, masks).tolist(), (r, masks[:4])
+    for r, tbl in enumerate(tables):
+        assert np.array_equal(spectra[r], walsh_transform(tbl).values), r
+
+
+def test_table_stack_checks_its_rows():
+    a, b = constant(3, 1), linear(3, 5)
+    stack = TableStack.of([a, b])
+    assert len(stack) == 2 and stack.n == 3 and not stack.words.flags.writeable
+    assert [TruthTable(3, words) for words in stack.words] == [a, b]
+    with pytest.raises(ValueError):
+        TableStack.of([])
+    with pytest.raises(ValueError):
+        TableStack.of([a, constant(4, 0)])  # one arity to a stack
+    with pytest.raises(ValueError):
+        TableStack(3, np.zeros((0, 1), dtype="<u8"))  # no rows
+    with pytest.raises(ValueError):
+        TableStack(3, np.zeros(1, dtype="<u8"))  # one table's words, not a stack
+    with pytest.raises(ValueError):
+        TableStack(3, np.array([[0], [1 << 8]], dtype="<u8"))  # a bit past 2**3
+    # a pool job's stack is rebuilt on the other side, read-only again
+    copy = pickle.loads(pickle.dumps(stack))
+    assert not copy.words.flags.writeable and np.array_equal(copy.words, stack.words)
 
 
 def test_walsh_at_many_mask_shapes():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from rsbf import (
     MonomialRsbfSpec,
+    anf_table,
     cycle_decompose,
     factored_walsh,
     monomial_rsbf,
@@ -237,6 +238,25 @@ def test_sub_function_cache_is_bounded():
     # check-all fills 208 entries (n <= 16), which must all stay
     maxsize = families.sub_function.cache_info().maxsize
     assert maxsize is not None and maxsize >= 208
+    # the chains the variants share: a grid arity reads four arities
+    assert families.quartic_chain.cache_info().maxsize == 4
+
+
+def test_variants_share_one_chain_table():
+    # the 16 variants of an arity are its one cached chain XOR their
+    # corrections, and every table stays read-only
+    families.sub_function.cache_clear()
+    families.quartic_chain.cache_clear()
+    n = 11
+    for i in range(4):
+        for j in range(4):
+            tbl = sub_function(i, j, n)
+            assert not tbl.words.flags.writeable
+            monomials = families._chain(n) + families._tail(n - 3, n - 1, i) + list(families._HEADS[:j])
+            assert tbl == anf_table(n, monomials), (i, j)
+    info = families.quartic_chain.cache_info()
+    assert (info.misses, info.hits) == (1, 15)
+    assert not quartic_chain(n).words.flags.writeable
 
 
 def test_factored_walsh_other_degrees():

@@ -1,5 +1,6 @@
 import logging
 import multiprocessing
+from collections import Counter
 import pickle
 import random
 import time
@@ -80,10 +81,21 @@ def test_direct_routes_never_call_the_butterfly(monkeypatch):
     assert not hasattr(recurrences, "walsh_transform")
     for module in (core, harness):
         monkeypatch.setattr(module, "walsh_transform", refuse)
+    # the stacked oracle serves these routes: a grid column's four left
+    # sides and eq23's seven terms are one stack each
+    oracle, rows = core.walsh_at_many, []
+
+    def counted(tables, masks):
+        rows.append(len(tables) if isinstance(tables, core.TableStack) else 0)
+        return oracle(tables, masks)
+
+    for module in (harness, recurrences):
+        monkeypatch.setattr(module, "walsh_at_many", counted)
     grid = check_identity_grid("lemma21", n_values=[8])
     assert [r.status for r in grid] == ["pass"]
     family = check_family_identity(n_values=range(7, 10))
     assert [r.status for r in family] == ["pass"] * 3
+    assert rows.count(4) == 4 and rows.count(7) == 3
 
 
 def _loop_grid_witnesses(which, n, provider):
@@ -110,7 +122,13 @@ def test_grid_witnesses_keep_order_and_cap(monkeypatch):
 
     def wrong_provider():
         right = transform_provider()
-        return lambda i, j, m, c: right(i, j, m, c) + (c % 3 == 1) - (i == 3) * (c % 5 == 0)
+
+        def wrong(pairs, m, c):
+            # one row a pair: variant i = 3's rows take the second fault
+            i = np.array([i for i, _ in pairs]).reshape((-1,) + (1,) * np.ndim(c))
+            return right(pairs, m, c) + (c % 3 == 1) - (i == 3) * (c % 5 == 0)
+
+        return wrong
 
     monkeypatch.setattr(harness, "_transform_provider", wrong_provider)
     for which in ("lemma21", "lemma22"):
@@ -139,7 +157,14 @@ def test_upper_grid_checks_every_mask(monkeypatch):
 
     def wrong_provider():
         right = transform_provider()
-        return lambda i, j, m, c: right(i, j, m, c) + ((i, j, m) == (2, 0, 13)) * (c == 20)
+
+        def wrong(pairs, m, c):
+            rows = right(pairs, m, c)
+            for row, (i, j) in zip(rows, pairs):
+                row += ((i, j, m) == (2, 0, 13)) * (c == 20)
+            return rows
+
+        return wrong
 
     monkeypatch.setattr(harness, "_transform_provider", wrong_provider)
     result = run_all(HarnessConfig(workers=1), only=["lemma22"])
@@ -168,6 +193,40 @@ def test_column_sums_match_each_variant(which):
                 for i, rhs in column:
                     assert rhs.dtype == np.int64
                     assert np.array_equal(rhs, identity(i, j, n, masks, provider)), (n, i, j)
+
+
+@pytest.mark.parametrize("which, column", [("lemma21", [(6, 1), (5, 1), (4, 2)]),
+                                           ("lemma22", [(6, 4), (4, 1)])])
+@pytest.mark.parametrize("transform", [False, True])
+def test_grid_columns_take_one_call_an_arity(monkeypatch, which, column, transform):
+    # a column's lower-arity terms come in one provider call an arity, on
+    # both providers, and its four left sides as one stack (the n = 8
+    # transform stack is one run)
+    calls, stacks = [], []
+    direct, transform_provider = recurrences._direct_provider, harness._transform_provider
+
+    def counted(provider):
+        def call(pairs, m, c):
+            calls.append((m, len(pairs)))
+            assert [j for _, j in pairs] == [pairs[0][1]] * len(pairs)
+            return provider(pairs, m, c)
+        return call
+
+    def counted_stack(kernel):
+        def call(tables, *masks):
+            stacks.append((tables.n, len(tables) if isinstance(tables, core.TableStack) else 0))
+            return kernel(tables, *masks)
+        return call
+
+    monkeypatch.setattr(recurrences, "_direct_provider", counted(direct))
+    monkeypatch.setattr(harness, "_transform_provider", lambda: counted(transform_provider()))
+    kernel = "walsh_transform" if transform else "walsh_at_many"
+    monkeypatch.setattr(harness, kernel, counted_stack(getattr(harness, kernel)))
+    (report,) = check_identity_grid(which, n_values=[8], transform=transform)
+    assert report.status == "pass"
+    # per column: one call (arity, pairs) for each arity 8 - drop it reads
+    assert sorted(calls) == sorted(column * 4)
+    assert [rows for m, rows in stacks if m == 8] == [4] * 4
 
 
 @pytest.mark.parametrize("which", ["lemma21", "lemma22"])
@@ -295,6 +354,11 @@ def test_scan_family_workers_match_serial():
         assert strip(serial) == strip(pooled)
 
 
+def _decompositions(cases):
+    """The case -> cycle_decompose map that scan_family forms once a case."""
+    return {case: cycle_decompose(case[0], case[2]) for case in cases}
+
+
 def test_factored_cases_match_the_full_route():
     # every default-window case up to the cross-check cap, l = 2..6, plus
     # n = 17, 18 at every stride; (6, 4, 3) has three 2-variable cycles, on
@@ -307,15 +371,16 @@ def test_factored_cases_match_the_full_route():
     ]
     cases += sweep_cases((17, 18), None, 4)
     assert (6, 4, 3) in cases
+    decs = _decompositions(cases)
     factors = {
         key: harness._factor_summary(*key, cycles)
-        for key, cycles in harness._factor_tasks(cases).items()
+        for key, cycles in harness._factor_tasks(decs).items()
     }
     failing = 0
     for case in cases:
         n, l, e = case
-        factor = factors[(cycle_decompose(n, e).t, l)]
-        wt, nl, peak, k_abs, abs_max, zero = harness._factored_case(case, factor)
+        factor = factors[(decs[case].t, l)]
+        wt, nl, peak, k_abs, abs_max, zero = harness._factored_case(decs[case], factor)
         _, _, _, *full, _ = harness._family_case(case)
         assert [wt, nl, peak, abs_max, zero] == full[:3] + full[4:], case
         if not peak:
@@ -383,23 +448,47 @@ def test_wrong_factor_fails_cross_checked_case(monkeypatch):
 def test_cases_with_one_table_share_its_full_transform(monkeypatch):
     # (5, 4, 1) and (5, 4, 2) build the same words (every 4-subset of 5
     # variables), (7, 4, 3) and (7, 4, 4) too (strides e and n - e), and
-    # (7, 4, 1) its own; one full transform serves each table, and every
-    # case sharing it is compared with that result, field by field
-    right = harness._family_case
+    # (7, 4, 1) its own; one full transform serves each table, one job
+    # each arity transforms its distinct tables, and every case sharing a
+    # table is compared with its result, field by field
+    right = harness._family_cases
     calls = []
 
-    def wrong_zero(args):
-        calls.append(args)
-        n, l, e, wt, nl, peak, k_abs, abs_max, zero, ms = right(args)
-        return (n, l, e, wt, nl, peak, k_abs, abs_max, zero + 2, ms)
+    def wrong_zero(cases, stack):
+        calls.append(list(cases))
+        assert [monomial_rsbf(MonomialRsbfSpec(*case)) for case in cases] == [
+            core.TruthTable(stack.n, words) for words in stack.words]
+        return [(*fields[:8], fields[8] + 2, fields[9]) for fields in right(cases, stack)]
 
-    monkeypatch.setattr(harness, "_family_case", wrong_zero)
     cases = [(5, 4, 1), (5, 4, 2), (7, 4, 1), (7, 4, 3), (7, 4, 4)]
+    # the one-case form is the job on that case's table alone
+    for case in cases:
+        assert harness._family_case(case)[:9] == right(
+            [case], core.TableStack.of([monomial_rsbf(MonomialRsbfSpec(*case))]))[0][:9]
+    monkeypatch.setattr(harness, "_family_cases", wrong_zero)
     reports = scan_family(cases)
-    assert sorted(calls) == [(5, 4, 1), (7, 4, 1), (7, 4, 3)]
+    assert calls == [[(5, 4, 1)], [(7, 4, 1), (7, 4, 3)]]
     for report in reports:
         zero = dict((w[0], w[1]) for w in report.witnesses)["route:zero"]
         assert ("route:zero", zero, zero - 2) in report.witnesses
+
+
+def test_scan_family_builds_and_decomposes_each_case_once(monkeypatch):
+    # the tables built to group the cross-checked cases are the ones their
+    # per-arity jobs transform, and each case's cycles are found once; the
+    # butterfly factors build their own stride-1 tables
+    built, decomposed = [], []
+    build, decompose = harness.monomial_rsbf, harness.cycle_decompose
+    monkeypatch.setattr(harness, "monomial_rsbf",
+                        lambda spec: built.append((spec.n, spec.l, spec.e)) or build(spec))
+    monkeypatch.setattr(harness, "cycle_decompose",
+                        lambda n, e: decomposed.append((n, e)) or decompose(n, e))
+    cases = sweep_cases((4, 9), None, 4)
+    reports = scan_family(cases)
+    assert len(reports) == len(cases)
+    assert sorted(decomposed) == sorted((n, e) for n, _, e in cases)
+    factors = harness._factor_tasks(_decompositions(cases))
+    assert Counter(built) == Counter(cases) + Counter((t, l, 1) for t, l in factors)
 
 
 def test_seeded_spot_check_catches_wrong_zero_above_cap(monkeypatch):
@@ -611,7 +700,7 @@ def test_certified_factors_give_the_butterfly_stream(monkeypatch, caplog):
     for l, rows in ((3, 4), (4, 8), (5, 16)):
         # t = 17..22, one factor each
         assert sum(f"l={l}: certificate route, kept rows {rows}," in line for line in lines) == 6
-    assert len(lines) == len(harness._factor_tasks(cases))
+    assert len(lines) == len(harness._factor_tasks(_decompositions(cases)))
     monkeypatch.setattr(harness, "_certificate_route", lambda t, l: False)
     butterfly = scan_family(cases)
     assert strip(certified) == strip(butterfly)
@@ -807,12 +896,13 @@ def test_pools_are_capped_at_their_task_count(monkeypatch):
     monkeypatch.setattr(harness, "ProcessPoolExecutor", _InlinePool(sizes))
     cases = sweep_cases((4, 6), (1, 2), 4)
     reports = scan_family(cases, workers=10**6)
-    # one job per distinct factor plus one full-route job per distinct table
-    # (n <= 16): (4, 4, 1) and (4, 4, 2) are both 0, and (5, 4, 1) and
-    # (5, 4, 2) both take every 4-subset of the 5 variables
+    # one job per distinct factor plus one full-route job per arity (n <=
+    # 16) for its distinct tables: (4, 4, 1) and (4, 4, 2) are both 0, and
+    # (5, 4, 1) and (5, 4, 2) both take every 4-subset of the 5 variables
     tables = {(case[0], monomial_rsbf(MonomialRsbfSpec(*case)).words.tobytes()) for case in cases}
     assert len(tables) == len(cases) - 2
-    assert sizes == [len(harness._factor_tasks(cases)) + len(tables)]
+    arities = {n for n, _ in tables}
+    assert sizes == [len(harness._factor_tasks(_decompositions(cases))) + len(arities)]
     assert _without_elapsed(reports) == _without_elapsed(scan_family(cases, workers=1))
     sizes.clear()
     chosen = ["table2", "bound", "theorem"]
@@ -884,8 +974,8 @@ def test_run_all_pools_suites_longest_first(monkeypatch):
     # at max_n = 1 every case but the two tables is skipped
     result = run_all(HarnessConfig(max_n=1, workers=2))
     assert submitted == [
-        "conjecture", "lemma21", "theorem", "lemma22", "cubic", "table1",
-        "counterexample", "eq23", "bound", "thm24", "table2", "factor", "eq26",
+        "conjecture", "lemma21", "lemma22", "theorem", "cubic", "counterexample",
+        "eq23", "bound", "table1", "thm24", "table2", "factor", "eq26",
     ]
     # the records still come back in SUITES order, the tables beside the reports
     assert [t.name for t in result.tables] == ["table1", "table2"]

@@ -76,10 +76,11 @@ def test_family_identity_exhaustive_small():
 def test_identity_array_form_matches_scalar_form():
     spectra = {}
 
-    def transform_provider(i, j, m, c):  # int32 values, as the sampled grids use
-        if (i, j, m) not in spectra:
-            spectra[(i, j, m)] = walsh_transform(sub_function(i, j, m)).values
-        return spectra[(i, j, m)][c]
+    def transform_provider(pairs, m, c):  # int32 values, as the sampled grids use
+        for i, j in pairs:
+            if (i, j, m) not in spectra:
+                spectra[(i, j, m)] = walsh_transform(sub_function(i, j, m)).values
+        return np.stack([spectra[(i, j, m)][c] for i, j in pairs])
 
     for n in (8, 9):
         half = 1 << (n - 1)
@@ -173,12 +174,35 @@ def test_check_bound_reads_no_table(monkeypatch):
 def test_identities_accept_value_provider():
     calls = []
 
-    def provider(i, j, m, c):
-        calls.append((i, j, m, c))
-        return walsh_at(sub_function(i, j, m), c)
+    def provider(pairs, m, c):
+        calls.append((pairs, m, c))
+        return [walsh_at(sub_function(i, j, m), c) for i, j in pairs]
 
     assert subfn_walsh_top0(3, 3, 8, 0, provider) == 12
-    assert calls and all(m < 8 for _, _, m, _ in calls)
+    assert calls and all(m < 8 for _, m, _ in calls)
+
+
+def test_scalar_identity_calls_the_provider_once_a_term(monkeypatch):
+    # one int mask is one provider call a term of the variant's identity,
+    # on Python ints, with none of the column evaluator's set-up
+    def refuse(*args):
+        raise AssertionError("the scalar form built a column evaluator")
+
+    calls = []
+
+    def provider(pairs, m, c):
+        calls.append((tuple(pairs), m, c))
+        return [walsh_at(sub_function(i, j, m), c) for i, j in pairs]
+
+    monkeypatch.setattr(recurrences, "_lowered_sums", refuse)
+    for top_bit, identity, c in ((0, subfn_walsh_top0, 37), (1, subfn_walsh_top1, 128 + 37)):
+        for i in range(4):
+            calls.clear()
+            got = identity(i, 2, 8, c, provider)
+            assert type(got) is int and got == walsh_at(sub_function(i, 2, 8), c)
+            terms = recurrences._LOWERED[top_bit][i]
+            assert calls == [(((low, 2),), 8 - drop, c & ((1 << (8 - drop)) - 1))
+                             for _, low, drop, _ in terms]
 
 
 def test_base_table_from_reference_is_consistent():
