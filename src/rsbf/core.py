@@ -181,6 +181,8 @@ class WalshSpectrum:
             raise ValueError("spectrum length must be 2**n")
 
     def __getitem__(self, mask) -> int:
+        if self.values.ndim != 1:
+            raise TypeError("a stack's spectra take a row and a mask: read values[row, mask]")
         return int(self.values[_check_masks(self.n, mask)])
 
 
@@ -210,10 +212,17 @@ def anf_table(n: int, monomials) -> TruthTable:
     bytes.
     """
     _check_arity(n)
+    words = np.zeros(_word_count(n), dtype="<u8")
+    _xor_monomials(n, words, monomials)
+    return TruthTable(n, words)
+
+
+def _xor_monomials(n: int, words: np.ndarray, monomials) -> None:
+    """XOR each of ``monomials`` into the writable table words of arity n,
+    in place, one NumPy op a monomial."""
     # Word k holds inputs 64k .. 64k + 63, so a variable v >= 6 is bit v - 6
     # of k: axis n - 1 - v of the (2,) * (n - 6) cube of words.  A variable
     # v < 6 varies inside each word, where x_v is the parity of (1 << v) & x.
-    words = np.zeros(_word_count(n), dtype="<u8")
     cube = words.reshape((2,) * max(n - 6, 0))
     valid = np.uint64((1 << min(1 << n, 64)) - 1)
     for monomial in monomials:
@@ -227,7 +236,6 @@ def anf_table(n: int, monomials) -> TruthTable:
             else:
                 where[n - 1 - v] = 1
         cube[tuple(where)] ^= word
-    return TruthTable(n, words)
 
 
 # The butterfly's low stages pair runs of only 1, 2, 4, ... entries, which
@@ -477,7 +485,13 @@ def walsh_at_many(tables, masks) -> np.ndarray:
     # and of each table's G, one for each (table, high, low), every high in
     # the span by every distinct low, and some 2**15 in all for its extra
     # calls.  Its span is read only when a span of one high would pay, so
-    # one or two masks cost nothing more.
+    # one or two masks cost nothing more.  Both routes timed on a 2-CPU
+    # Xeon with NumPy 2.4: on the mask arrays that the direct grids (stacks
+    # of 1, 2 and 4 rows) and eq23 (7 rows) send at n = 8..16, the count
+    # picks the faster route but once, lemma22's 4-row stack at arity 8
+    # from n = 10 (alone 200 against 127 us); on 1..256 scattered masks at
+    # arities 8..14 it misses only from 128 masks on at arities 8 and 10,
+    # by 1.5 times at most, one table included.
     most = min(c.size, 64)  # distinct lows, at most
     alone = nwords * 4 * (1 + count) * c.size
 

@@ -10,7 +10,7 @@ from math import gcd
 
 import numpy as np
 
-from .core import TruthTable, _check_arity, _check_masks, anf_table, walsh_transform
+from .core import TruthTable, _check_arity, _check_masks, _xor_monomials, anf_table, walsh_transform
 
 __all__ = [
     "MonomialRsbfSpec",
@@ -84,14 +84,17 @@ def quartic_chain(n: int) -> TruthTable:
 # sweep over many arities from growing the cache for the life of the process
 @lru_cache(maxsize=256)
 def sub_function(i: int, j: int, n: int) -> TruthTable:
-    """The chain plus the (i, j)-indexed tail and head corrections: the
-    shared chain table XOR at most six correction monomials."""
+    """The chain plus the (i, j)-indexed tail and head corrections: a copy
+    of the shared chain table with at most six correction monomials XORed
+    into it in place, so a build holds two tables, the chain and its own."""
     if not (0 <= i <= 3 and 0 <= j <= 3):
         raise ValueError(f"variant indices must be in 0..3, got ({i},{j})")
     _check_arity(n)
     if n < 4:
         raise ValueError(f"variants need arity at least 4, got {n}")
-    return quartic_chain(n) ^ anf_table(n, _tail(n - 3, n - 1, i) + list(_HEADS[:j]))
+    words = quartic_chain(n).words.copy()
+    _xor_monomials(n, words, _tail(n - 3, n - 1, i) + list(_HEADS[:j]))
+    return TruthTable(n, words)
 
 
 def monomial_rsbf(spec: MonomialRsbfSpec) -> TruthTable:

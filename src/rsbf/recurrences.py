@@ -63,7 +63,8 @@ def _int64_provider(sub_walsh: SubWalsh | None) -> SubWalsh:
 
 
 def _result(total):
-    return total if np.ndim(total) else int(total)
+    # an int64 array for array masks, else a NumPy scalar, read as an int
+    return total if isinstance(total, np.ndarray) else int(total)
 
 
 # Lemma 2.1 (top coefficient 0) and Lemma 2.2 (top coefficient 1): variant
@@ -82,21 +83,25 @@ _LOWERED = {
 }
 
 
-def _checked(top_bit: int, n: int, c):
-    """The masks c of arity n >= 8, each with top coefficient top_bit."""
-    if n < 8:
-        raise ValueError(f"reduction needs n >= 8, got {n}")
-    c = _check_masks(n, c)
-    if np.any((c >> (n - 1)) & 1 != top_bit):
-        raise ValueError(f"top coefficient must be {top_bit} for this identity")
-    return c
+@lru_cache(maxsize=None)
+def _plan(top_bit: int, variants: tuple[int, ...]):
+    """What the identity _LOWERED[top_bit] reads for ``variants``: their
+    terms by i, the distinct i' read at each drop, and the sign bit sets.
+    It depends on no mask, so it is worked out once a variant set."""
+    table = {i: _LOWERED[top_bit][i] for i in variants}
+    terms = [term for variant in table.values() for term in variant]
+    lows: dict = {}  # drop -> the distinct i' read at arity n - drop
+    for drop, low in sorted({(drop, low) for _, low, drop, _ in terms}):
+        lows.setdefault(drop, []).append(low)
+    return table, lows, {bits for *_, bits in terms}
 
 
 def _lowered_sums(top_bit: int, n: int, c, sub_walsh: SubWalsh | None = None,
-                  variants=range(4)):
+                  variants=(0, 1, 2, 3)):
     """Evaluator j -> a generator of (i, coefficients of variant (i, j) at
     the masks c) for each i in ``variants``, in that order, by the identity
-    _LOWERED[top_bit].  Needs n >= 8.
+    _LOWERED[top_bit].  Needs n >= 8.  ``c`` is one mask, each coefficient
+    an int, or an int64 mask array, each an int64 array of its shape.
 
     The masks are split once, here: the lowered masks and the signs (int8
     arrays) that those variants read.  Each call takes the distinct
@@ -105,15 +110,15 @@ def _lowered_sums(top_bit: int, n: int, c, sub_walsh: SubWalsh | None = None,
     right-hand sides cost 3 provider calls (Lemma 2.1) or 2 (Lemma 2.2),
     and only that column's terms and one right-hand side are alive at a
     time."""
-    c = _checked(top_bit, n, c)
-    table = {i: _LOWERED[top_bit][i] for i in variants}
-    terms = [term for variant in table.values() for term in variant]
-    lows: dict = {}  # drop -> the distinct i' read at arity n - drop
-    for drop, low in sorted({(drop, low) for _, low, drop, _ in terms}):
-        lows.setdefault(drop, []).append(low)
+    if n < 8:
+        raise ValueError(f"reduction needs n >= 8, got {n}")
+    c = _check_masks(n, c)
+    if np.any((c >> (n - 1)) & 1 != top_bit):
+        raise ValueError(f"top coefficient must be {top_bit} for this identity")
+    table, lows, sign_bits = _plan(top_bit, tuple(variants))
     lowered = {drop: c & ((1 << (n - drop)) - 1) for drop in lows}
-    signs = {bits: _sign(sum((c >> (n - k)) & 1 for k in bits)) for *_, bits in terms}
-    if np.ndim(c):
+    signs = {bits: _sign(sum((c >> (n - k)) & 1 for k in bits)) for bits in sign_bits}
+    if isinstance(c, np.ndarray):  # _check_masks returns one mask as an int
         signs = {bits: np.asarray(sign, dtype=np.int8) for bits, sign in signs.items()}
     w = _int64_provider(sub_walsh)
 
@@ -133,27 +138,9 @@ def _lowered_sums(top_bit: int, n: int, c, sub_walsh: SubWalsh | None = None,
     return sums
 
 
-def _lowered_at(top_bit: int, i: int, j: int, n: int, c: int, sub_walsh: SubWalsh | None) -> int:
-    """Variant (i, j) at one int mask c by the identity _LOWERED[top_bit],
-    on Python ints: one provider call a term and no set-up."""
-    w = sub_walsh or _direct_provider
-    total = 0
-    for factor, low, drop, bits in _LOWERED[top_bit][i]:
-        sign = _sign(sum((c >> (n - k)) & 1 for k in bits))
-        total += factor * sign * int(w([(low, j)], n - drop, c & ((1 << (n - drop)) - 1))[0])
-    return total
-
-
 def _check_variant(i: int, j: int) -> None:
     if not (0 <= i <= 3 and 0 <= j <= 3):
         raise ValueError(f"variant indices must be in 0..3, got ({i},{j})")
-
-
-def _identity(top_bit: int, i: int, j: int, n: int, c, sub_walsh: SubWalsh | None):
-    _check_variant(i, j)
-    if np.ndim(c):
-        return next(_lowered_sums(top_bit, n, c, sub_walsh, (i,))(j))[1]
-    return _lowered_at(top_bit, i, j, n, _checked(top_bit, n, c), sub_walsh)
 
 
 def subfn_walsh_top0(i: int, j: int, n: int, c, sub_walsh: SubWalsh | None = None):
@@ -162,14 +149,16 @@ def subfn_walsh_top0(i: int, j: int, n: int, c, sub_walsh: SubWalsh | None = Non
 
     ``c`` is one mask (the answer is an int) or an int64 mask array (the
     answer is an int64 array of the same shape)."""
-    return _identity(0, i, j, n, c, sub_walsh)
+    _check_variant(i, j)
+    return next(_lowered_sums(0, n, c, sub_walsh, (i,))(j))[1]
 
 
 def subfn_walsh_top1(i: int, j: int, n: int, c, sub_walsh: SubWalsh | None = None):
     """Variant coefficient at a mask whose top coefficient is 1, rewritten
     over variants two or four variables down.  Needs n >= 8.  ``c`` is an
     int or an int64 array, as for subfn_walsh_top0."""
-    return _identity(1, i, j, n, c, sub_walsh)
+    _check_variant(i, j)
+    return next(_lowered_sums(1, n, c, sub_walsh, (i,))(j))[1]
 
 
 # the seven variants of family_walsh_via_subfns, in the order of its terms

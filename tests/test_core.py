@@ -292,6 +292,11 @@ def test_table_stack_checks_its_rows():
         TableStack(3, np.zeros(1, dtype="<u8"))  # one table's words, not a stack
     with pytest.raises(ValueError):
         TableStack(3, np.array([[0], [1 << 8]], dtype="<u8"))  # a bit past 2**3
+    # a stack's spectra are one array of rows, read by row and mask
+    spectra = walsh_transform(stack)
+    assert spectra.values[1, 5] == walsh_transform(b)[5] == 8
+    with pytest.raises(TypeError, match="values\\[row, mask\\]"):
+        spectra[5]
     # a pool job's stack is rebuilt on the other side, read-only again
     copy = pickle.loads(pickle.dumps(stack))
     assert not copy.words.flags.writeable and np.array_equal(copy.words, stack.words)

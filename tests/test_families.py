@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -257,6 +258,31 @@ def test_variants_share_one_chain_table():
     info = families.quartic_chain.cache_info()
     assert (info.misses, info.hits) == (1, 15)
     assert not quartic_chain(n).words.flags.writeable
+
+
+def test_sub_function_build_working_memory():
+    # NumPy reports its buffers to tracemalloc.  With its arity's chain
+    # cached, a variant build copies the chain's words (1/8 byte an input,
+    # 512 KiB at n = 22) and XORs its corrections into that copy: the
+    # words and a quarter of that again for small objects.  A corrections
+    # table or an XOR result held beside the copy (512 KiB each) does not
+    # fit.  With the chain built too, the build holds two tables.
+    n = 22
+    table_bytes = (1 << n) // 8
+    families.quartic_chain.cache_clear()
+    tracemalloc.start()
+    try:
+        chain = quartic_chain(n)
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        tbl = families.sub_function.__wrapped__(3, 3, n)  # past the variant cache
+        build = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert tbl.words.nbytes == chain.words.nbytes == table_bytes
+    assert build < 1.25 * table_bytes
+    monomials = families._chain(n) + families._tail(n - 3, n - 1, 3) + list(families._HEADS[:3])
+    assert tbl == anf_table(n, monomials) and not tbl.words.flags.writeable
 
 
 def test_factored_walsh_other_degrees():
