@@ -481,19 +481,23 @@ def walsh_at_many(tables, masks) -> np.ndarray:
     cut = np.uint64((1 << valid) - 1)
     high, low = c >> 6, c & 63
     # In NumPy passes over the words, a mask summed alone costs about 4
-    # for its s and 4 a table; a rectangle costs about 5 for each row of s
-    # and of each table's G, one for each (table, high, low), every high in
-    # the span by every distinct low, and some 2**15 in all for its extra
-    # calls.  Its span is read only when a span of one high would pay, so
-    # one or two masks cost nothing more.  Both routes timed on a 2-CPU
-    # Xeon with NumPy 2.4: on the mask arrays that the direct grids (stacks
-    # of 1, 2 and 4 rows) and eq23 (7 rows) send at n = 8..16, the count
-    # picks the faster route but once, lemma22's 4-row stack at arity 8
-    # from n = 10 (alone 200 against 127 us); on 1..256 scattered masks at
-    # arities 8..14 it misses only from 128 masks on at arities 8 and 10,
-    # by 1.5 times at most, one table included.
+    # for its s and 4 a table, and some 64 a table for its row of counts;
+    # a rectangle costs about 5 for each row of s and of each table's G,
+    # one for each (table, high, low), every high in the span by every
+    # distinct low, and some 2**15 in all for its extra calls.  Its span is
+    # read only when a span of one high would pay, so one or two masks cost
+    # nothing more.  Both routes timed, best of 25, on a 2-CPU Xeon with
+    # NumPy 2.4, over 1, 2, 4 and 7 tables at arities 4..14 on every mask
+    # and on one half (the identity grids' left stacks over both halves or
+    # one, and their lower-arity terms, each drop's 2**(n - drop) distinct
+    # masks), and on 1..256 scattered masks at arities 8..14 and 1..4 at
+    # 16..24: the count picks the faster route in all but 1 of 167 cases,
+    # by 5 %.  Without the 64 for a row of counts it missed 14, 10 of them
+    # by more than 10 % and up to 1.8 times, all with 128 to 512 masks at
+    # arities 7 to 10 (4 rows at arity 8 on every mask: alone 85 against
+    # 57 us).
     most = min(c.size, 64)  # distinct lows, at most
-    alone = nwords * 4 * (1 + count) * c.size
+    alone = (nwords * 4 * (1 + count) + 64 * count) * c.size
 
     def rectangle(span: int) -> int:
         return nwords * (count * span * most + 5 * (span + count * most)) + (1 << 15)

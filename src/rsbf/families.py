@@ -18,6 +18,7 @@ __all__ = [
     "quartic_chain",
     "sub_function",
     "monomial_rsbf",
+    "anf_key",
     "cycle_decompose",
     "factored_walsh",
 ]
@@ -105,6 +106,21 @@ def monomial_rsbf(spec: MonomialRsbfSpec) -> TruthTable:
     """
     n, l, e = spec.n, spec.l, spec.e
     return anf_table(n, [[(i + k * e) % n for k in range(l)] for i in range(n)])
+
+
+def anf_key(spec: MonomialRsbfSpec) -> tuple[int, tuple[int, ...]]:
+    """(n, the monomials of monomial_rsbf(spec), each the bit mask of its
+    variables, reduced as it reduces them and sorted).  The algebraic
+    normal form is unique, so two specs build the same table exactly when
+    their keys are equal, and no table is built to find that out."""
+    n, l, e = spec.n, spec.l, spec.e
+    key: set = set()
+    for i in range(n):
+        monomial = 0
+        for k in range(l):
+            monomial |= 1 << (i + k * e) % n
+        key ^= {monomial}
+    return n, tuple(sorted(key))
 
 
 def cycle_decompose(n: int, e: int) -> CycleDecomposition:

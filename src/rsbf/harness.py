@@ -22,6 +22,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
+from operator import attrgetter
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -43,6 +44,7 @@ from .families import (
     CycleDecomposition,
     MonomialRsbfSpec,
     _aligned_spectrum,
+    anf_key,
     cycle_decompose,
     factored_walsh,
     monomial_rsbf,
@@ -50,7 +52,7 @@ from .families import (
 )
 from .recurrences import (
     SpectralBaseTable,
-    _lowered_sums,
+    _grid_witnesses,
     family_walsh_via_subfns,
     family_zero_recurrence,
     spectral_bound_check,
@@ -210,21 +212,12 @@ def check_reference_table(which: int) -> tuple[TableArtifact, VerificationReport
 
 
 def _transform_provider():
-    """A provider (recurrences.SubWalsh) reading cached butterfly spectra:
-    the pairs of a call not cached yet are transformed together, one
-    _runs run at a time, so one call's terms cost one stacked transform."""
-    cache: dict = {}
+    """A provider (recurrences.SubWalsh) by the butterfly: a call's pairs
+    are one stack, each spectrum read at the masks as its run is made."""
 
     def get(pairs, m: int, c):
-        todo = [(i, j) for i, j in pairs if (i, j, m) not in cache]
-        if todo:
-            stack = TableStack.of(sub_function(i, j, m) for i, j in todo)
-            spectra = (row for run in _runs(stack) for row in walsh_transform(run).values)
-            cache.update(((i, j, m), values) for (i, j), values in zip(todo, spectra))
-        out = np.empty((len(pairs),) + np.shape(c), dtype=np.int64)
-        for r, (i, j) in enumerate(pairs):
-            out[r] = cache[i, j, m][c]
-        return out
+        stack = TableStack.of(sub_function(i, j, m) for i, j in pairs)
+        return np.stack([row[c] for run in _runs(stack) for row in walsh_transform(run).values])
 
     return get
 
@@ -248,6 +241,10 @@ def _reports(check: str, params_list, max_n: int, witnesses_of) -> list[Verifica
     return reports
 
 
+# the identity grids by their masks' top bit
+_GRIDS = ("lemma21", "lemma22")
+
+
 def check_identity_grid(
     which: str,
     n_values=GRID_DIRECT_NS,
@@ -256,45 +253,40 @@ def check_identity_grid(
 ) -> list[VerificationReport]:
     """Compare one arity-lowering identity against independently computed
     coefficients, over all 16 variants and every mask whose top bit the
-    identity fixes.
-
-    Both sides use the direct summation oracle, or with ``transform`` the
-    butterfly, so large arities stay cheap.  Each side is evaluated over a
-    variant's whole mask array at once, one column j at a time: the four
-    variants of a column are one stack on the left, and share their
-    lower-arity terms, one provider call an arity, on the right; no other
-    column's terms are alive beside them.
-    """
-    if which not in ("lemma21", "lemma22"):
+    identity fixes: _identity_grids of that grid alone."""
+    if which not in _GRIDS:
         raise ValueError(f"unknown identity grid {which!r}")
-    top_bit = 0 if which == "lemma21" else 1
+    return _identity_grids((which,), n_values, transform, max_n)
 
-    def witnesses_of(params: dict) -> list:
-        n = params["n"]
-        half = 1 << (n - 1)
-        masks = np.arange(top_bit * half, (top_bit + 1) * half)
-        provider = _transform_provider() if transform else None
-        sums = _lowered_sums(top_bit, n, masks, provider)
-        found = {}
-        for j in range(4):
-            # the column's four variants as one stack: one direct sum, or a
-            # transform a _runs run, read at the masks as it is made so that
-            # no spectrum outlives its run
-            stack = TableStack.of(sub_function(i, j, n) for i in range(4))
-            if transform:
-                lhs = (row for run in _runs(stack) for row in walsh_transform(run).values[:, masks])
-            else:
-                lhs = walsh_at_many(stack, masks)
-            # each left side comes before its right side, so a transform
-            # runs beside the last right side only, not the next one too
-            for left, (i, rhs) in zip(lhs, sums(j)):
-                found[i, j] = [(f"f{i}{j}:c={c}", a, b) for c, a, b in _differences(masks, left, rhs)]
-        return [witness for pair in SUB_PAIRS for witness in found[pair]]
 
+def _identity_grids(names, n_values=GRID_DIRECT_NS, transform: bool = False,
+                    max_n: int = DEFAULT_MAX_N) -> list[VerificationReport]:
+    """The reports of the grids ``names`` (one or both of _GRIDS), grid by
+    grid, from one _grid_witnesses pass an arity, on the direct oracle or
+    with ``transform`` the butterfly.  Each grid takes half a pair's time."""
+    tops = sorted(map(_GRIDS.index, names))
+    if transform:
+        left = lambda stack, masks: (row[masks[0]:] for run in _runs(stack)  # noqa: E731
+                                     for row in walsh_transform(run).values)
+    else:
+        left = walsh_at_many
     # the label outlives the 10,000-mask draw it named: n = 13 and 14 already
     # took every mask under it, and bench/refs/check-all.jsonl pins it
     route = "transform:sampled" if transform else "direct"
-    return _reports(which, [{"n": n, "id": route} for n in n_values], max_n, witnesses_of)
+    reports = []
+    for n in n_values:
+        params = {"n": n, "id": route}
+        if n > max_n:
+            reports += [_skip(_GRIDS[top], dict(params), max_n, n) for top in tops]
+            continue
+        t0 = time.perf_counter()
+        found = _grid_witnesses(n, tops, left, _transform_provider() if transform else None)
+        ms = _elapsed_ms(t0) // len(tops)
+        for top, witnesses in zip(tops, found):
+            status = "fail" if witnesses else "pass"
+            reports.append(VerificationReport(_GRIDS[top], dict(params), status,
+                                              _cap_witnesses(witnesses), ms))
+    return sorted(reports, key=attrgetter("check"))  # stable
 
 
 def check_family_identity(n_values=DECOMPOSITION_NS,
@@ -469,17 +461,17 @@ def _place(m, cycle: tuple[int, ...]):
 def _certificate_route(t: int, l: int) -> bool:
     """Whether a factor tries ``peak_certificate`` before the butterfly.
 
-    Above _BLOCKED_ABOVE the butterfly is blocked and costs about 2**t
-    operations a stage.  The certificate's work is its expected 2**(l-1)
-    kept rows times 4**(l-1) * 2**(t - t // 2) multiply-adds.  It is taken
-    for l = 2..5 at every t above 20 (l = 2 then declines after its bound).
+    The certificate's work is its expected 2**(l-1) kept rows times
+    4**(l-1) * 2**(t - t // 2) multiply-adds.  It is taken for l = 3, 4
+    above CROSS_CHECK_MAX_N and l = 2, 5 above 20 (l = 2 then declines).
     Best of 3 on a 2-CPU Xeon with NumPy 2.4, butterfly against
-    certificate, both giving the same S(0), max and peak: l = 5 took 34
-    against 18 ms at t = 21, 57 against 25 ms at t = 22 and 115 against
-    32 ms at t = 23.  l = 6 stays on the butterfly up to the cap of 28:
-    70 against 125 ms at t = 22; from t = 26 the certificate is faster,
+    certificate (same S(0), max and peak), in ms: l = 4 1.7/1.7, 3.0/1.9,
+    6.1/2.3, 13.4/2.5 at t = 17..20; l = 3 2.7/1.0 at t = 17 to 13.8/1.3
+    at 20; l = 5 34/18, 57/25, 115/32 at t = 21..23.  A t = 20 certificate
+    raised the l = 5 sweep's peak RSS from 38.2 to 40.5 MiB.  l = 6 stays
+    on the butterfly to the cap: 70/125 at t = 22; it wins from t = 26,
     but its two int64 stacks grow to 128 MiB each at t = 28."""
-    return t > _BLOCKED_ABOVE and l <= 5
+    return l <= 5 and t > (CROSS_CHECK_MAX_N if 3 <= l <= 4 else _BLOCKED_ABOVE)
 
 
 def _route_witnesses(t: int, checks) -> tuple:
@@ -664,21 +656,16 @@ def scan_family(
             above.setdefault(n, []).append((n, l, e))
     spots = sorted(random.Random(seed * 1_000_003 + n).choice(group) for n, group in above.items())
     # a full transform's fields are its table's alone, so the cases up to
-    # CROSS_CHECK_MAX_N that build the same words (stride e and n - e give
-    # one monomial set) share the transform of the first of them; the
-    # tables built to find them are the ones transformed, one job an arity
+    # CROSS_CHECK_MAX_N with one anf_key (e and n - e give one monomial
+    # set) share the transform of the first, the only one built
     first_of: dict = {}  # cross-checked case -> the case transformed for it
-    firsts: dict = {}  # (n, table words) -> that case
-    checked: dict = {}  # n -> (first cases, their tables)
+    firsts: dict = {}  # anf_key -> that case
+    checked: dict = {}  # n -> its first cases
     for case in todo:
         if case[0] <= CROSS_CHECK_MAX_N:
-            tbl = monomial_rsbf(MonomialRsbfSpec(*case))
-            first = firsts.setdefault((case[0], tbl.words.tobytes()), case)
+            first_of[case] = first = firsts.setdefault(anf_key(MonomialRsbfSpec(*case)), case)
             if first is case:
-                group = checked.setdefault(case[0], ([], []))
-                group[0].append(case)
-                group[1].append(tbl)
-            first_of[case] = first
+                checked.setdefault(case[0], []).append(case)
     factors: dict = {}  # (t, l) -> _Factor
     arity_jobs: dict = {}  # n -> _family_cases list, in the order of its first cases
     spot: dict = {}  # case -> _table_zero result, for the drawn cases
@@ -686,7 +673,8 @@ def scan_family(
     # of the same size so a transform never runs behind a big table build
     jobs = [(t, _factor_summary, (t, l, cycles, seed), factors, (t, l))
             for (t, l), cycles in _factor_tasks(decs).items()]
-    jobs += [(n, _family_cases, (group[0], TableStack.of(group[1])), arity_jobs, n)
+    jobs += [(n, _family_cases, (group, TableStack.of(monomial_rsbf(MonomialRsbfSpec(*case))
+                                                      for case in group)), arity_jobs, n)
              for n, group in checked.items()]
     jobs += [(case[0], _table_zero, (case,), spot, case) for case in spots]
     if workers > 1 and len(jobs) > 1:
@@ -845,13 +833,18 @@ def _arity(cfg: HarnessConfig, n_range) -> dict:
     return {"n_values": range(n_range[0], n_range[1] + 1), "max_n": cfg.max_n}
 
 
-def _identity_suite(which: str, cfg: HarnessConfig, n_range=None) -> list[VerificationReport]:
-    # an explicit arity window is checked on the direct route only
+def _identity_suite(names: tuple, cfg: HarnessConfig, n_range=None) -> list[VerificationReport]:
+    # one grid a check_identity_grid call (a tracer times it), or both in
+    # one pass; an explicit arity window is checked on the direct route only
+    if len(names) > 1:
+        grids = partial(_identity_grids, names)
+    else:
+        grids = partial(check_identity_grid, *names)
     if n_range is not None:
-        return check_identity_grid(which, **_arity(cfg, n_range))
-    return check_identity_grid(which, max_n=cfg.max_n) + check_identity_grid(
-        which, n_values=GRID_TRANSFORM_NS, transform=True, max_n=cfg.max_n
-    )
+        return grids(**_arity(cfg, n_range))
+    reports = grids(max_n=cfg.max_n) + grids(n_values=GRID_TRANSFORM_NS, transform=True,
+                                              max_n=cfg.max_n)
+    return sorted(reports, key=attrgetter("check"))
 
 
 def _sweep(name: str, degrees, cfg: HarnessConfig, n_range=None, e_range=None):
@@ -910,8 +903,8 @@ class Suite(NamedTuple):
 SUITES = {
     "table1": Suite(lambda cfg: check_reference_table(1), rank=8, table=True),
     "table2": Suite(lambda cfg: check_reference_table(2), rank=10, table=True),
-    "lemma21": Suite(partial(_identity_suite, "lemma21"), rank=1, n_floor=8),
-    "lemma22": Suite(partial(_identity_suite, "lemma22"), rank=2, n_floor=8),
+    "lemma21": Suite(partial(_identity_suite, ("lemma21",)), rank=1, n_floor=8),
+    "lemma22": Suite(partial(_identity_suite, ("lemma22",)), rank=2, n_floor=8),
     "eq23": Suite(lambda cfg, n_range=None: check_family_identity(**_arity(cfg, n_range)),
                   rank=6, n_floor=7),
     "eq26": Suite(lambda cfg, n_range=None: check_subfn_zero(**_arity(cfg, n_range)),
@@ -949,11 +942,12 @@ def validate_windows(names, window: dict) -> None:
                 raise ValueError(f"{name} takes {key} from {floor} up, got {text}")
 
 
-def _run_suite(name: str, cfg: HarnessConfig, window: dict) -> tuple[list, int]:
-    """Suite ``name``'s records and the milliseconds it ran for, measured
-    where it ran; a pool task, so every argument is picklable."""
+def _run_suite(names: tuple, cfg: HarnessConfig, window: dict) -> tuple[list, int]:
+    """The records of the suites ``names`` (one, or _GRIDS as one pass)
+    and the ms they ran for where they ran; a picklable pool task."""
     t0 = time.perf_counter()
-    records = list(SUITES[name].run(cfg, **window))
+    run = partial(_identity_suite, names) if names == _GRIDS else SUITES[names[0]].run
+    records = list(run(cfg, **window))
     return records, _elapsed_ms(t0)
 
 
@@ -964,11 +958,12 @@ def run_all(config: HarnessConfig | None = None, only=None, **window) -> RunResu
     ``window`` overrides default windows, by the keywords of each
     ``Suite.windows``, as validate_windows allows.
 
-    With more than one suite and more than one worker, each suite is one
-    task on a single process pool, submitted by ``Suite.rank``, and runs
-    its sweeps in that process.  One suite, or one worker, runs in this
-    process, and a sweep suite then spreads its factor jobs over its own
-    pool.  The records come back in SUITES order either way.
+    Each suite is one task, but with more than one worker both identity
+    grids are one task and one pass.  More than one task and worker run on
+    a single process pool, submitted by ``Suite.rank``, each task running
+    its sweeps in its process.  Else the tasks run here, and a sweep suite
+    spreads its factor jobs over its own pool.  The records come back in
+    SUITES order either way.
     """
     cfg = config or HarnessConfig()
     chosen = set(SUITES) if only is None else set(only)
@@ -978,19 +973,21 @@ def run_all(config: HarnessConfig | None = None, only=None, **window) -> RunResu
     validate_windows(chosen, window)
     names = [name for name in SUITES if name in chosen]
     workers = cfg.resolved_workers()
-    if len(names) > 1 and workers > 1:
+    paired = workers > 1 and set(_GRIDS) <= chosen
+    tasks = list(dict.fromkeys(_GRIDS if paired and name in _GRIDS else (name,) for name in names))
+    if len(tasks) > 1 and workers > 1:
         serial = replace(cfg, workers=1)  # one pool per run: no pool inside a task
-        order = sorted(names, key=lambda name: SUITES[name].rank)
-        runs = dict(zip(order, _pooled([(_run_suite, name, serial, window) for name in order],
+        order = sorted(tasks, key=lambda task: SUITES[task[0]].rank)
+        runs = dict(zip(order, _pooled([(_run_suite, task, serial, window) for task in order],
                                        workers)))
     else:
-        runs = {name: _run_suite(name, cfg, window) for name in names}
+        runs = {task: _run_suite(task, cfg, window) for task in tasks}
     result = RunResult([])
-    for name in names:
-        records, ms = runs[name]
-        if SUITES[name].table:
+    for task in tasks:
+        records, ms = runs[task]
+        if SUITES[task[0]].table:
             table, *records = records
             result.tables.append(table)
         result.reports += records
-        log.info("suite %s finished in %d ms", name, ms)
+        log.info("suite %s finished in %d ms", "+".join(task), ms)
     return result

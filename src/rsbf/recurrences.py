@@ -84,63 +84,102 @@ _LOWERED = {
 
 
 @lru_cache(maxsize=None)
-def _plan(top_bit: int, variants: tuple[int, ...]):
-    """What the identity _LOWERED[top_bit] reads for ``variants``: their
-    terms by i, the distinct i' read at each drop, and the sign bit sets.
-    It depends on no mask, so it is worked out once a variant set."""
-    table = {i: _LOWERED[top_bit][i] for i in variants}
-    terms = [term for variant in table.values() for term in variant]
+def _plan(rows: tuple[tuple[int, int], ...]):
+    """What the identities read for ``rows``, pairs (i, top bit): their
+    terms by row, the distinct i' read at each drop, and the sign bit sets.
+    It depends on no mask, so it is worked out once a row set."""
+    table = {(i, top_bit): _LOWERED[top_bit][i] for i, top_bit in rows}
+    terms = [term for row in table.values() for term in row]
     lows: dict = {}  # drop -> the distinct i' read at arity n - drop
     for drop, low in sorted({(drop, low) for _, low, drop, _ in terms}):
         lows.setdefault(drop, []).append(low)
     return table, lows, {bits for *_, bits in terms}
 
 
-def _lowered_sums(top_bit: int, n: int, c, sub_walsh: SubWalsh | None = None,
-                  variants=(0, 1, 2, 3)):
-    """Evaluator j -> a generator of (i, coefficients of variant (i, j) at
-    the masks c) for each i in ``variants``, in that order, by the identity
-    _LOWERED[top_bit].  Needs n >= 8.  ``c`` is one mask, each coefficient
-    an int, or an int64 mask array, each an int64 array of its shape.
+def _lowered_sums(n: int, axes, sub_walsh: SubWalsh | None, rows):
+    """Evaluator j -> a generator of ((i, top bit), coefficients of variant
+    (i, j) at the masks ``axes`` with that top bit) for each row of
+    ``rows``, in that order, by the identity _LOWERED[top bit].  Needs
+    n >= 8.
 
-    The masks are split once, here: the lowered masks and the signs (int8
-    arrays) that those variants read.  Each call takes the distinct
-    lower-arity terms (i', j, n - drop) from the provider in one call per
-    arity and shares them among the variants, so one column j's four
-    right-hand sides cost 3 provider calls (Lemma 2.1) or 2 (Lemma 2.2),
-    and only that column's terms and one right-hand side are alive at a
+    ``axes`` are the mask bits the identities read, c_{n-2}, c_{n-3},
+    c_{n-4} and c mod 2^(n - 4): ints (each coefficient an int) or int64
+    arrays that broadcast (each an int64 array of their broadcast shape).
+    Neither identity reads the top bit.  A drop's masks are built from the
+    axes it keeps, so over a half-space (np.ix_ axes) it asks for its
+    2^(n - drop) distinct masks once, and the sums broadcast over the
+    dropped bits.  The distinct lower-arity terms of all the rows come in
+    one provider call an arity, and only one column's terms are alive at a
     time."""
-    if n < 8:
-        raise ValueError(f"reduction needs n >= 8, got {n}")
-    c = _check_masks(n, c)
-    if np.any((c >> (n - 1)) & 1 != top_bit):
-        raise ValueError(f"top coefficient must be {top_bit} for this identity")
-    table, lows, sign_bits = _plan(top_bit, tuple(variants))
-    lowered = {drop: c & ((1 << (n - drop)) - 1) for drop in lows}
-    signs = {bits: _sign(sum((c >> (n - k)) & 1 for k in bits)) for bits in sign_bits}
-    if isinstance(c, np.ndarray):  # _check_masks returns one mask as an int
+    b2, b3, b4, low = axes
+    table, lows, sign_bits = _plan(tuple(rows))
+    lowered = {4: low, 3: (b4 << (n - 4)) | low}
+    lowered[2] = (b3 << (n - 3)) | lowered[3]
+    bit = {2: b2, 3: b3, 4: b4}
+    signs = {bits: _sign(sum(bit[k] for k in bits)) for bits in sign_bits}
+    if isinstance(low, np.ndarray):  # array axes, else ints
         signs = {bits: np.asarray(sign, dtype=np.int8) for bits, sign in signs.items()}
     w = _int64_provider(sub_walsh)
 
     def sums(j: int):
         values = {}  # (i', drop) -> its coefficients, int64
-        for drop, low in lows.items():
-            rows = w([(i, j) for i in low], n - drop, lowered[drop])
-            values.update(((i, drop), row) for i, row in zip(low, rows))
-        for i, variant in table.items():
+        for drop, low_variants in lows.items():
+            terms = w([(i, j) for i in low_variants], n - drop, lowered[drop])
+            values.update(((i, drop), term) for i, term in zip(low_variants, terms))
+        for row, terms in table.items():
             total = 0
-            for factor, low, drop, bits in variant:
+            for factor, i, drop, bits in terms:
                 # factor * sign is int8 (|2| at most); the product with the
-                # int64 term, and so the sum, is int64
-                total += factor * signs[bits] * values[low, drop]
-            yield i, _result(total)
+                # int64 term, and so the sum, is int64.  Not in place: a
+                # term may broadcast over more axes than the sum so far
+                total = total + factor * signs[bits] * values[i, drop]
+            # every row reads all four axes, so its sum has their full shape
+            yield row, _result(total)
 
     return sums
 
 
-def _check_variant(i: int, j: int) -> None:
+def _grid_witnesses(n: int, tops, left, sub_walsh: SubWalsh | None) -> list[list]:
+    """Witnesses (f<i><j>:c=<mask>, own coefficient, identity) of all 16
+    variants at arity n, over every mask whose top bit is in ``tops`` (0
+    for Lemma 2.1, 1 for Lemma 2.2, increasing): one list a top bit, in
+    variant then mask order.
+
+    A column j at a time, ``left(stack, masks)`` gives the rows of the
+    variants (0..3, j) at ``masks``, the halves read, from their own
+    tables; each row is sliced at the top bit and read before its
+    right-hand sides are made, so a transform runs beside the last one
+    only.  Every row's right-hand side comes from _lowered_sums over the
+    half-space's bit axes."""
+    half = 1 << (n - 1)
+    lo = tops[0] * half
+    masks = np.arange(lo, (tops[-1] + 1) * half)
+    axes = np.ix_([0, 1], [0, 1], [0, 1], range(1 << (n - 4)))
+    sums = _lowered_sums(n, axes, sub_walsh, [(i, top) for i in range(4) for top in tops])
+    found = {}
+    for j in range(4):
+        lhs = left(TableStack.of(sub_function(i, j, n) for i in range(4)), masks)
+        for row, ((i, top), rhs) in zip((row for row in lhs for _ in tops), sums(j)):
+            k = top * half - lo
+            own, rhs = row[k : k + half], rhs.reshape(-1)
+            bad = np.flatnonzero(own != rhs)
+            found[top, i, j] = [(f"f{i}{j}:c={c}", a, b) for c, a, b in zip(
+                (bad + k + lo).tolist(), own[bad].tolist(), rhs[bad].tolist())]
+    return [[witness for i in range(4) for j in range(4) for witness in found[top, i, j]]
+            for top in tops]
+
+
+def _explicit_sum(top_bit: int, i: int, j: int, n: int, c, sub_walsh: SubWalsh | None):
+    # an explicit mask, or mask array, split into the axes _lowered_sums reads
     if not (0 <= i <= 3 and 0 <= j <= 3):
         raise ValueError(f"variant indices must be in 0..3, got ({i},{j})")
+    if n < 8:
+        raise ValueError(f"reduction needs n >= 8, got {n}")
+    c = _check_masks(n, c)
+    if np.any((c >> (n - 1)) & 1 != top_bit):
+        raise ValueError(f"top coefficient must be {top_bit} for this identity")
+    axes = ((c >> (n - 2)) & 1, (c >> (n - 3)) & 1, (c >> (n - 4)) & 1, c & ((1 << (n - 4)) - 1))
+    return next(_lowered_sums(n, axes, sub_walsh, ((i, top_bit),))(j))[1]
 
 
 def subfn_walsh_top0(i: int, j: int, n: int, c, sub_walsh: SubWalsh | None = None):
@@ -149,16 +188,14 @@ def subfn_walsh_top0(i: int, j: int, n: int, c, sub_walsh: SubWalsh | None = Non
 
     ``c`` is one mask (the answer is an int) or an int64 mask array (the
     answer is an int64 array of the same shape)."""
-    _check_variant(i, j)
-    return next(_lowered_sums(0, n, c, sub_walsh, (i,))(j))[1]
+    return _explicit_sum(0, i, j, n, c, sub_walsh)
 
 
 def subfn_walsh_top1(i: int, j: int, n: int, c, sub_walsh: SubWalsh | None = None):
     """Variant coefficient at a mask whose top coefficient is 1, rewritten
     over variants two or four variables down.  Needs n >= 8.  ``c`` is an
     int or an int64 array, as for subfn_walsh_top0."""
-    _check_variant(i, j)
-    return next(_lowered_sums(1, n, c, sub_walsh, (i,))(j))[1]
+    return _explicit_sum(1, i, j, n, c, sub_walsh)
 
 
 # the seven variants of family_walsh_via_subfns, in the order of its terms

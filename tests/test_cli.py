@@ -585,6 +585,19 @@ def test_check_name_is_its_slice_of_check_all(runner, tmp_path):
     assert everything.exit_code == RunResult(reports).exit_code == 1
 
 
+def test_check_lemma_alone_is_its_slice_of_pooled_check_all(runner):
+    # on a pool, check all runs both identity grids as one task and one
+    # pass; each grid run alone, one check_identity_grid call at a time,
+    # prints exactly its lines of that stream
+    everything = _without_elapsed(runner.invoke(main, ["check", "all", "--workers", "2"]).stdout)
+    for name in ("lemma21", "lemma22"):
+        result = runner.invoke(main, ["check", name])
+        assert result.exit_code == 0
+        alone = _without_elapsed(result.stdout)
+        assert len(alone) == 9
+        assert alone == [record for record in everything if record["check"] == name]
+
+
 def test_check_l_sets_only_the_degree(runner):
     result = runner.invoke(
         main, ["check", "theorem", "--l", "2", "--n-range", "2..4", "--workers", "1"]

@@ -178,6 +178,28 @@ def test_full_stride_family_is_parity():
         assert tbl == linear(n, (1 << n) - 1)
 
 
+def test_anf_key_is_equal_exactly_when_the_tables_are():
+    # the key reduces the monomials as the table build does (x * x = x,
+    # equal monomials cancel), and the normal form is unique, so over every
+    # degree and stride up to n = 12 the keys split the specs as the
+    # tables do
+    by_key, by_table = {}, {}
+    for n in range(1, 13):
+        for l in range(2, 7):
+            for e in range(1, n + 1):
+                spec = MonomialRsbfSpec(n, l, e)
+                by_key.setdefault(families.anf_key(spec), []).append(spec)
+                by_table.setdefault((n, monomial_rsbf(spec).words.tobytes()), []).append(spec)
+    assert len(by_key) < sum(map(len, by_key.values()))
+    key_groups = sorted(sorted((s.n, s.l, s.e) for s in group) for group in by_key.values())
+    table_groups = sorted(sorted((s.n, s.l, s.e) for s in group) for group in by_table.values())
+    assert key_groups == table_groups
+    # (2, 2, 1) cancels to nothing, and e = n collapses every monomial to x_i
+    assert families.anf_key(MonomialRsbfSpec(2, 2, 1)) == (2, ())
+    assert families.anf_key(MonomialRsbfSpec(3, 4, 3)) == (3, (1, 2, 4))
+    assert families.anf_key(MonomialRsbfSpec(5, 2, 2)) == (5, (5, 9, 10, 18, 20))
+
+
 def test_family_is_rotation_invariant():
     for l in (2, 3, 4):
         for n in range(max(l, 3), 9):

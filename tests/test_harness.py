@@ -1,3 +1,5 @@
+import hashlib
+import json
 import logging
 import multiprocessing
 from collections import Counter
@@ -32,7 +34,7 @@ from rsbf import (
     sweep_cases,
     walsh_transform,
 )
-from rsbf import core, goldens, harness, recurrences, transfer
+from rsbf import core, families, goldens, harness, recurrences, transfer
 from rsbf.goldens import load_reference_table
 from rsbf.harness import usable_cpus
 
@@ -176,23 +178,81 @@ def test_upper_grid_checks_every_mask(monkeypatch):
     assert failing == [({"n": 15, "id": "transform:sampled"}, want)]
 
 
+def _half_axes(n):
+    # a half-space's masks as the bit axes the grids hand the evaluator
+    return np.ix_([0, 1], [0, 1], [0, 1], range(1 << (n - 4)))
+
+
 @pytest.mark.parametrize("which", ["lemma21", "lemma22"])
 def test_column_sums_match_each_variant(which):
-    # a grid evaluates a column's four right-hand sides together, sharing
-    # their lower-arity terms; each must equal its variant's own identity
+    # a grid evaluates a column's right-hand sides together over the bit
+    # axes of a half-space, of one identity or of both, sharing their
+    # lower-arity terms; each must equal its variant's own identity at the
+    # explicit masks, in the half's mask order once raveled
     top_bit = 0 if which == "lemma21" else 1
     identity = subfn_walsh_top0 if which == "lemma21" else subfn_walsh_top1
     for n in range(8, 17):
         half = 1 << (n - 1)
         masks = np.arange(top_bit * half, (top_bit + 1) * half)
         for provider in (None, harness._transform_provider()):
-            sums = recurrences._lowered_sums(top_bit, n, masks, provider)
-            for j in range(4):
-                column = list(sums(j))
-                assert [i for i, _ in column] == [0, 1, 2, 3]
-                for i, rhs in column:
-                    assert rhs.dtype == np.int64
-                    assert np.array_equal(rhs, identity(i, j, n, masks, provider)), (n, i, j)
+            for tops in ((top_bit,), (0, 1)):
+                rows = [(i, top) for i in range(4) for top in tops]
+                sums = recurrences._lowered_sums(n, _half_axes(n), provider, rows)
+                for j in range(4):
+                    column = list(sums(j))
+                    assert [row for row, _ in column] == rows
+                    for (i, top), rhs in column:
+                        assert rhs.dtype == np.int64 and rhs.shape == (2, 2, 2, 1 << (n - 4))
+                        if top == top_bit:
+                            want = identity(i, j, n, masks, provider)
+                            assert np.array_equal(rhs.reshape(-1), want), (n, i, j, tops)
+
+
+def test_split_axis_evaluator_matches_explicit_masks_and_the_oracle():
+    # on n = 8..12, both identities over the half-space axes, as the paired
+    # grid asks for them, equal the explicit-mask calls and the direct
+    # oracle on the variant's own table at every mask
+    for n in range(8, 13):
+        half = 1 << (n - 1)
+        rows = [(i, top) for i in range(4) for top in (0, 1)]
+        sums = recurrences._lowered_sums(n, _half_axes(n), None, rows)
+        for j in range(4):
+            own = core.walsh_at_many(core.TableStack.of(sub_function(i, j, n) for i in range(4)),
+                                     np.arange(1 << n))
+            for (i, top), rhs in sums(j):
+                masks = np.arange(top * half, (top + 1) * half)
+                identity = subfn_walsh_top1 if top else subfn_walsh_top0
+                assert np.array_equal(rhs.reshape(-1), identity(i, j, n, masks)), (n, i, j, top)
+                assert np.array_equal(rhs.reshape(-1), own[i, masks]), (n, i, j, top)
+
+
+def test_paired_grids_give_the_per_grid_witnesses_under_faults(monkeypatch):
+    # one wrong bit in three variant tables, each read as a left side and
+    # as a lower-arity term of both routes: the paired pass, the pool task
+    # of check all, gives the reports of the grids run one at a time, and
+    # those are the reports the per-grid passes gave before the grids were
+    # paired (10 failing, 330 witnesses with the truncation markers, the
+    # digest of their JSON pinned from that code)
+    right = harness.sub_function
+
+    def corrupt(i, j, n):
+        table = right(i, j, n)
+        if (i, j, n) in {(2, 1, 11), (3, 2, 14), (0, 3, 9)}:
+            words = table.words.copy()
+            words[0] ^= np.uint64(1 << 5)
+            table = core.TruthTable(n, words)
+        return table
+
+    for module in (harness, recurrences):
+        monkeypatch.setattr(module, "sub_function", corrupt)
+    cfg = HarnessConfig(workers=1)
+    alone = [r for name in harness._GRIDS for r in run_all(cfg, only=[name]).reports]
+    paired, _ = harness._run_suite(harness._GRIDS, cfg, {})
+    assert _without_elapsed(paired) == _without_elapsed(alone)
+    failing = [r for r in paired if r.status == "fail"]
+    assert (len(failing), sum(len(r.witnesses) for r in failing)) == (10, 330)
+    text = json.dumps([[r.check, r.params, r.status, r.witnesses] for r in paired])
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "2963500a72a54204"
 
 
 @pytest.mark.parametrize("which, column", [("lemma21", [(6, 1), (5, 1), (4, 2)]),
@@ -229,22 +289,25 @@ def test_grid_columns_take_one_call_an_arity(monkeypatch, which, column, transfo
     assert [rows for m, rows in stacks if m == 8] == [4] * 4
 
 
-@pytest.mark.parametrize("which", ["lemma21", "lemma22"])
+@pytest.mark.parametrize("which", ["lemma21", "lemma22", "lemma21+lemma22"])
 def test_transform_grid_arity_working_memory(which):
     # NumPy reports its buffers to tracemalloc.  One n = 16 arity holds its
-    # 2**15 int64 masks (256 KiB), their lowered masks and int8 signs, one
-    # column's lower-arity terms (at most five, 256 KiB each), one
-    # right-hand side and its sum, a variant's transform with its 1 MiB
-    # tile, and the provider's cached lower spectra.  Measured 3.9 MB
-    # (lemma21) and 4.3 MB (lemma22); every column's terms, or all 16
+    # 2**15 int64 masks (2**16 for both grids), one column's lower-arity
+    # terms (at most seven: four of 2**14 masks, one of 2**13, two of
+    # 2**12), one right-hand side and its sum, a variant's transform with
+    # its 1 MiB tile, and the provider's stack and spectra of one call.
+    # Measured 2.4 MiB (lemma21), 2.6 MiB (lemma22) and 3.0 MiB (both, one
+    # pass), where a provider that kept every spectrum of the arity took
+    # 3.9 and 4.3 MiB for one grid; every column's terms, or all 16
     # right-hand sides, alive at once would add 3 MiB or more.
+    names = tuple(which.split("+"))
     tracemalloc.start()
     try:
-        (report,) = check_identity_grid(which, n_values=[16], transform=True)
+        reports = harness._identity_grids(names, n_values=[16], transform=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert report.status == "pass"
+    assert [(r.check, r.status) for r in reports] == [(name, "pass") for name in names]
     assert peak < 5 << 20
 
 
@@ -409,6 +472,9 @@ def test_factored_route_holds_for_any_factor(monkeypatch):
         return from_int(spec.n, int.from_bytes(packed, "little"))
 
     monkeypatch.setattr(harness, "monomial_rsbf", member)
+    # these tables have no monomial set to key them by: key each by its
+    # words, so that equal keys still mean equal tables
+    monkeypatch.setattr(harness, "anf_key", lambda spec: (spec.n, member(spec).words.tobytes()))
     reports = scan_family([(n, 4, e) for n in range(2, 13) for e in range(1, n + 1)])
     witnesses = [w for r in reports for w in r.witnesses]
     assert [w for w in witnesses if w[0].startswith("route:")] == []
@@ -474,9 +540,10 @@ def test_cases_with_one_table_share_its_full_transform(monkeypatch):
 
 
 def test_scan_family_builds_and_decomposes_each_case_once(monkeypatch):
-    # the tables built to group the cross-checked cases are the ones their
-    # per-arity jobs transform, and each case's cycles are found once; the
-    # butterfly factors build their own stride-1 tables
+    # a cross-checked table is built once for each anf_key, for the first
+    # case with that key, and is the one its arity's job transforms; each
+    # case's cycles are found once; the butterfly factors build their own
+    # stride-1 tables
     built, decomposed = [], []
     build, decompose = harness.monomial_rsbf, harness.cycle_decompose
     monkeypatch.setattr(harness, "monomial_rsbf",
@@ -487,8 +554,16 @@ def test_scan_family_builds_and_decomposes_each_case_once(monkeypatch):
     reports = scan_family(cases)
     assert len(reports) == len(cases)
     assert sorted(decomposed) == sorted((n, e) for n, _, e in cases)
+    by_key, by_table = {}, {}
+    for case in cases:
+        spec = MonomialRsbfSpec(*case)
+        by_key.setdefault(families.anf_key(spec), []).append(case)
+        by_table.setdefault((case[0], monomial_rsbf(spec).words.tobytes()), []).append(case)
+    # equal keys are equal tables: the 39 cases have 21 of them
+    assert sorted(by_key.values()) == sorted(by_table.values()) and len(by_key) == 21
+    firsts = Counter(group[0] for group in by_key.values())
     factors = harness._factor_tasks(_decompositions(cases))
-    assert Counter(built) == Counter(cases) + Counter((t, l, 1) for t, l in factors)
+    assert Counter(built) == firsts + Counter((t, l, 1) for t, l in factors)
 
 
 def test_seeded_spot_check_catches_wrong_zero_above_cap(monkeypatch):
@@ -719,6 +794,23 @@ def test_l5_factor_at_t21_gives_the_butterfly_values_by_the_certificate():
     peak = lambda f: max(f.top, -f.bottom)
     assert (cert.zero, cert.top, peak(cert)) == (butterfly.zero, butterfly.top, peak(butterfly))
     assert butterfly.lowest_ties is None  # the peak is S(0), as the certificate says
+
+
+def test_l3_l4_factors_above_the_cross_check_cap_are_certified():
+    # l = 3 and 4 take the certificate from t = 17, above the arities whose
+    # cases the full transform cross-checks, with the butterfly's S(0),
+    # max and peak; l = 5 at t = 20 and l = 2 below t = 21 stay on the
+    # butterfly
+    assert [harness._certificate_route(t, 4) for t in (16, 17, 20)] == [False, True, True]
+    for t in range(17, 21):
+        placements = (tuple(range(t)),)
+        for l in (3, 4):
+            cert = harness._factor_summary(t, l, placements)
+            butterfly = harness._butterfly_factor(t, l, placements)
+            assert (cert.route, cert.witnesses, butterfly.witnesses) == ("certificate", (), ())
+            assert (cert.zero, cert.top, cert.peak) == (butterfly.zero, butterfly.top, butterfly.peak)
+    assert harness._factor_summary(20, 5, (tuple(range(20)),)).route == "butterfly"
+    assert harness._factor_summary(20, 2, (tuple(range(20)),)).route == "butterfly"
 
 
 def test_certificate_falls_back_to_the_butterfly(monkeypatch):
@@ -973,9 +1065,10 @@ def test_run_all_pools_suites_longest_first(monkeypatch):
     monkeypatch.setattr(harness, "_pooled", inline)
     # at max_n = 1 every case but the two tables is skipped
     result = run_all(HarnessConfig(max_n=1, workers=2))
+    # the two identity grids are one task, at lemma21's rank
     assert submitted == [
-        "conjecture", "lemma21", "lemma22", "theorem", "cubic", "counterexample",
-        "eq23", "bound", "table1", "thm24", "table2", "factor", "eq26",
+        ("conjecture",), ("lemma21", "lemma22"), ("theorem",), ("cubic",), ("counterexample",),
+        ("eq23",), ("bound",), ("table1",), ("thm24",), ("table2",), ("factor",), ("eq26",),
     ]
     # the records still come back in SUITES order, the tables beside the reports
     assert [t.name for t in result.tables] == ["table1", "table2"]
@@ -985,7 +1078,7 @@ def test_run_all_pools_suites_longest_first(monkeypatch):
 def test_suite_tasks_are_picklable():
     cfg = HarnessConfig(max_n=10, workers=1)
     for name in harness.SUITES:
-        task = (harness._run_suite, name, cfg, {})
+        task = (harness._run_suite, (name,), cfg, {})
         assert pickle.loads(pickle.dumps(task)) == task
 
 

@@ -204,6 +204,26 @@ def test_scalar_identity_calls_the_provider_once_an_arity():
                              for drop, pairs in lows.items()]
 
 
+def test_one_mask_at_the_cap_reads_no_half_space():
+    # an explicit mask is split into the same bit axes as a grid's
+    # half-space, so one mask at n = 28 asks each arity for that mask
+    # alone, as an int, and never for a half-space of 2**27
+    calls = []
+
+    def provider(pairs, m, c):
+        calls.append((m, c))
+        return [7 * (i + 1) for i, _ in pairs]
+
+    # c_26 = 1, c_25 = 0, c_24 = 1: Lemma 2.1's f1j terms 2 * 7, -2 * 7 and 2 * 28
+    c = (1 << 26) + (1 << 24) + 12345
+    assert subfn_walsh_top0(1, 2, 28, c, provider) == 56
+    assert calls == [(26, c & ((1 << 26) - 1)), (25, c & ((1 << 25) - 1)), (24, 12345)]
+    assert all(type(mask) is int for _, mask in calls)
+    calls.clear()
+    got = subfn_walsh_top1(3, 0, 28, np.array([1 << 27, (1 << 27) + c]), provider)
+    assert got.shape == (2,) and [np.shape(mask) for _, mask in calls] == [(2,), (2,)]
+
+
 def test_base_table_from_reference_is_consistent():
     # every stored zero-mask value, the mirrored i > j variants included,
     # against the direct oracle; the recurrences read n = 4..7
