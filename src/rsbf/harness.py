@@ -13,17 +13,20 @@ bound's.
 
 from __future__ import annotations
 
+import contextlib
 import inspect
 import logging
 import os
+import pickle
 import random
+import signal
 import time
+import traceback
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 from operator import attrgetter
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, NoReturn
 
 import numpy as np
 
@@ -123,18 +126,84 @@ def _elapsed_ms(t0: float) -> int:
     return int((time.perf_counter() - t0) * 1000)
 
 
-def _pooled(calls, workers: int) -> list:
-    """Results of ``calls``, tuples (function, *args), submitted in the order
-    given to a pool of at most ``workers`` processes, and never more
-    processes than calls.  A call that raises cancels the calls not yet
-    started, and the pool's processes are joined before the error reaches
-    the caller."""
-    pool = ProcessPoolExecutor(max_workers=min(workers, len(calls)))
+def _serve(calls, tasks: int, feed: int, outbox: int) -> NoReturn:
+    """A pool child: run the calls whose four-byte indices it reads from
+    ``tasks`` until that pipe runs dry (once one raises, only drain it),
+    then send ``outbox`` one pickled list of (index, pickled (raised,
+    value)).  It ends in os._exit on every path: no atexit handler runs
+    and no stdio buffer inherited from the parent is flushed."""
     try:
-        futures = [pool.submit(*call) for call in calls]
-        return [future.result() for future in futures]
+        os.close(feed)  # else the task pipe never runs dry
+        sent, failed = [], False
+        while index := os.read(tasks, 4):
+            if failed:
+                continue
+            i = int.from_bytes(index, "little")
+            fn, *args = calls[i]
+            try:
+                outcome = False, fn(*args)
+            except Exception as exc:
+                exc.add_note(f"in pool call {i}:\n{''.join(traceback.format_tb(exc.__traceback__))}")
+                outcome = True, exc
+            try:
+                sent.append((i, pickle.dumps(outcome)))
+            except Exception as exc:  # a result or an error that does not pickle
+                outcome = True, pickle.PicklingError(f"pool call {i} ({fn!r}): {exc!r}")
+                sent.append((i, pickle.dumps(outcome)))
+            failed = outcome[0]
+        with open(outbox, "wb") as pipe:
+            pickle.dump(sent, pipe)
+        os._exit(0)
     finally:
-        pool.shutdown(cancel_futures=True)
+        os._exit(1)
+
+
+def _pooled(calls, workers: int) -> list:
+    """Results of ``calls``, tuples (function, *args), in call order, from
+    at most ``workers`` forked children, never more than calls, that take
+    the calls in the order given, one at a time (see _serve).  No argument
+    is pickled: the children inherit the calls.  A call that raises stops
+    the calls not yet started, and the error of the earliest failing call
+    reaches the caller; a child that ends without its report is an error
+    naming its wait status.  Every child is reaped before this returns or
+    raises; on an error or an interrupt, any still running is killed first."""
+    tasks, feed = os.pipe()
+    children: dict = {}  # pid -> the read end of its outcome pipe, until reaped
+    try:
+        with contextlib.suppress(BrokenPipeError), open(feed, "wb") as pipe:
+            try:
+                for _ in range(min(workers, len(calls))):
+                    inbox, outbox = os.pipe()
+                    if (pid := os.fork()) == 0:
+                        _serve(calls, tasks, feed, outbox)
+                    os.close(outbox)
+                    children[pid] = open(inbox, "rb")
+            finally:
+                os.close(tasks)
+            # written once no child holds this end: a full pipe waits on the
+            # children, and the write fails if every child is gone
+            pipe.write(np.arange(len(calls), dtype="<u4").tobytes())
+        outcomes: dict = {}
+        for pid in list(children):
+            report = children[pid].read()
+            status = os.waitpid(pid, 0)[1]
+            children.pop(pid).close()
+            if status:
+                raise RuntimeError(f"pool process {pid} ended without its report, wait status "
+                                   f"{status} (exit code {os.waitstatus_to_exitcode(status)})")
+            outcomes.update(pickle.loads(report))
+        results = []
+        for i in range(len(calls)):
+            raised, value = pickle.loads(outcomes[i])
+            if raised:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        for pid, inbox in children.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            inbox.close()
 
 
 def _skip(check: str, params: dict, cap: int, n: int) -> VerificationReport:

@@ -1,13 +1,16 @@
+import contextlib
 import hashlib
 import json
 import logging
-import multiprocessing
+import os
 from collections import Counter
 import pickle
 import random
+import signal
+import subprocess
+import sys
 import time
 import tracemalloc
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -960,34 +963,60 @@ def test_check_all_pooled_equals_in_process():
     assert pooled.exit_code == serial.exit_code == 1
 
 
-class _InlinePool:
-    """Stands in for ProcessPoolExecutor: records the size asked for and
-    runs each task at submit, in this process; ``lag`` delays every
-    result, as a parent waiting on a busy pool would see it."""
+@contextlib.contextmanager
+def _within(seconds: float):
+    """Raises TimeoutError in this process once ``seconds`` have passed, as
+    an interrupt would: a pool that hangs fails its test instead."""
 
-    def __init__(self, sizes: list, lag: float = 0.0):
-        self.sizes, self.lag = sizes, lag
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
 
-    def __call__(self, max_workers):
-        self.sizes.append(max_workers)
-        return self
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
-    def submit(self, fn, *args):
-        future = Future()
-        future.set_result(fn(*args))
-        lag, plain = self.lag, future.result
-        future.result = lambda: time.sleep(lag) or plain()
-        return future
 
-    def shutdown(self, wait=True, cancel_futures=False):
-        pass
+class _CountingFork:
+    """Stands in for os.fork as harness calls it: forks for real, counts in
+    ``sizes`` the children of each pool (one opens at each
+    harness._pooled call), and holds the parent ``lag`` seconds after
+    each fork, as a parent waiting on a busy pool would see it."""
+
+    def __init__(self, monkeypatch, sizes: list, lag: float = 0.0):
+        self.sizes, self.lag, self.fork, pooled = sizes, lag, os.fork, harness._pooled
+
+        def opening(calls, workers):
+            sizes.append(0)
+            return pooled(calls, workers)
+
+        monkeypatch.setattr(harness, "_pooled", opening)
+        monkeypatch.setattr(os, "fork", self)
+
+    def __call__(self):
+        pid = self.fork()
+        if pid:
+            self.sizes[-1] += 1
+            time.sleep(self.lag)
+        return pid
+
+
+def _assert_no_child():
+    # raises ChildProcessError only when this process has no child at all,
+    # running or waiting to be reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_pools_are_capped_at_their_task_count(monkeypatch):
     sizes: list = []
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _InlinePool(sizes))
+    _CountingFork(monkeypatch, sizes)
     cases = sweep_cases((4, 6), (1, 2), 4)
-    reports = scan_family(cases, workers=10**6)
+    with _within(120):
+        reports = scan_family(cases, workers=10**6)
     # one job per distinct factor plus one full-route job per arity (n <=
     # 16) for its distinct tables: (4, 4, 1) and (4, 4, 2) are both 0, and
     # (5, 4, 1) and (5, 4, 2) both take every 4-subset of the 5 variables
@@ -998,7 +1027,8 @@ def test_pools_are_capped_at_their_task_count(monkeypatch):
     assert _without_elapsed(reports) == _without_elapsed(scan_family(cases, workers=1))
     sizes.clear()
     chosen = ["table2", "bound", "theorem"]
-    result = run_all(HarnessConfig(max_n=8, workers=10**6), only=chosen)
+    with _within(120):
+        result = run_all(HarnessConfig(max_n=8, workers=10**6), only=chosen)
     # one pool of one process per suite; the theorem sweep inside its task
     # runs in process, so no second pool opens
     assert sizes == [3]
@@ -1007,8 +1037,8 @@ def test_pools_are_capped_at_their_task_count(monkeypatch):
 
 
 def test_suite_log_time_is_the_suites_own(monkeypatch, caplog):
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _InlinePool([], lag=0.25))
-    with caplog.at_level(logging.INFO, logger="rsbf.harness"):
+    _CountingFork(monkeypatch, [], lag=0.25)
+    with _within(120), caplog.at_level(logging.INFO, logger="rsbf.harness"):
         run_all(HarnessConfig(workers=2), only=["table2", "eq26"])
     times = {}
     for record in caplog.records:
@@ -1028,12 +1058,98 @@ def test_pooled_suite_failure_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(goldens, "load_reference_table", missing)
     errors = []
     for workers in (1, 2):
-        with pytest.raises(OSError) as caught:
+        with _within(120), pytest.raises(OSError) as caught:
             run_all(HarnessConfig(workers=workers), only=["table1", "table2"])
         errors.append((type(caught.value), str(caught.value)))
     assert errors[0] == errors[1]
     assert errors[0][0] is FileNotFoundError
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
+
+
+@pytest.fixture()
+def reaped():
+    yield
+    _assert_no_child()
+
+
+def _mark(folder, i):
+    with open(folder / str(i), "x"):  # a second run of call i fails here
+        pass
+    return i * i
+
+
+def _fail(exc, delay=0.0):
+    time.sleep(delay)
+    raise exc
+
+
+def test_pooled_runs_each_call_once_in_call_order(tmp_path, reaped):
+    with _within(30):
+        results = harness._pooled([(_mark, tmp_path, i) for i in range(9)], 3)
+    assert results == [i * i for i in range(9)]
+    assert sorted(int(name) for name in os.listdir(tmp_path)) == list(range(9))
+
+
+def test_pooled_raises_the_earliest_failing_call(reaped):
+    calls = [(_fail, LookupError("A"), 0.3), (_fail, ArithmeticError("B"))]
+    with _within(30), pytest.raises(LookupError, match="A") as caught:
+        harness._pooled(calls, 2)
+    # the child's traceback comes along as a note
+    assert "in pool call 0" in caught.value.__notes__[0]
+
+
+def test_pooled_failure_stops_the_calls_not_yet_started(tmp_path, reaped):
+    calls = [(_mark, tmp_path, 0), (_fail, ValueError("stop")), (_mark, tmp_path, 2),
+             (_mark, tmp_path, 3)]
+    with _within(30), pytest.raises(ValueError, match="stop"):
+        harness._pooled(calls, 1)
+    assert os.listdir(tmp_path) == ["0"]
+
+
+def test_pooled_killed_child_is_an_error(reaped):
+    calls = [(abs, -1), (abs, -2), (lambda: os.kill(os.getpid(), signal.SIGKILL),)]
+    with _within(30), pytest.raises(RuntimeError, match="wait status 9 .exit code -9"):
+        harness._pooled(calls, 2)
+
+
+def test_pooled_unpicklable_result_names_its_call(reaped):
+    calls = [(abs, -1), (lambda: lambda: 0,)]
+    with _within(30), pytest.raises(pickle.PicklingError, match="pool call 1 .*<lambda>"):
+        harness._pooled(calls, 2)
+
+
+def test_pooled_interrupt_kills_and_reaps_the_children(reaped):
+    t0 = time.perf_counter()
+    with pytest.raises(TimeoutError), _within(0.5):
+        harness._pooled([(time.sleep, 60), (time.sleep, 60)], 2)
+    assert time.perf_counter() - t0 < 30
+
+
+def test_pooled_children_flush_no_parent_buffer():
+    # a child that left by a normal exit would flush its copy of the
+    # parent's buffered line, after a result and after an error alike
+    code = """if True:
+        import sys
+        from rsbf.harness import _pooled
+        out = open(1, "w", buffering=1 << 16)
+        out.write("once\\n")
+        _pooled([(abs, -1), (abs, -2)], 2)
+        try:
+            _pooled([(abs, -1), (int, "x")], 2)
+        except ValueError:
+            out.write("raised\\n")
+        out.flush()
+    """
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(harness.__file__))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "once\nraised\n"), proc.stderr
+
+
+def test_pooled_runs_more_calls_than_the_task_pipe_holds(reaped):
+    # a 64 KiB pipe holds 16384 four-byte call indices
+    with _within(60):
+        assert harness._pooled([(abs, -i) for i in range(20_000)], 2) == list(range(20_000))
 
 
 def test_suite_records():

@@ -4,7 +4,10 @@ example, and the names it exports."""
 import dataclasses
 import importlib
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import rsbf
@@ -124,3 +127,15 @@ def test_harness_options():
     fields = [f.name for f in dataclasses.fields(harness.HarnessConfig)]
     assert fields == ["max_n", "workers", "seed"]
     assert "oracle" not in inspect.signature(harness.check_identity_grid).parameters
+
+
+def test_cli_import_loads_no_process_pool_module():
+    # the harness forks its pool children itself; multiprocessing and
+    # concurrent.futures would add about 21 ms to every start
+    code = ("import sys, rsbf.cli; print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    env = {**os.environ, "PYTHONPATH": str(Path(rsbf.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
