@@ -129,8 +129,9 @@ def _elapsed_ms(t0: float) -> int:
 def _serve(calls, tasks: int, feed: int, outbox: int) -> NoReturn:
     """A pool child: run the calls whose four-byte indices it reads from
     ``tasks`` until that pipe runs dry (once one raises, only drain it),
-    then send ``outbox`` one pickled list of (index, pickled (raised,
-    value)).  It ends in os._exit on every path: no atexit handler runs
+    then send ``outbox`` one pickled list of (index, pickled (traceback,
+    value)), where the traceback text is None unless the call raised
+    ``value``.  It ends in os._exit on every path: no atexit handler runs
     and no stdio buffer inherited from the parent is flushed."""
     try:
         os.close(feed)  # else the task pipe never runs dry
@@ -141,16 +142,16 @@ def _serve(calls, tasks: int, feed: int, outbox: int) -> NoReturn:
             i = int.from_bytes(index, "little")
             fn, *args = calls[i]
             try:
-                outcome = False, fn(*args)
+                outcome = None, fn(*args)
             except Exception as exc:
-                exc.add_note(f"in pool call {i}:\n{''.join(traceback.format_tb(exc.__traceback__))}")
-                outcome = True, exc
+                outcome = traceback.format_exc(), exc
             try:
                 sent.append((i, pickle.dumps(outcome)))
             except Exception as exc:  # a result or an error that does not pickle
-                outcome = True, pickle.PicklingError(f"pool call {i} ({fn!r}): {exc!r}")
+                error = pickle.PicklingError(f"pool call {i} ({fn!r}): {exc!r}")
+                outcome = traceback.format_exc(), error
                 sent.append((i, pickle.dumps(outcome)))
-            failed = outcome[0]
+            failed = outcome[0] is not None
         with open(outbox, "wb") as pipe:
             pickle.dump(sent, pipe)
         os._exit(0)
@@ -164,8 +165,9 @@ def _pooled(calls, workers: int) -> list:
     the calls in the order given, one at a time (see _serve).  No argument
     is pickled: the children inherit the calls.  A call that raises stops
     the calls not yet started, and the error of the earliest failing call
-    reaches the caller; a child that ends without its report is an error
-    naming its wait status.  Every child is reaped before this returns or
+    reaches the caller, chained to its traceback in the child; a child
+    that ends without its report is an error naming its wait status.
+    Every child is reaped before this returns or
     raises; on an error or an interrupt, any still running is killed first."""
     tasks, feed = os.pipe()
     children: dict = {}  # pid -> the read end of its outcome pipe, until reaped
@@ -194,16 +196,21 @@ def _pooled(calls, workers: int) -> list:
             outcomes.update(pickle.loads(report))
         results = []
         for i in range(len(calls)):
-            raised, value = pickle.loads(outcomes[i])
-            if raised:
-                raise value
+            child_tb, value = pickle.loads(outcomes[i])
+            if child_tb is not None:  # a pickled error loses its traceback: chain the child's
+                raise value from RuntimeError(f"pool call {i} raised in its child:\n{child_tb}")
             results.append(value)
         return results
     finally:
         for pid, inbox in children.items():
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
             inbox.close()
+            # an interrupt can land after a child is reaped and before it
+            # leaves ``children``; its pid is then no longer this process's
+            # child, and is neither signalled nor waited on
+            with contextlib.suppress(ChildProcessError):
+                if os.waitpid(pid, os.WNOHANG)[0] == 0:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
 
 
 def _skip(check: str, params: dict, cap: int, n: int) -> VerificationReport:

@@ -1094,8 +1094,10 @@ def test_pooled_raises_the_earliest_failing_call(reaped):
     calls = [(_fail, LookupError("A"), 0.3), (_fail, ArithmeticError("B"))]
     with _within(30), pytest.raises(LookupError, match="A") as caught:
         harness._pooled(calls, 2)
-    # the child's traceback comes along as a note
-    assert "in pool call 0" in caught.value.__notes__[0]
+    # the child's traceback comes along as the error's cause
+    cause = str(caught.value.__cause__)
+    assert cause.startswith("pool call 0 raised in its child:\nTraceback")
+    assert "in _fail" in cause and cause.endswith("LookupError: A\n")
 
 
 def test_pooled_failure_stops_the_calls_not_yet_started(tmp_path, reaped):
@@ -1123,6 +1125,32 @@ def test_pooled_interrupt_kills_and_reaps_the_children(reaped):
     with pytest.raises(TimeoutError), _within(0.5):
         harness._pooled([(time.sleep, 60), (time.sleep, 60)], 2)
     assert time.perf_counter() - t0 < 30
+
+
+def test_pooled_interrupt_after_a_reap_signals_no_stale_pid(monkeypatch, reaped):
+    # the interrupt lands once the first child is reaped and before it leaves
+    # the pool's list; the second child, still running, is killed and reaped
+    wait, kill, fork = os.waitpid, os.kill, os.fork
+    pids, killed = [], []
+
+    def forking():
+        pids.append(fork())  # a child sees its own place in pids
+        return pids[-1]
+
+    def interrupted(pid, options):
+        status = wait(pid, options)
+        if options == 0:
+            monkeypatch.setattr(os, "waitpid", wait)
+            raise KeyboardInterrupt
+        return status
+
+    monkeypatch.setattr(os, "fork", forking)
+    monkeypatch.setattr(os, "kill", lambda pid, sig: killed.append(pid) or kill(pid, sig))
+    monkeypatch.setattr(os, "waitpid", interrupted)
+    calls = [(lambda: time.sleep(60 if len(pids) == 2 else 0.5),)] * 2
+    with _within(30), pytest.raises(KeyboardInterrupt):
+        harness._pooled(calls, 2)
+    assert pids[0] not in killed and set(killed) <= {pids[1]}
 
 
 def test_pooled_children_flush_no_parent_buffer():
