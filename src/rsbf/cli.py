@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import sys
+from functools import partial
 
 import click
 
@@ -21,9 +22,11 @@ from .core import (
     SpectrumPeaks,
     walsh_at,
     walsh_blocks,
+    walsh_pieces,
     weight,
 )
 from .families import MonomialRsbfSpec, monomial_rsbf, sub_function
+from .forks import usable_cpus, write_pieces
 from .harness import SUITES, HarnessConfig, run_all, validate_windows
 from .report import write_jsonl
 
@@ -190,9 +193,18 @@ def _full_spectrum_guard(n: int, out: str | None, force: bool) -> None:
 # byte a column each), 24 bytes a row of integer scratch, its output and the
 # compaction's index of at most _COMPACT_BYTES entries: about 0.7 MiB for a
 # JSON dump and 1.25 MiB for text --bits at n = 20.  Blocks of 2**13 rows
-# render as fast as 2**14 or 2**15 (measured) in less memory.
+# render as fast as 2**14 or 2**15 (measured) in less memory.  Each process
+# that renders holds its own copy of these buffers and one block's output,
+# and a child's text beyond that waits in its pipe (forks._PIPE_BYTES).
 _BLOCK_ROWS = 1 << 13
 _COMPACT_BYTES = 1 << 15
+# Up to core._BLOCKED_ABOVE a dump is shared out in pieces of this many rows
+# of the one-pass spectrum, which every process reads from the parent's
+# copy; above, a piece is one of walsh_pieces' blocks (2**18 rows at n =
+# 21..24), and each process holds its own block buffer and tiles.  A piece of
+# 2**15 rows is 0.15 MB of JSON to 0.75 MB of text --bits at n = 18, so a
+# child's pipe holds one whole.
+_PIECE_ROWS = 1 << 15
 
 
 def _group_tables():
@@ -228,8 +240,10 @@ def _block_renderer(fmt: str, n: int, bits: bool):
     A block is one uint8 matrix of mask, separator, sign, value and line-end
     columns, numbers right-aligned behind 0 bytes that the compaction drops.
     The matrix, its keep mask and the integer scratch vectors are allocated
-    here, once, with the constant columns filled in, so a block allocates
-    only its output, and nothing of ``block`` is kept.
+    here, once a dump and before any child is forked, with the constant
+    columns filled in, so a block allocates only its output, nothing of
+    ``block`` is kept, and each process that renders writes into its own
+    copy of them.
     """
     import numpy as np
 
@@ -310,17 +324,21 @@ def _block_renderer(fmt: str, n: int, bits: bool):
     return render
 
 
-def _render_spectrum(record: dict, blocks, fmt: str, n: int, bits: bool, out: str | None) -> None:
+def _render_spectrum(record: dict, pieces, fmt: str, n: int, bits: bool, out: str | None) -> None:
     """Write a full spectrum to the file ``out``, or to stdout when None.
 
-    ``blocks`` yields (offset, int32 block) pairs in mask order, as
-    ``walsh_blocks`` does; each block is written before the next is asked
-    for, so a buffer the stream reuses is never read once overwritten.
-    Nothing holds the whole spectrum.  Rows are rendered and
-    written ``_BLOCK_ROWS`` at a time.  The bytes equal per-row ``str``
-    formatting: JSON rows ``,v`` (the first has no comma), CSV rows
-    ``c,v`` ending in ``\\r\\n`` as the csv module writes them, text rows
-    ``c v``.
+    ``pieces`` is a list of (offset, make) pairs in mask order, where
+    make() returns the int32 values of the piece's masks, offset on; it
+    is called in the process that renders the piece, and its array is
+    rendered before the next make() there, so a buffer the pieces reuse
+    is never read once overwritten.  The pieces are shared out over one
+    process per usable CPU, at most one per piece, and only this process
+    writes (see forks.write_pieces), so the bytes do not depend on the
+    number of processes.  Nothing holds the whole spectrum or its text.
+    Rows are rendered ``_BLOCK_ROWS`` at a time.  The bytes equal per-row
+    ``str`` formatting: JSON rows ``,v`` (the first has no comma), CSV
+    rows ``c,v`` ending in ``\\r\\n`` as the csv module writes them,
+    text rows ``c v``.
     """
     import contextlib
 
@@ -334,16 +352,19 @@ def _render_spectrum(record: dict, blocks, fmt: str, n: int, bits: bool, out: st
             head += "note: degenerate (n < l), indices wrap onto repeats\n"
     render = _block_renderer(fmt, n, bits)
 
+    def rendered(i: int):
+        offset, make = pieces[i]
+        block = make()
+        for k in range(0, block.size, _BLOCK_ROWS):
+            yield from render(offset + k, block[k : k + _BLOCK_ROWS])
+
     if out is not None:
         sink = open(out, "wb")
     else:  # stdout's byte stream, left open
         sink = contextlib.nullcontext(click.get_binary_stream("stdout"))
     with sink as fh:
         fh.write(head.encode("ascii"))
-        for offset, block in blocks:
-            for k in range(0, block.size, _BLOCK_ROWS):
-                for piece in render(offset + k, block[k : k + _BLOCK_ROWS]):
-                    fh.write(piece)
+        write_pieces(len(pieces), usable_cpus(), rendered, fh)
         if fmt == "json":
             fh.write(b"]}\n")
         fh.flush()
@@ -363,7 +384,9 @@ def _spectrum_command(tbl, record: dict, note: str, at, force, fmt, out, bits) -
         _emit(record, fmt, f"walsh at {record['at']}: {record['value']}{note}", out)
         return
     _full_spectrum_guard(n, out, force)
-    _render_spectrum(record, walsh_blocks(tbl), fmt, n, bits, out)
+    span, piece = walsh_pieces(tbl, _PIECE_ROWS)
+    pieces = [(offset, partial(piece, offset)) for offset in range(0, tbl.size, span)]
+    _render_spectrum(record, pieces, fmt, n, bits, out)
 
 
 @main.command()

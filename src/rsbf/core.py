@@ -36,6 +36,7 @@ __all__ = [
     "anf_table",
     "walsh_transform",
     "walsh_blocks",
+    "walsh_pieces",
     "walsh_at",
     "walsh_at_many",
     "nonlinearity",
@@ -366,7 +367,7 @@ def walsh_transform(tables) -> WalshSpectrum:
     return WalshSpectrum(n, v.reshape(tables.words.shape[:-1] + (size,)))
 
 
-# walsh_blocks hands out the spectrum in blocks of 2**_BLOCK_BITS masks, 1
+# walsh_pieces hands out the spectrum in blocks of 2**_BLOCK_BITS masks, 1
 # MiB of int32, once n is above _BLOCKED_ABOVE.  Up to there the one-pass
 # transform, which reads its first three stages from _BYTE_SPECTRA, is as
 # fast or faster, and its spectrum is 4 MiB at most.  Medians of the
@@ -387,24 +388,43 @@ def walsh_blocks(table: TruthTable):
     in mask order: block b holds masks offset .. offset + len(block) - 1.
 
     Up to n = _BLOCKED_ABOVE it is one block, the full transform.  Above,
-    no full int32 spectrum is made: the table is unpacked once to an int8
-    store of (-1)**f(x), 2**n bytes, and its top k = min(6, n - 18) stages
-    run there in place (exact, see _INT8_STAGES).  The 2**k contiguous
-    runs of the store are then the 2**k blocks, each widened into one
-    reused int32 buffer of 2**(n - k) entries (1 MiB up to n = 24) where
-    _tiled_stages runs the low stages.  The buffer is overwritten by the
-    next block, so a caller that keeps a block copies it.  Working memory:
-    the store, unpacked straight from a view of the table's words, the
-    buffer and a pair of int32 tiles of at most 1 MiB in all.
+    no full int32 spectrum is made: the blocks are walsh_pieces', each
+    made as it is asked for, into one reused buffer, so a caller that
+    keeps a block copies it.
+    """
+    span, piece = walsh_pieces(table, table.size)
+    for offset in range(0, table.size, span):
+        yield offset, piece(offset)
+
+
+def walsh_pieces(table: TruthTable, rows: int):
+    """The spectrum of ``walsh_transform`` as (span, piece): piece(offset),
+    for offset a multiple of span, returns the int32 values of masks
+    offset .. offset + span - 1.  The work the pieces share is done here,
+    and a piece costs only its own, so forked children can make any
+    subset of them.
+
+    Up to n = _BLOCKED_ABOVE the one-pass transform runs here, and a piece
+    is a view of ``rows`` of its entries (all of them if fewer).  Above,
+    ``rows`` is not read: the table is unpacked once to an int8 store of
+    (-1)**f(x), 2**n bytes, and its top k = min(6, n - 18) stages run
+    there in place (exact, see _INT8_STAGES).  The 2**k contiguous runs
+    of the store are then the 2**k pieces, of span 2**(n - k), each
+    widened into one reused int32 buffer (1 MiB up to n = 24) where
+    _tiled_stages runs the low stages; the buffer is overwritten by the
+    next piece.  Working memory: the store, unpacked straight from a view
+    of the table's words, the buffer and a pair of int32 tiles of at most
+    1 MiB in all.
     """
     if table.n <= _BLOCKED_ABOVE:
-        yield 0, walsh_transform(table).values
-    else:
-        yield from _blocks(table, min(_INT8_STAGES, table.n - _BLOCK_BITS))
+        values = walsh_transform(table).values
+        span = min(rows, table.size)
+        return span, lambda offset: values[offset : offset + span]
+    return _block_pieces(table, min(_INT8_STAGES, table.n - _BLOCK_BITS))
 
 
-def _blocks(table: TruthTable, k: int):
-    """walsh_blocks with its top k stages on the int8 store; k must be at
+def _block_pieces(table: TruthTable, k: int):
+    """walsh_pieces with its top k stages on the int8 store; k must be at
     most min(_INT8_STAGES, n) for int8 to stay exact."""
     size = table.size
     store = np.unpackbits(table.words.view(np.uint8), bitorder="little")[:size].view(np.int8)
@@ -417,10 +437,13 @@ def _blocks(table: TruthTable, k: int):
     # magnitude, past int16 for the k >= 3 that n > _BLOCKED_ABOVE takes
     tiles = _tiles(span, np.int32)
     width = min(span, _TILE_WIDTH)
-    for offset in range(0, size, span):
+
+    def piece(offset: int) -> np.ndarray:
         rows = store[offset : offset + span].reshape(-1, width)
         _tiled_stages(v, tiles, lambda r0, count, spare: rows[r0 : r0 + count], 0, span)
-        yield offset, v
+        return v
+
+    return span, piece
 
 
 # Direct sums run over blocks of this many (row, word) pairs, so the uint64

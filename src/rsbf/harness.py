@@ -13,20 +13,15 @@ bound's.
 
 from __future__ import annotations
 
-import contextlib
 import inspect
 import logging
-import os
-import pickle
 import random
-import signal
 import time
-import traceback
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import partial
 from operator import attrgetter
-from typing import Callable, NamedTuple, NoReturn
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -53,6 +48,7 @@ from .families import (
     monomial_rsbf,
     sub_function,
 )
+from .forks import pooled as _pooled, usable_cpus
 from .recurrences import (
     SpectralBaseTable,
     _grid_witnesses,
@@ -124,93 +120,6 @@ STACK_ENTRIES = 1 << 16
 
 def _elapsed_ms(t0: float) -> int:
     return int((time.perf_counter() - t0) * 1000)
-
-
-def _serve(calls, tasks: int, feed: int, outbox: int) -> NoReturn:
-    """A pool child: run the calls whose four-byte indices it reads from
-    ``tasks`` until that pipe runs dry (once one raises, only drain it),
-    then send ``outbox`` one pickled list of (index, pickled (traceback,
-    value)), where the traceback text is None unless the call raised
-    ``value``.  It ends in os._exit on every path: no atexit handler runs
-    and no stdio buffer inherited from the parent is flushed."""
-    try:
-        os.close(feed)  # else the task pipe never runs dry
-        sent, failed = [], False
-        while index := os.read(tasks, 4):
-            if failed:
-                continue
-            i = int.from_bytes(index, "little")
-            fn, *args = calls[i]
-            try:
-                outcome = None, fn(*args)
-            except Exception as exc:
-                outcome = traceback.format_exc(), exc
-            try:
-                sent.append((i, pickle.dumps(outcome)))
-            except Exception as exc:  # a result or an error that does not pickle
-                error = pickle.PicklingError(f"pool call {i} ({fn!r}): {exc!r}")
-                outcome = traceback.format_exc(), error
-                sent.append((i, pickle.dumps(outcome)))
-            failed = outcome[0] is not None
-        with open(outbox, "wb") as pipe:
-            pickle.dump(sent, pipe)
-        os._exit(0)
-    finally:
-        os._exit(1)
-
-
-def _pooled(calls, workers: int) -> list:
-    """Results of ``calls``, tuples (function, *args), in call order, from
-    at most ``workers`` forked children, never more than calls, that take
-    the calls in the order given, one at a time (see _serve).  No argument
-    is pickled: the children inherit the calls.  A call that raises stops
-    the calls not yet started, and the error of the earliest failing call
-    reaches the caller, chained to its traceback in the child; a child
-    that ends without its report is an error naming its wait status.
-    Every child is reaped before this returns or
-    raises; on an error or an interrupt, any still running is killed first."""
-    tasks, feed = os.pipe()
-    children: dict = {}  # pid -> the read end of its outcome pipe, until reaped
-    try:
-        with contextlib.suppress(BrokenPipeError), open(feed, "wb") as pipe:
-            try:
-                for _ in range(min(workers, len(calls))):
-                    inbox, outbox = os.pipe()
-                    if (pid := os.fork()) == 0:
-                        _serve(calls, tasks, feed, outbox)
-                    os.close(outbox)
-                    children[pid] = open(inbox, "rb")
-            finally:
-                os.close(tasks)
-            # written once no child holds this end: a full pipe waits on the
-            # children, and the write fails if every child is gone
-            pipe.write(np.arange(len(calls), dtype="<u4").tobytes())
-        outcomes: dict = {}
-        for pid in list(children):
-            report = children[pid].read()
-            status = os.waitpid(pid, 0)[1]
-            children.pop(pid).close()
-            if status:
-                raise RuntimeError(f"pool process {pid} ended without its report, wait status "
-                                   f"{status} (exit code {os.waitstatus_to_exitcode(status)})")
-            outcomes.update(pickle.loads(report))
-        results = []
-        for i in range(len(calls)):
-            child_tb, value = pickle.loads(outcomes[i])
-            if child_tb is not None:  # a pickled error loses its traceback: chain the child's
-                raise value from RuntimeError(f"pool call {i} raised in its child:\n{child_tb}")
-            results.append(value)
-        return results
-    finally:
-        for pid, inbox in children.items():
-            inbox.close()
-            # an interrupt can land after a child is reaped and before it
-            # leaves ``children``; its pid is then no longer this process's
-            # child, and is neither signalled nor waited on
-            with contextlib.suppress(ChildProcessError):
-                if os.waitpid(pid, os.WNOHANG)[0] == 0:
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
 
 
 def _skip(check: str, params: dict, cap: int, n: int) -> VerificationReport:
@@ -885,15 +794,6 @@ class HarnessConfig:
 
     def resolved_workers(self) -> int:
         return self.workers or usable_cpus()
-
-
-def usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask (taskset, cpusets)
-    where the platform reports one, else the machine's CPU count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 # Suite runners take (config, **windows) and name the check functions when

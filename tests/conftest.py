@@ -1,4 +1,7 @@
+import contextlib
+import os
 import random
+import signal
 
 import numpy as np
 import pytest
@@ -67,3 +70,33 @@ def small_tables():
         for _ in range(3):
             corpus.append(from_int(n, rng.getrandbits(1 << n)))
     return corpus
+
+
+@contextlib.contextmanager
+def within(seconds: float, error=TimeoutError):
+    """Raises ``error`` in this process once ``seconds`` have passed, as an
+    interrupt would: a pool or a dump that hangs fails its test instead."""
+
+    def expire(signum, frame):
+        raise error(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def assert_no_child():
+    # raises ChildProcessError only when this process has no child at all,
+    # running or waiting to be reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture()
+def reaped():
+    yield
+    assert_no_child()

@@ -1,7 +1,10 @@
 import json
+import os
 import re
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -22,6 +25,8 @@ from rsbf import (
     weight,
 )
 from rsbf.cli import main
+
+from conftest import assert_no_child, within
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -168,6 +173,38 @@ def _subfn_dump(i, j, n):
     return argv, {"i": i, "j": j, "n": n}, walsh_transform(sub_function(i, j, n)).values
 
 
+class _Workers:
+    """Shares dumps out over 1, 2 and 3 processes in turn (usable_cpus
+    patched) and counts the children os.fork makes in this process."""
+
+    def __init__(self, monkeypatch):
+        self.monkeypatch, self.forks, fork = monkeypatch, [], os.fork
+
+        def counting():
+            pid = fork()
+            if pid:
+                self.forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counting)
+
+    def each(self, dumps: int, pieces: int):
+        """Yields W = 1, 2, 3; after each, the ``dumps`` dumps of ``pieces``
+        pieces that W ran must have forked min(W, pieces) - 1 children
+        each, none at W = 1, and reaped them all."""
+        for count in (1, 2, 3):
+            self.monkeypatch.setattr(cli_module, "usable_cpus", lambda: count)
+            self.forks.clear()
+            yield count
+            assert len(self.forks) == dumps * (min(count, pieces) - 1)
+            assert_no_child()
+
+
+@pytest.fixture()
+def workers(monkeypatch):
+    return _Workers(monkeypatch)
+
+
 DUMPS = {
     "n1": lambda: _family_dump(1, 4, 1),  # values 0 and 2
     "n3-degenerate": lambda: _family_dump(3, 4, 1),  # negatives and the note
@@ -180,18 +217,24 @@ DUMPS = {
 @pytest.mark.parametrize("bits", [False, True], ids=["decimal", "bits"])
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 @pytest.mark.parametrize("dump", list(DUMPS))
-def test_full_dump_matches_row_formatter(runner, tmp_path, dump, fmt, bits):
+def test_full_dump_matches_row_formatter(runner, monkeypatch, tmp_path, workers, dump, fmt, bits):
     argv, record, values = DUMPS[dump]()
     n = argv[argv.index("--n") + 1]
     argv = argv + ["--format", fmt] + (["--bits"] if bits else [])
     expected = _reference_dump(record, values, fmt, int(n), bits).encode("ascii")
+    # four pieces of the one-pass spectrum (two at n = 1), so every process
+    # takes part; n = 17 keeps the real piece size
+    rows = min(cli_module._PIECE_ROWS, max(1, values.size // 4))
+    monkeypatch.setattr(cli_module, "_PIECE_ROWS", rows)
     out = tmp_path / "dump"
-    to_file = runner.invoke(main, argv + ["--out", str(out)])
-    assert to_file.exit_code == 0
-    assert out.read_bytes() == expected
-    to_stdout = runner.invoke(main, argv)
-    assert to_stdout.exit_code == 0
-    assert to_stdout.stdout_bytes == expected
+    for _ in workers.each(dumps=2, pieces=values.size // rows):
+        with within(60):
+            to_file = runner.invoke(main, argv + ["--out", str(out)])
+            to_stdout = runner.invoke(main, argv)
+        assert to_file.exit_code == 0
+        assert out.read_bytes() == expected
+        assert to_stdout.exit_code == 0
+        assert to_stdout.stdout_bytes == expected
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
@@ -208,23 +251,27 @@ def test_full_dump_blocks_of_any_size(runner, monkeypatch, fmt):
 
 @pytest.mark.parametrize("bits", [False, True], ids=["decimal", "bits"])
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
-def test_full_dump_blocks_of_1_3_7_rows(runner, monkeypatch, tmp_path, fmt, bits):
-    # 2**6 rows with negatives and zeros: blocks that do not divide them,
-    # and the JSON tail after a short last block
+def test_full_dump_blocks_of_1_3_7_rows(runner, monkeypatch, tmp_path, workers, fmt, bits):
+    # 2**6 rows with negatives and zeros in four pieces of 16: row blocks
+    # that divide neither, and the JSON tail after a short last block
     argv, record, values = _subfn_dump(1, 2, 6)
     argv = argv + ["--format", fmt] + (["--bits"] if bits else [])
     expected = _reference_dump(record, values, fmt, 6, bits).encode("ascii")
-    for rows in (1, 3, 7):
-        monkeypatch.setattr(cli_module, "_BLOCK_ROWS", rows)
-        out = tmp_path / f"dump-{rows}"
-        assert runner.invoke(main, argv + ["--out", str(out)]).exit_code == 0
-        assert out.read_bytes() == expected
-        to_stdout = runner.invoke(main, argv)
-        assert to_stdout.exit_code == 0
-        assert to_stdout.stdout_bytes == expected
+    monkeypatch.setattr(cli_module, "_PIECE_ROWS", 16)
+    for _ in workers.each(dumps=6, pieces=4):
+        for rows in (1, 3, 7):
+            monkeypatch.setattr(cli_module, "_BLOCK_ROWS", rows)
+            out = tmp_path / f"dump-{rows}"
+            with within(60):
+                to_file = runner.invoke(main, argv + ["--out", str(out)])
+                to_stdout = runner.invoke(main, argv)
+            assert to_file.exit_code == 0
+            assert out.read_bytes() == expected
+            assert to_stdout.exit_code == 0
+            assert to_stdout.stdout_bytes == expected
 
 
-# (dump, core._BLOCK_BITS, the block size walsh_blocks then yields)
+# (dump, core._BLOCK_BITS, the block size walsh_pieces then makes)
 BLOCKED_DUMPS = {
     "n9": (lambda: _family_dump(9, 4, 1), 3, 8),
     "n10-e3": (lambda: _family_dump(10, 4, 3), 5, 32),
@@ -236,9 +283,10 @@ BLOCKED_DUMPS = {
 @pytest.mark.parametrize("bits", [False, True], ids=["decimal", "bits"])
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 @pytest.mark.parametrize("dump", list(BLOCKED_DUMPS))
-def test_full_dump_blocked_route(runner, monkeypatch, tmp_path, dump, fmt, bits):
-    # the blocked route of walsh_blocks at small arities, cut into rows of
-    # 1, 3, 7 and _BLOCK_ROWS, so block and row edges do not line up
+def test_full_dump_blocked_route(runner, monkeypatch, tmp_path, workers, dump, fmt, bits):
+    # the blocked route of walsh_pieces at small arities, one piece a
+    # block, cut into rows of 1, 3, 7 and _BLOCK_ROWS, so block and row
+    # edges do not line up
     make, block_bits, block_size = BLOCKED_DUMPS[dump]
     argv, record, values = make()
     n = int(argv[argv.index("--n") + 1])
@@ -246,24 +294,32 @@ def test_full_dump_blocked_route(runner, monkeypatch, tmp_path, dump, fmt, bits)
     expected = _reference_dump(record, values, fmt, n, bits).encode("ascii")
     monkeypatch.setattr(core, "_BLOCKED_ABOVE", 8)
     monkeypatch.setattr(core, "_BLOCK_BITS", block_bits)
-    sizes = set()
+    sizes = set()  # the blocks this process makes; children make the others
 
-    def spy(table):
-        for offset, block in core.walsh_blocks(table):
+    def spy(table, rows):
+        span, piece = core.walsh_pieces(table, rows)
+
+        def made(offset):
+            block = piece(offset)
             sizes.add(block.size)
-            yield offset, block
+            return block
 
-    monkeypatch.setattr(cli_module, "walsh_blocks", spy)
-    for rows in (1, 3, 7, cli_module._BLOCK_ROWS):
-        monkeypatch.setattr(cli_module, "_BLOCK_ROWS", rows)
-        out = tmp_path / f"dump-{rows}"
-        assert runner.invoke(main, argv + ["--out", str(out)]).exit_code == 0
-        assert out.read_bytes() == expected
-    # the sink does not depend on the row size, so stdout is read once, at
-    # the last row size; the small row sizes at n = 12 cost most of the test
-    to_stdout = runner.invoke(main, argv)
-    assert to_stdout.exit_code == 0
-    assert to_stdout.stdout_bytes == expected
+        return span, made
+
+    monkeypatch.setattr(cli_module, "walsh_pieces", spy)
+    for _ in workers.each(dumps=5, pieces=values.size // block_size):
+        for rows in (1, 3, 7, 1 << 13):
+            monkeypatch.setattr(cli_module, "_BLOCK_ROWS", rows)
+            out = tmp_path / f"dump-{rows}"
+            with within(60):
+                assert runner.invoke(main, argv + ["--out", str(out)]).exit_code == 0
+            assert out.read_bytes() == expected
+        # the sink does not depend on the row size, so stdout is read once, at
+        # the last row size; the small row sizes at n = 12 cost most of the test
+        with within(60):
+            to_stdout = runner.invoke(main, argv)
+        assert to_stdout.exit_code == 0
+        assert to_stdout.stdout_bytes == expected
     assert sizes == {block_size}
 
 
@@ -273,21 +329,30 @@ EDGE_VALUES = [0, 1, -1, 9, -10, 999, -1000, 9999, 10000, -10001, 99999999, -100
                123456789, -(1 << 28), 1 << 28, 7]
 
 
+def _pieces(values, *cuts):
+    """``values`` as _render_spectrum pieces, cut before each of ``cuts``."""
+    bounds = [0, *cuts, len(values)]
+    return [(a, lambda a=a, b=b: values[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
 @pytest.mark.parametrize("rows", [1, 3, 7, 1 << 13])
 @pytest.mark.parametrize("bits", [False, True], ids=["decimal", "bits"])
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
-def test_dump_digits_across_group_boundaries(monkeypatch, tmp_path, fmt, bits, rows):
+def test_dump_digits_across_group_boundaries(monkeypatch, tmp_path, workers, fmt, bits, rows):
     # the value column is as wide as 2**n: each n renders the edge values
-    # its bound covers and both ends of the bound, in two blocks
+    # its bound covers and both ends of the bound, in three pieces
     monkeypatch.setattr(cli_module, "_BLOCK_ROWS", rows)
-    for n in (4, 14, 28):
-        values = [v for v in EDGE_VALUES if abs(v) <= 1 << n] + [1 << n, -(1 << n)]
-        values = np.array(values, dtype=np.int32)
-        record = {"n": n}
-        out = tmp_path / f"dump-{n}"
-        blocks = [(0, values[:5]), (5, values[5:])]
-        cli_module._render_spectrum(record, blocks, fmt, n, bits, str(out))
-        assert out.read_bytes() == _reference_dump(record, values, fmt, n, bits).encode("ascii")
+    for _ in workers.each(dumps=3, pieces=3):
+        for n in (4, 14, 28):
+            values = [v for v in EDGE_VALUES if abs(v) <= 1 << n] + [1 << n, -(1 << n)]
+            values = np.array(values, dtype=np.int32)
+            record = {"n": n}
+            out = tmp_path / f"dump-{n}"
+            pieces = _pieces(values, 3, 5)
+            with within(60):
+                cli_module._render_spectrum(record, pieces, fmt, n, bits, str(out))
+            expected = _reference_dump(record, values, fmt, n, bits).encode("ascii")
+            assert out.read_bytes() == expected
 
 
 def test_dump_block_error_reaches_the_caller(runner, monkeypatch, tmp_path):
@@ -317,20 +382,84 @@ def test_dump_block_error_reaches_the_caller(runner, monkeypatch, tmp_path):
 
 
 def test_dump_stream_error_reaches_the_caller(tmp_path):
-    # a spectrum block that fails after two were written
+    # a spectrum piece that fails after two were written
     _, record, values = _family_dump(5, 4, 2)
 
-    def blocks():
-        yield 0, values[:8]
-        yield 8, values[8:16]
+    def failed():
         raise RuntimeError("transform failed")
 
+    pieces = _pieces(values, 8, 16)[:2] + [(16, failed)]
     out = tmp_path / "dump"
-    with pytest.raises(RuntimeError, match="transform failed"):
-        cli_module._render_spectrum(record, blocks(), "csv", 5, False, str(out))
+    with within(60), pytest.raises(RuntimeError, match="transform failed"):
+        cli_module._render_spectrum(record, pieces, "csv", 5, False, str(out))
     written = out.read_bytes()
     assert _reference_dump(record, values, "csv", 5, False).encode("ascii").startswith(written)
     assert written.count(b"\r\n") == 1 + 16
+
+
+def _render_in_children(monkeypatch, tmp_path, act, workers=2):
+    """A CSV dump of the n = 5 member in pieces of 6 rows over ``workers``
+    processes, where the render of each row block from mask 6 on, in a
+    child only, first calls act(); returns the file's path and the dump's
+    reference bytes."""
+    parent, real = os.getpid(), cli_module._block_renderer
+
+    def acting(*args):
+        render = real(*args)
+
+        def block(start, values):
+            if start >= 6 and os.getpid() != parent:
+                act()
+            return render(start, values)
+
+        return block
+
+    monkeypatch.setattr(cli_module, "_BLOCK_ROWS", 3)
+    monkeypatch.setattr(cli_module, "_block_renderer", acting)
+    monkeypatch.setattr(cli_module, "usable_cpus", lambda: workers)
+    _, record, values = _family_dump(5, 4, 2)
+    out = tmp_path / "dump"
+    expected = _reference_dump(record, values, "csv", 5, False).encode("ascii")
+    pieces = _pieces(values, *range(6, 32, 6))
+    return lambda: cli_module._render_spectrum(record, pieces, "csv", 5, False, str(out)), out, expected
+
+
+def test_dump_child_error_reaches_the_caller(monkeypatch, tmp_path, reaped):
+    def fail():
+        raise LookupError("piece failed")
+
+    dump, out, expected = _render_in_children(monkeypatch, tmp_path, fail)
+    with within(60), pytest.raises(LookupError, match="piece failed") as caught:
+        dump()
+    # the child's traceback comes along as the error's cause
+    cause = str(caught.value.__cause__)
+    assert cause.startswith("piece 1 raised in its child:\nTraceback")
+    assert "in fail" in cause and cause.endswith("LookupError: piece failed\n")
+    # the rows before piece 1, the first the child renders
+    written = out.read_bytes()
+    assert expected.startswith(written)
+    assert written.count(b"\r\n") == 1 + 6
+
+
+def test_dump_killed_child_is_an_error(monkeypatch, tmp_path, reaped):
+    dump, out, expected = _render_in_children(
+        monkeypatch, tmp_path, lambda: os.kill(os.getpid(), signal.SIGKILL))
+    with within(60), pytest.raises(RuntimeError, match="wait status 9 .exit code -9"):
+        dump()
+    assert out.read_bytes() == expected[: expected.index(b"6,")]
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_dump_interrupt_kills_and_reaps_the_children(monkeypatch, tmp_path, reaped, workers):
+    # a child left running sleeps once, then dies, so a cleanup that does
+    # not kill holds this test up 60 s and fails it, instead of hanging
+    # for a sleep per block
+    hang = lambda: (time.sleep(60), os._exit(1))
+    dump, _, _ = _render_in_children(monkeypatch, tmp_path, hang, workers)
+    t0 = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt), within(0.5, KeyboardInterrupt):
+        dump()
+    assert time.perf_counter() - t0 < 30
 
 
 @pytest.mark.parametrize("fmt, bits", [("json", False), ("csv", False), ("text", True)],
@@ -348,7 +477,7 @@ def test_dump_render_working_memory(tmp_path, fmt, bits):
     _, record, values = _family_dump(n, 4, 1)
     tracemalloc.start()
     try:
-        cli_module._render_spectrum(record, [(0, values)], fmt, n, bits, str(tmp_path / "dump"))
+        cli_module._render_spectrum(record, _pieces(values), fmt, n, bits, str(tmp_path / "dump"))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -365,7 +494,8 @@ def test_full_dump_working_memory(runner, tmp_path):
     runner.invoke(main, ["spectrum", "--n", "8", "--format", "json"])  # first-call imports
     tracemalloc.start()
     try:
-        result = runner.invoke(main, ["spectrum", "--n", "22", "--format", "json", "--out", str(out)])
+        with within(60):
+            result = runner.invoke(main, ["spectrum", "--n", "22", "--format", "json", "--out", str(out)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -468,14 +598,16 @@ def test_tty_guard_blocks_large_spectra(runner, monkeypatch):
     assert blocked.exit_code == 2
     assert "--force" in blocked.output
 
-    forced = runner.invoke(main, ["spectrum", "--n", "17", "--force", "--format", "json"])
+    with within(60):
+        forced = runner.invoke(main, ["spectrum", "--n", "17", "--force", "--format", "json"])
     assert forced.exit_code == 0
     assert len(json.loads(forced.output)["values"]) == 1 << 17
 
 
 def test_tty_guard_inactive_when_piped(runner, monkeypatch):
     monkeypatch.setattr(cli_module, "_stdout_is_tty", lambda: False)
-    result = runner.invoke(main, ["spectrum", "--n", "17", "--format", "json"])
+    with within(60):
+        result = runner.invoke(main, ["spectrum", "--n", "17", "--format", "json"])
     assert result.exit_code == 0
 
 
@@ -589,7 +721,10 @@ def test_check_lemma_alone_is_its_slice_of_pooled_check_all(runner):
     # on a pool, check all runs both identity grids as one task and one
     # pass; each grid run alone, one check_identity_grid call at a time,
     # prints exactly its lines of that stream
-    everything = _without_elapsed(runner.invoke(main, ["check", "all", "--workers", "2"]).stdout)
+    with within(120):
+        pooled = runner.invoke(main, ["check", "all", "--workers", "2"])
+    assert isinstance(pooled.exception, SystemExit)  # exit 1, not an error or a timeout
+    everything = _without_elapsed(pooled.stdout)
     for name in ("lemma21", "lemma22"):
         result = runner.invoke(main, ["check", name])
         assert result.exit_code == 0

@@ -458,6 +458,13 @@ def _read_blocks(blocks):
     return offsets, parts
 
 
+def _int8_blocks(tbl, k):
+    """The pieces of the int8 route at depth k as a walsh_blocks stream."""
+    span, piece = core._block_pieces(tbl, k)
+    for offset in range(0, tbl.size, span):
+        yield offset, piece(offset)
+
+
 @pytest.mark.parametrize("n", range(1, 23))
 def test_walsh_blocks_concatenate_to_the_transform(n):
     # The public route, and the int8 route at every depth k it can take,
@@ -470,7 +477,7 @@ def test_walsh_blocks_concatenate_to_the_transform(n):
     for tbl in (from_int(n, rng.getrandbits(1 << n)), member):
         full = walsh_transform(tbl).values
         counts = []
-        for blocks in [walsh_blocks(tbl)] + [core._blocks(tbl, k) for k in depths]:
+        for blocks in [walsh_blocks(tbl)] + [_int8_blocks(tbl, k) for k in depths]:
             offsets, parts = _read_blocks(blocks)
             span = parts[0].size
             assert offsets == list(range(0, 1 << n, span))

@@ -1,4 +1,3 @@
-import contextlib
 import hashlib
 import json
 import logging
@@ -41,7 +40,7 @@ from rsbf import core, families, goldens, harness, recurrences, transfer
 from rsbf.goldens import load_reference_table
 from rsbf.harness import usable_cpus
 
-from conftest import bit, constant, from_int
+from conftest import assert_no_child, bit, constant, from_int, within
 
 
 def test_reference_tables_pass():
@@ -416,7 +415,8 @@ def test_scan_family_workers_match_serial():
     # the second window crosses the full-route cross-check cap of n = 16
     for cases in (sweep_cases((4, 9), None, 4), sweep_cases((15, 18), (1, 4), 4)):
         serial = scan_family(cases, workers=1)
-        pooled = scan_family(cases, workers=2)
+        with within(120):
+            pooled = scan_family(cases, workers=2)
         assert strip(serial) == strip(pooled)
 
 
@@ -930,15 +930,15 @@ def test_config_validation():
 
 
 def test_usable_cpus_follow_the_affinity_mask(monkeypatch):
-    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {3}, raising=False)
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     assert usable_cpus() == 1
     assert HarnessConfig(workers=0).resolved_workers() == 1
     assert HarnessConfig(workers=3).resolved_workers() == 3
     # platforms without the affinity call fall back to the CPU count
-    monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     assert usable_cpus() == 8
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert usable_cpus() == 1
 
 
@@ -957,27 +957,11 @@ def _without_elapsed(reports):
 
 def test_check_all_pooled_equals_in_process():
     serial = run_all(HarnessConfig(max_n=10, workers=1))
-    pooled = run_all(HarnessConfig(max_n=10, workers=2))
+    with within(120):
+        pooled = run_all(HarnessConfig(max_n=10, workers=2))
     assert _without_elapsed(pooled.reports) == _without_elapsed(serial.reports)
     assert pooled.tables == serial.tables
     assert pooled.exit_code == serial.exit_code == 1
-
-
-@contextlib.contextmanager
-def _within(seconds: float):
-    """Raises TimeoutError in this process once ``seconds`` have passed, as
-    an interrupt would: a pool that hangs fails its test instead."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"no result within {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 class _CountingFork:
@@ -1004,18 +988,11 @@ class _CountingFork:
         return pid
 
 
-def _assert_no_child():
-    # raises ChildProcessError only when this process has no child at all,
-    # running or waiting to be reaped
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def test_pools_are_capped_at_their_task_count(monkeypatch):
     sizes: list = []
     _CountingFork(monkeypatch, sizes)
     cases = sweep_cases((4, 6), (1, 2), 4)
-    with _within(120):
+    with within(120):
         reports = scan_family(cases, workers=10**6)
     # one job per distinct factor plus one full-route job per arity (n <=
     # 16) for its distinct tables: (4, 4, 1) and (4, 4, 2) are both 0, and
@@ -1027,7 +1004,7 @@ def test_pools_are_capped_at_their_task_count(monkeypatch):
     assert _without_elapsed(reports) == _without_elapsed(scan_family(cases, workers=1))
     sizes.clear()
     chosen = ["table2", "bound", "theorem"]
-    with _within(120):
+    with within(120):
         result = run_all(HarnessConfig(max_n=8, workers=10**6), only=chosen)
     # one pool of one process per suite; the theorem sweep inside its task
     # runs in process, so no second pool opens
@@ -1038,7 +1015,7 @@ def test_pools_are_capped_at_their_task_count(monkeypatch):
 
 def test_suite_log_time_is_the_suites_own(monkeypatch, caplog):
     _CountingFork(monkeypatch, [], lag=0.25)
-    with _within(120), caplog.at_level(logging.INFO, logger="rsbf.harness"):
+    with within(120), caplog.at_level(logging.INFO, logger="rsbf.harness"):
         run_all(HarnessConfig(workers=2), only=["table2", "eq26"])
     times = {}
     for record in caplog.records:
@@ -1058,18 +1035,12 @@ def test_pooled_suite_failure_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(goldens, "load_reference_table", missing)
     errors = []
     for workers in (1, 2):
-        with _within(120), pytest.raises(OSError) as caught:
+        with within(120), pytest.raises(OSError) as caught:
             run_all(HarnessConfig(workers=workers), only=["table1", "table2"])
         errors.append((type(caught.value), str(caught.value)))
     assert errors[0] == errors[1]
     assert errors[0][0] is FileNotFoundError
-    _assert_no_child()
-
-
-@pytest.fixture()
-def reaped():
-    yield
-    _assert_no_child()
+    assert_no_child()
 
 
 def _mark(folder, i):
@@ -1084,7 +1055,7 @@ def _fail(exc, delay=0.0):
 
 
 def test_pooled_runs_each_call_once_in_call_order(tmp_path, reaped):
-    with _within(30):
+    with within(30):
         results = harness._pooled([(_mark, tmp_path, i) for i in range(9)], 3)
     assert results == [i * i for i in range(9)]
     assert sorted(int(name) for name in os.listdir(tmp_path)) == list(range(9))
@@ -1092,7 +1063,7 @@ def test_pooled_runs_each_call_once_in_call_order(tmp_path, reaped):
 
 def test_pooled_raises_the_earliest_failing_call(reaped):
     calls = [(_fail, LookupError("A"), 0.3), (_fail, ArithmeticError("B"))]
-    with _within(30), pytest.raises(LookupError, match="A") as caught:
+    with within(30), pytest.raises(LookupError, match="A") as caught:
         harness._pooled(calls, 2)
     # the child's traceback comes along as the error's cause
     cause = str(caught.value.__cause__)
@@ -1103,26 +1074,26 @@ def test_pooled_raises_the_earliest_failing_call(reaped):
 def test_pooled_failure_stops_the_calls_not_yet_started(tmp_path, reaped):
     calls = [(_mark, tmp_path, 0), (_fail, ValueError("stop")), (_mark, tmp_path, 2),
              (_mark, tmp_path, 3)]
-    with _within(30), pytest.raises(ValueError, match="stop"):
+    with within(30), pytest.raises(ValueError, match="stop"):
         harness._pooled(calls, 1)
     assert os.listdir(tmp_path) == ["0"]
 
 
 def test_pooled_killed_child_is_an_error(reaped):
     calls = [(abs, -1), (abs, -2), (lambda: os.kill(os.getpid(), signal.SIGKILL),)]
-    with _within(30), pytest.raises(RuntimeError, match="wait status 9 .exit code -9"):
+    with within(30), pytest.raises(RuntimeError, match="wait status 9 .exit code -9"):
         harness._pooled(calls, 2)
 
 
 def test_pooled_unpicklable_result_names_its_call(reaped):
     calls = [(abs, -1), (lambda: lambda: 0,)]
-    with _within(30), pytest.raises(pickle.PicklingError, match="pool call 1 .*<lambda>"):
+    with within(30), pytest.raises(pickle.PicklingError, match="pool call 1 .*<lambda>"):
         harness._pooled(calls, 2)
 
 
 def test_pooled_interrupt_kills_and_reaps_the_children(reaped):
     t0 = time.perf_counter()
-    with pytest.raises(TimeoutError), _within(0.5):
+    with pytest.raises(TimeoutError), within(0.5):
         harness._pooled([(time.sleep, 60), (time.sleep, 60)], 2)
     assert time.perf_counter() - t0 < 30
 
@@ -1148,7 +1119,7 @@ def test_pooled_interrupt_after_a_reap_signals_no_stale_pid(monkeypatch, reaped)
     monkeypatch.setattr(os, "kill", lambda pid, sig: killed.append(pid) or kill(pid, sig))
     monkeypatch.setattr(os, "waitpid", interrupted)
     calls = [(lambda: time.sleep(60 if len(pids) == 2 else 0.5),)] * 2
-    with _within(30), pytest.raises(KeyboardInterrupt):
+    with within(30), pytest.raises(KeyboardInterrupt):
         harness._pooled(calls, 2)
     assert pids[0] not in killed and set(killed) <= {pids[1]}
 
@@ -1176,7 +1147,7 @@ def test_pooled_children_flush_no_parent_buffer():
 
 def test_pooled_runs_more_calls_than_the_task_pipe_holds(reaped):
     # a 64 KiB pipe holds 16384 four-byte call indices
-    with _within(60):
+    with within(60):
         assert harness._pooled([(abs, -i) for i in range(20_000)], 2) == list(range(20_000))
 
 

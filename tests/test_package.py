@@ -131,9 +131,10 @@ def test_harness_options():
 
 def test_cli_import_loads_no_process_pool_module():
     # the harness forks its pool children itself; multiprocessing and
-    # concurrent.futures would add about 21 ms to every start
+    # concurrent.futures would add about 21 ms to every start, and only a
+    # full dump's forked children import fcntl, to size their pipes
     code = ("import sys, rsbf.cli; print(sorted(m for m in sys.modules"
-            " if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+            " if m.split('.')[0] in ('multiprocessing', 'concurrent', 'fcntl')))")
     env = {**os.environ, "PYTHONPATH": str(Path(rsbf.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60)
