@@ -503,9 +503,10 @@ def check(ctx, which, l, n_range, e_range, workers, max_n, seed, fmt, out):
     else:
         _stream_reports(result.reports, fmt, out)
     if which == "all":
-        counts = result.counts()
+        counts, classes = result.counts(), result.fail_classes()
         click.echo(
-            f"# {counts['pass']} pass, {counts['fail']} fail, {counts['skipped']} skipped",
+            f"# {counts['pass']} pass, {counts['fail']} fail ({classes['parity']} parity boundary, "
+            f"{classes['finding']} findings, {classes['other']} other), {counts['skipped']} skipped",
             err=True,
         )
     ctx.exit(result.exit_code)

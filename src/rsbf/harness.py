@@ -745,6 +745,16 @@ def _is_finding(report: VerificationReport) -> bool:
     )
 
 
+def _fail_class(report: VerificationReport) -> str:
+    """A failing report's class in ``check all``'s summary: "parity", a
+    sweep case at e % n == 0 (factor t = 1), or "finding", a quadratic
+    counterexample, each failing on the claim alone; else "other"."""
+    p, claim = report.params, _is_finding(report)
+    if claim and "l" in p and "e" in p and p["e"] % p["n"] == 0:
+        return "parity"
+    return "finding" if claim and report.check == "counterexample" and "n" in p else "other"
+
+
 def _gating(report: VerificationReport) -> bool:
     # confirmed quadratic counterexamples are findings, not errors
     finding = report.check == "counterexample" and "n" in report.params and _is_finding(report)
@@ -776,6 +786,9 @@ class RunResult:
         for r in self.reports:
             out[r.status] += 1
         return out
+
+    def fail_classes(self) -> Counter:
+        return Counter(_fail_class(r) for r in self.reports if r.status == "fail")
 
 
 @dataclass

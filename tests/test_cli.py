@@ -724,6 +724,8 @@ def test_check_lemma_alone_is_its_slice_of_pooled_check_all(runner):
     with within(120):
         pooled = runner.invoke(main, ["check", "all", "--workers", "2"])
     assert isinstance(pooled.exception, SystemExit)  # exit 1, not an error or a timeout
+    # every fail is the parity boundary or a quadratic finding
+    assert "36 fail (19 parity boundary, 17 findings, 0 other)" in pooled.stderr
     everything = _without_elapsed(pooled.stdout)
     for name in ("lemma21", "lemma22"):
         result = runner.invoke(main, ["check", name])

@@ -18,6 +18,7 @@ from rsbf import (
     HarnessConfig,
     TableArtifact,
     MonomialRsbfSpec,
+    VerificationReport,
     check_bound,
     check_factorization,
     check_family_identity,
@@ -878,6 +879,13 @@ def test_full_stride_cases_fail_and_nothing_else_does():
             assert {w[0] for w in report.witnesses} >= {"weight-vs-nonlinearity"}
         else:
             assert report.status == "pass", report.params
+    # check all's summary counts these fails as the parity boundary, and a
+    # fail with a route witness, at full stride or not, as "other"
+    failing = [r for r in reports if r.status == "fail"]
+    assert harness.RunResult(reports).fail_classes() == {"parity": len(failing)}
+    faults = [VerificationReport(r.check, r.params, "fail", [*r.witnesses, ("route:direct", 8, 0)])
+              for r in failing + reports[:1]]
+    assert harness.RunResult(faults).fail_classes() == {"other": len(failing) + 1}
 
 
 def test_cubic_boundary_case():
