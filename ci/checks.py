@@ -59,9 +59,10 @@ def passes(argv: tuple, code: int = 0, lines: int | None = None, mib: float | No
 def agree(lines: int, *runs: tuple):
     """Runs ``(argv, code[, check])`` that exit ``code`` and print the same
     ``lines`` reports byte for byte once elapsed_ms is dropped, cut to
-    ``check``'s where a run names one, and the runs not cut the same stderr:
-    a pool child's stray write (a warning, a traceback) fails the row."""
-    codes, outs, errs = [], [], set()
+    ``check``'s where a run names one, and the runs not cut the same stdout
+    and stderr bytes: a pool child's stray write (a warning, a traceback)
+    fails the row."""
+    codes, outs, streams = [], [], set()
     for argv, _, *only in runs:
         got, out, err, _ = run(argv)
         out, err = (re.sub(r',"elapsed_ms":\d+', "", text) for text in (out, err))
@@ -69,11 +70,11 @@ def agree(lines: int, *runs: tuple):
         outs.append([line for line in out.splitlines() if line.startswith(tag)])
         codes.append(got)
         if not only:
-            errs.add(err)
+            streams.add((out, err))
     diff = [k for k, group in enumerate(zip(*outs)) if len(set(group)) > 1]
-    ok = codes == [r[1] for r in runs] and {len(o) for o in outs} == {lines} and len(errs) == 1
+    ok = codes == [r[1] for r in runs] and {len(o) for o in outs} == {lines} and len(streams) == 1
     return ok and not diff, (f"exit {codes}, lines {[len(o) for o in outs]}, "
-                             f"differing lines {diff[:10]}, stderr bytes {sorted(map(len, errs))}")
+                             f"differing lines {diff[:10]}, distinct streams {len(streams)}")
 
 
 def at_line(mib: float):
@@ -129,8 +130,8 @@ def dump_peaks():
 
 
 def below(top: tuple, *argvs: tuple):
-    peaks, limit = [round(run(argv)[3], 1) for argv in argvs], run(top)[3]
-    return max(peaks) <= limit, f"peaks {peaks} MiB against {limit:.1f} MiB"
+    peaks, limit = [run(argv)[3] for argv in argvs], run(top)[3]
+    return max(peaks) <= limit, f"peaks {[round(p, 1) for p in peaks]} MiB against {limit:.1f} MiB"
 
 
 def summary(argv: tuple, part: str):

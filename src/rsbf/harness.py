@@ -749,10 +749,10 @@ def _fail_class(report: VerificationReport) -> str:
     """A failing report's class in ``check all``'s summary: "parity", a
     sweep case at e % n == 0 (factor t = 1), or "finding", a quadratic
     counterexample, each failing on the claim alone; else "other"."""
-    p, claim = report.params, _is_finding(report)
-    if claim and "l" in p and "e" in p and p["e"] % p["n"] == 0:
+    p = report.params
+    if _is_finding(report) and "l" in p and "e" in p and p["e"] % p["n"] == 0:
         return "parity"
-    return "finding" if claim and report.check == "counterexample" and "n" in p else "other"
+    return "other" if _gating(report) else "finding"
 
 
 def _gating(report: VerificationReport) -> bool:
