@@ -50,6 +50,11 @@ class VerificationReport:
         return json.dumps(self.to_dict(), separators=(",", ":"), default=int)
 
 
+def _skip(check: str, params: dict, cap: int, n: int) -> VerificationReport:
+    """The record of a check not run because its arity n is above ``cap``."""
+    return VerificationReport(check, params, "skipped", [("max-n", cap, n)], 0)
+
+
 def write_jsonl(reports, stream) -> None:
     """One report per line, stable field order."""
     for r in reports:

@@ -37,7 +37,7 @@ from rsbf import (
     sweep_cases,
     walsh_transform,
 )
-from rsbf import core, families, goldens, harness, recurrences, transfer
+from rsbf import core, families, goldens, harness, recurrences, sweep, transfer
 from rsbf.goldens import load_reference_table
 from rsbf.harness import usable_cpus
 
@@ -433,22 +433,22 @@ def test_factored_cases_match_the_full_route():
     cases = [
         case
         for l in range(2, 7)
-        for case in sweep_cases(*harness._sweep_window(l), l=l)
-        if case[0] <= harness.CROSS_CHECK_MAX_N
+        for case in sweep_cases(*sweep._sweep_window(l), l=l)
+        if case[0] <= sweep.CROSS_CHECK_MAX_N
     ]
     cases += sweep_cases((17, 18), None, 4)
     assert (6, 4, 3) in cases
     decs = _decompositions(cases)
     factors = {
-        key: harness._factor_summary(*key, cycles)
-        for key, cycles in harness._factor_tasks(decs).items()
+        key: sweep._factor_summary(*key, cycles)
+        for key, cycles in sweep._factor_tasks(decs).items()
     }
     failing = 0
     for case in cases:
         n, l, e = case
         factor = factors[(decs[case].t, l)]
-        wt, nl, peak, k_abs, abs_max, zero = harness._factored_case(decs[case], factor)
-        _, _, _, *full, _ = harness._family_case(case)
+        wt, nl, peak, k_abs, abs_max, zero = sweep._factored_case(decs[case], factor)
+        _, _, _, *full, _ = sweep._family_case(case)
         assert [wt, nl, peak, abs_max, zero] == full[:3] + full[4:], case
         if not peak:
             failing += 1
@@ -475,10 +475,10 @@ def test_factored_route_holds_for_any_factor(monkeypatch):
         packed = np.packbits(h, bitorder="little").tobytes()
         return from_int(spec.n, int.from_bytes(packed, "little"))
 
-    monkeypatch.setattr(harness, "monomial_rsbf", member)
+    monkeypatch.setattr(sweep, "monomial_rsbf", member)
     # these tables have no monomial set to key them by: key each by its
     # words, so that equal keys still mean equal tables
-    monkeypatch.setattr(harness, "anf_key", lambda spec: (spec.n, member(spec).words.tobytes()))
+    monkeypatch.setattr(sweep, "anf_key", lambda spec: (spec.n, member(spec).words.tobytes()))
     reports = scan_family([(n, 4, e) for n in range(2, 13) for e in range(1, n + 1)])
     witnesses = [w for r in reports for w in r.witnesses]
     assert [w for w in witnesses if w[0].startswith("route:")] == []
@@ -489,8 +489,8 @@ def test_wrong_factor_fails_cross_checked_case(monkeypatch):
     # S(0) of the t = 9 factor moved by 2 in its own spectrum, where the
     # route checks it; (9, 4, 2) sits on that factor but transforms a
     # stride-2 table, so its full route stays right
-    right, right_blocks = harness._factor_summary, harness.walsh_blocks
-    factor_table = harness.monomial_rsbf(harness.MonomialRsbfSpec(9, 4, 1))
+    right, right_blocks = sweep._factor_summary, sweep.walsh_blocks
+    factor_table = sweep.monomial_rsbf(sweep.MonomialRsbfSpec(9, 4, 1))
 
     def wrong(t, l, placements, seed):
         factor = right(t, l, placements, seed)
@@ -505,9 +505,9 @@ def test_wrong_factor_fails_cross_checked_case(monkeypatch):
 
     cases = [(8, 4, 1), (9, 4, 2), (10, 4, 1)]
     # _family_case gives (n, l, e, weight, nl, peak, k_abs, abs_max, W(0), ms)
-    zero, nl = harness._family_case(cases[1])[8], harness._family_case(cases[2])[4]
-    monkeypatch.setattr(harness, "_factor_summary", wrong)
-    monkeypatch.setattr(harness, "walsh_blocks", wrong_blocks)
+    zero, nl = sweep._family_case(cases[1])[8], sweep._family_case(cases[2])[4]
+    monkeypatch.setattr(sweep, "_factor_summary", wrong)
+    monkeypatch.setattr(sweep, "walsh_blocks", wrong_blocks)
     eight, nine, ten = scan_family(cases)
     assert eight.status == "pass"
     assert ("route:factor-zero:t=9", zero, zero + 2) in nine.witnesses
@@ -520,8 +520,10 @@ def test_cases_with_one_table_share_its_full_transform(monkeypatch):
     # variables), (7, 4, 3) and (7, 4, 4) too (strides e and n - e), and
     # (7, 4, 1) its own; one full transform serves each table, one job
     # each arity transforms its distinct tables, and every case sharing a
-    # table is compared with its result, field by field
-    right = harness._family_cases
+    # table is compared with its result, field by field.  The tables of
+    # (5, 4, 1) and (7, 4, 1) are their factors' own, whose butterflies
+    # serve them, so no job transforms them
+    right = sweep._family_cases
     calls = []
 
     def wrong_zero(cases, stack):
@@ -533,14 +535,61 @@ def test_cases_with_one_table_share_its_full_transform(monkeypatch):
     cases = [(5, 4, 1), (5, 4, 2), (7, 4, 1), (7, 4, 3), (7, 4, 4)]
     # the one-case form is the job on that case's table alone
     for case in cases:
-        assert harness._family_case(case)[:9] == right(
+        assert sweep._family_case(case)[:9] == right(
             [case], core.TableStack.of([monomial_rsbf(MonomialRsbfSpec(*case))]))[0][:9]
-    monkeypatch.setattr(harness, "_family_cases", wrong_zero)
+    monkeypatch.setattr(sweep, "_family_cases", wrong_zero)
     reports = scan_family(cases)
-    assert calls == [[(5, 4, 1)], [(7, 4, 1), (7, 4, 3)]]
-    for report in reports:
+    assert calls == [[(7, 4, 3)]]
+    for report in reports[:3]:
+        assert report.status == "pass"
+    for report in reports[3:]:
         zero = dict((w[0], w[1]) for w in report.witnesses)["route:zero"]
         assert ("route:zero", zero, zero - 2) in report.witnesses
+
+
+def test_factor_tables_are_cross_checked_against_their_factor(monkeypatch):
+    # a case whose table is its butterfly factor's own (e = +-1 mod n, and
+    # (5, 4, 2), every 4-subset of 5 variables as at e = 1) is compared
+    # field by field with what that factor's transform gives for the whole
+    # table; (7, 4, 3) is transformed in its arity's job
+    right = sweep._factor_summary
+
+    def wrong_full(t, l, placements, seed):
+        factor = right(t, l, placements, seed)
+        *fields, zero = factor.full
+        return factor._replace(full=(*fields, zero + 2))
+
+    monkeypatch.setattr(sweep, "_factor_summary", wrong_full)
+    reports = scan_family([(5, 4, 1), (5, 4, 2), (7, 4, 1), (7, 4, 3), (7, 4, 6)])
+    flagged = [(r.params["n"], r.params["e"], w) for r in reports for w in r.witnesses]
+    zero5, zero7 = (walsh_transform(monomial_rsbf(MonomialRsbfSpec(n, 4, 1))).values[0]
+                    for n in (5, 7))
+    assert flagged == [(5, 1, ("route:zero", zero5 + 2, zero5)),
+                       (5, 2, ("route:zero", zero5 + 2, zero5)),
+                       (7, 1, ("route:zero", zero7 + 2, zero7)),
+                       (7, 6, ("route:zero", zero7 + 2, zero7))]
+
+
+def test_a_sweep_transforms_each_distinct_table_once(monkeypatch):
+    # the cross-checked tables and the factors' own, each through one
+    # butterfly, whether in a stack, by blocks or alone
+    seen, right = [], core.walsh_transform
+
+    def counted(table):
+        rows = table.words if isinstance(table, core.TableStack) else [table.words]
+        seen.extend((table.n, words.tobytes()) for words in rows)
+        return right(table)
+
+    for module in (core, sweep):
+        monkeypatch.setattr(module, "walsh_transform", counted)
+    cases = sweep_cases((4, 12), None, 4) + sweep_cases((13, 18), (1, 2), 4)
+    assert all(r.status != "fail" or r.params["e"] == r.params["n"] for r in scan_family(cases))
+    tables = {(n, monomial_rsbf(MonomialRsbfSpec(n, l, e)).words.tobytes())
+              for n, l, e in cases if n <= sweep.CROSS_CHECK_MAX_N}
+    factors = sweep._factor_tasks(_decompositions(cases))
+    tables |= {(t, monomial_rsbf(MonomialRsbfSpec(t, l, 1)).words.tobytes())
+               for t, l in factors if not sweep._certificate_route(t, l)}
+    assert sorted(seen) == sorted(tables)
 
 
 def test_scan_family_builds_and_decomposes_each_case_once(monkeypatch):
@@ -549,10 +598,10 @@ def test_scan_family_builds_and_decomposes_each_case_once(monkeypatch):
     # case's cycles are found once; the butterfly factors build their own
     # stride-1 tables
     built, decomposed = [], []
-    build, decompose = harness.monomial_rsbf, harness.cycle_decompose
-    monkeypatch.setattr(harness, "monomial_rsbf",
+    build, decompose = sweep.monomial_rsbf, sweep.cycle_decompose
+    monkeypatch.setattr(sweep, "monomial_rsbf",
                         lambda spec: built.append((spec.n, spec.l, spec.e)) or build(spec))
-    monkeypatch.setattr(harness, "cycle_decompose",
+    monkeypatch.setattr(sweep, "cycle_decompose",
                         lambda n, e: decomposed.append((n, e)) or decompose(n, e))
     cases = sweep_cases((4, 9), None, 4)
     reports = scan_family(cases)
@@ -565,20 +614,22 @@ def test_scan_family_builds_and_decomposes_each_case_once(monkeypatch):
         by_table.setdefault((case[0], monomial_rsbf(spec).words.tobytes()), []).append(case)
     # equal keys are equal tables: the 39 cases have 21 of them
     assert sorted(by_key.values()) == sorted(by_table.values()) and len(by_key) == 21
-    firsts = Counter(group[0] for group in by_key.values())
-    factors = harness._factor_tasks(_decompositions(cases))
+    factors = sweep._factor_tasks(_decompositions(cases))
+    # a factor's own table is built by that factor alone
+    own = {families.anf_key(MonomialRsbfSpec(t, l, 1)) for t, l in factors}
+    firsts = Counter(group[0] for key, group in by_key.items() if key not in own)
     assert Counter(built) == firsts + Counter((t, l, 1) for t, l in factors)
 
 
 def test_seeded_spot_check_catches_wrong_zero_above_cap(monkeypatch):
-    right = harness._factor_summary
+    right = sweep._factor_summary
 
     def wrong(t, l, placements, seed):
         # wrong in a way the factor cannot see: its route checks all held
         factor = right(t, l, placements, seed)
         return factor._replace(zero=factor.zero + 2)
 
-    monkeypatch.setattr(harness, "_factor_summary", wrong)
+    monkeypatch.setattr(sweep, "_factor_summary", wrong)
     cases = sweep_cases((17, 18), (1, 4), 4)
 
     def spotted(seed):
@@ -596,8 +647,8 @@ def test_seeded_spot_check_catches_wrong_zero_above_cap(monkeypatch):
     # e = 1 is the factor itself, whose table route:factor-zero counts
     assert all(e != 1 for _, e, _ in first)
     for n, e, (_, want, got) in first:
-        spec = harness.MonomialRsbfSpec(n, 4, e)
-        assert want == (1 << n) - 2 * harness.weight(harness.monomial_rsbf(spec)) != got
+        spec = sweep.MonomialRsbfSpec(n, 4, e)
+        assert want == (1 << n) - 2 * sweep.weight(sweep.monomial_rsbf(spec)) != got
     assert spotted(3) == first
 
 
@@ -605,8 +656,8 @@ def test_no_spot_check_rebuilds_a_factor_table(monkeypatch):
     # at e = 1 each case's table is its factor's own, so these arities
     # have no case to spot-check
     calls = []
-    right = harness._table_zero
-    monkeypatch.setattr(harness, "_table_zero", lambda case: calls.append(case) or right(case))
+    right = sweep._table_zero
+    monkeypatch.setattr(sweep, "_table_zero", lambda case: calls.append(case) or right(case))
     reports = scan_family(sweep_cases((17, 18), (1, 1), 4))
     assert [r.status for r in reports] == ["pass", "pass"]
     assert calls == []
@@ -615,7 +666,7 @@ def test_no_spot_check_rebuilds_a_factor_table(monkeypatch):
 def _full_reduction(t, l, placements):
     """What the butterfly route must report, from the whole int32 spectrum:
     the _Factor fields zero, top, bottom and lowest_ties."""
-    tbl = harness.monomial_rsbf(harness.MonomialRsbfSpec(t, l, 1))
+    tbl = sweep.monomial_rsbf(sweep.MonomialRsbfSpec(t, l, 1))
     values = walsh_transform(tbl).values
     wide = values.astype(np.int64)
     top, bottom = int(values.max()), int(values.min())
@@ -623,7 +674,7 @@ def _full_reduction(t, l, placements):
     lowest_ties = None
     if peak != values[0]:
         ties = np.flatnonzero(np.abs(wide) == peak)
-        lowest_ties = {cycle: int(ties[np.argmin(harness._place(ties, cycle))])
+        lowest_ties = {cycle: int(ties[np.argmin(sweep._place(ties, cycle))])
                        for cycle in placements}
     return (int(values[0]), top, bottom, lowest_ties)
 
@@ -644,13 +695,13 @@ def test_factor_summary_matches_full_spectrum_reduction(monkeypatch, l, small_bl
         # first cycles as strides place them: spread s apart, and reversed
         placements = tuple(tuple(s * (u * j % t) for j in range(t))
                            for s, u in ((1, 1), (3, 1), (1, t - 1)))
-        got = harness._butterfly_factor(t, l, placements)
+        got = sweep._butterfly_factor(t, l, placements)
         assert tuple(got[:4]) == _full_reduction(t, l, placements), (t, l)
         assert (got.witnesses, got.route, got.rows) == ((), "butterfly", None)
-        if not harness._certificate_route(t, l):
-            assert harness._factor_summary(t, l, placements)[:-1] == got[:-1]
+        if not sweep._certificate_route(t, l):
+            assert sweep._factor_summary(t, l, placements)[:-1] == got[:-1]
     if l == 2:
-        assert harness._factor_summary(19, 2, (tuple(range(19)),))[:3] == (0, 1024, -1024)
+        assert sweep._factor_summary(19, 2, (tuple(range(19)),))[:3] == (0, 1024, -1024)
 
 
 def test_factor_summary_ties_follow_the_running_peak(monkeypatch):
@@ -661,15 +712,15 @@ def test_factor_summary_ties_follow_the_running_peak(monkeypatch):
     t = 5
     placements = (tuple(range(t)), (0, 3, 1, 4, 2), (4, 3, 2, 1, 0))
     rng = np.random.default_rng(5)
-    monkeypatch.setattr(harness, "monomial_rsbf", lambda spec: constant(t, 0))
+    monkeypatch.setattr(sweep, "monomial_rsbf", lambda spec: constant(t, 0))
     grew = 0
     for i in range(200):
         values = rng.integers(-3, 4, 1 << t).astype(np.int32)
         if i % 2:
             values[:8] = np.clip(values[:8], -2, 2)
-        monkeypatch.setattr(harness, "walsh_blocks",
+        monkeypatch.setattr(sweep, "walsh_blocks",
                             lambda table: ((x, values[x : x + 8]) for x in range(0, 1 << t, 8)))
-        factor = harness._factor_summary(t, 4, placements)
+        factor = sweep._factor_summary(t, 4, placements)
         peak = int(np.abs(values).max())
         grew += peak > np.abs(values[:8]).max()
         assert (factor.zero, factor.top, factor.bottom) == (values[0], values.max(), values.min())
@@ -678,7 +729,7 @@ def test_factor_summary_ties_follow_the_running_peak(monkeypatch):
             continue
         ties = np.flatnonzero(np.abs(values) == peak)
         assert factor.lowest_ties == {
-            cycle: int(ties[np.argmin(harness._place(ties, cycle))]) for cycle in placements
+            cycle: int(ties[np.argmin(sweep._place(ties, cycle))]) for cycle in placements
         }
     assert grew > 50
 
@@ -696,7 +747,7 @@ def test_factor_summary_working_memory():
     placements = (tuple(range(t)),)
     tracemalloc.start()
     try:
-        factor = harness._factor_summary(t, 6, placements)
+        factor = sweep._factor_summary(t, 6, placements)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -728,10 +779,10 @@ def test_parseval_fails_a_factor_with_one_wrong_coefficient(monkeypatch):
         offset, block = blocks[-1]
         block[mask - offset] += 2
 
-    value = int(walsh_transform(harness.monomial_rsbf(harness.MonomialRsbfSpec(*case[:1], 6, 1)))
+    value = int(walsh_transform(sweep.monomial_rsbf(sweep.MonomialRsbfSpec(*case[:1], 6, 1)))
                 .values[mask])
     assert scan_family([case])[0].status == "pass"
-    monkeypatch.setattr(harness, "walsh_blocks", _blocks_then(flip))
+    monkeypatch.setattr(sweep, "walsh_blocks", _blocks_then(flip))
     (report,) = scan_family([case])
     assert report.status == "fail"
     assert ("route:parseval:t=21", 4**21, 4**21 + 4 * value + 4) in report.witnesses
@@ -745,7 +796,7 @@ def test_direct_sums_fail_a_factor_with_blocks_out_of_place(monkeypatch):
     # the certificate never reads the patched table.
     t = 21
     factor = from_int(t, random.Random(t).getrandbits(1 << t))
-    monkeypatch.setattr(harness, "monomial_rsbf", lambda spec: factor)
+    monkeypatch.setattr(sweep, "monomial_rsbf", lambda spec: factor)
     route = lambda report: [w for w in report.witnesses if w[0].startswith("route:")]
     assert route(scan_family([(t, 6, 1)])[0]) == []
     values = walsh_transform(factor).values
@@ -757,7 +808,7 @@ def test_direct_sums_fail_a_factor_with_blocks_out_of_place(monkeypatch):
         (x, u), (y, v) = blocks[b], blocks[other]
         blocks[b], blocks[other] = (x, v), (y, u)
 
-    monkeypatch.setattr(harness, "walsh_blocks", _blocks_then(swap))
+    monkeypatch.setattr(sweep, "walsh_blocks", _blocks_then(swap))
     (report,) = scan_family([(t, 6, 1)])
     assert [w[0] for w in route(report)] == ["route:direct:t=21"]
     assert route(report)[0][2] == int(values.max())
@@ -769,9 +820,9 @@ def test_certified_factors_give_the_butterfly_stream(monkeypatch, caplog):
     # same fields as on the butterfly, stride 2 included (two cycles at
     # even n), and every factor logs its route.
     strip = lambda rs: [(r.check, r.params, r.status, r.witnesses) for r in rs]
-    monkeypatch.setattr(harness, "_BLOCKED_ABOVE", 16)
+    monkeypatch.setattr(sweep, "_BLOCKED_ABOVE", 16)
     cases = [(n, l, e) for l in (3, 4, 5, 6) for n in range(17, 23) for e in (1, 2)]
-    with caplog.at_level(logging.INFO, logger="rsbf.harness"):
+    with caplog.at_level(logging.INFO, logger="rsbf.sweep"):
         certified = scan_family(cases)
     lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("factor t=")]
     assert "factor t=17 l=3: certificate route, kept rows 4" in "\n".join(lines)
@@ -779,8 +830,8 @@ def test_certified_factors_give_the_butterfly_stream(monkeypatch, caplog):
     for l, rows in ((3, 4), (4, 8), (5, 16)):
         # t = 17..22, one factor each
         assert sum(f"l={l}: certificate route, kept rows {rows}," in line for line in lines) == 6
-    assert len(lines) == len(harness._factor_tasks(_decompositions(cases)))
-    monkeypatch.setattr(harness, "_certificate_route", lambda t, l: False)
+    assert len(lines) == len(sweep._factor_tasks(_decompositions(cases)))
+    monkeypatch.setattr(sweep, "_certificate_route", lambda t, l: False)
     butterfly = scan_family(cases)
     assert strip(certified) == strip(butterfly)
     assert all(r.status == "pass" for r in certified)
@@ -788,11 +839,11 @@ def test_certified_factors_give_the_butterfly_stream(monkeypatch, caplog):
 
 def test_l5_factor_at_t21_gives_the_butterfly_values_by_the_certificate():
     # l = 5 takes the certificate from t = 21, l = 6 never does up to the cap
-    assert [harness._certificate_route(t, 5) for t in (20, 21, 28)] == [False, True, True]
-    assert not any(harness._certificate_route(t, 6) for t in range(1, 29))
+    assert [sweep._certificate_route(t, 5) for t in (20, 21, 28)] == [False, True, True]
+    assert not any(sweep._certificate_route(t, 6) for t in range(1, 29))
     placements = (tuple(range(21)),)
-    cert = harness._factor_summary(21, 5, placements)
-    butterfly = harness._butterfly_factor(21, 5, placements)
+    cert = sweep._factor_summary(21, 5, placements)
+    butterfly = sweep._butterfly_factor(21, 5, placements)
     assert (cert.route, cert.rows, cert.witnesses) == ("certificate", 16, ())
     assert (butterfly.route, butterfly.witnesses) == ("butterfly", ())
     peak = lambda f: max(f.top, -f.bottom)
@@ -805,28 +856,28 @@ def test_l3_l4_factors_above_the_cross_check_cap_are_certified():
     # cases the full transform cross-checks, with the butterfly's S(0),
     # max and peak; l = 5 at t = 20 and l = 2 below t = 21 stay on the
     # butterfly
-    assert [harness._certificate_route(t, 4) for t in (16, 17, 20)] == [False, True, True]
+    assert [sweep._certificate_route(t, 4) for t in (16, 17, 20)] == [False, True, True]
     for t in range(17, 21):
         placements = (tuple(range(t)),)
         for l in (3, 4):
-            cert = harness._factor_summary(t, l, placements)
-            butterfly = harness._butterfly_factor(t, l, placements)
+            cert = sweep._factor_summary(t, l, placements)
+            butterfly = sweep._butterfly_factor(t, l, placements)
             assert (cert.route, cert.witnesses, butterfly.witnesses) == ("certificate", (), ())
             assert (cert.zero, cert.top, cert.peak) == (butterfly.zero, butterfly.top, butterfly.peak)
-    assert harness._factor_summary(20, 5, (tuple(range(20)),)).route == "butterfly"
-    assert harness._factor_summary(20, 2, (tuple(range(20)),)).route == "butterfly"
+    assert sweep._factor_summary(20, 5, (tuple(range(20)),)).route == "butterfly"
+    assert sweep._factor_summary(20, 2, (tuple(range(20)),)).route == "butterfly"
 
 
 def test_certificate_falls_back_to_the_butterfly(monkeypatch):
     # l = 2 at t = 21 keeps 1024 rows, more than 2, so the butterfly runs
     # and reports what it reports alone
     placements = (tuple(range(21)),)
-    factor = harness._factor_summary(21, 2, placements)
+    factor = sweep._factor_summary(21, 2, placements)
     assert (factor.route, factor.rows, factor.witnesses) == ("butterfly", 1024, ())
     assert tuple(factor[:4]) == _full_reduction(21, 2, placements)
     # the t = 1 parity keeps its one row, where |S(1)| = 2 beats S(0) = 0
-    monkeypatch.setattr(harness, "_certificate_route", lambda t, l: True)
-    factor = harness._factor_summary(1, 4, ((0,),))
+    monkeypatch.setattr(sweep, "_certificate_route", lambda t, l: True)
+    factor = sweep._factor_summary(1, 4, ((0,),))
     assert (factor.route, factor.rows, factor.witnesses) == ("butterfly", 1, ())
     assert tuple(factor[:4]) == _full_reduction(1, 4, ((0,),)) == (0, 2, 0, {(0,): 1})
 
@@ -855,7 +906,7 @@ def test_corrupted_stack_entry_fails_route_stack(monkeypatch):
 
 
 def test_wrong_kept_row_value_fails_route_direct(monkeypatch):
-    right = harness.peak_certificate
+    right = sweep.peak_certificate
 
     def wrong(*args, **kwargs):
         cert = right(*args, **kwargs)
@@ -863,9 +914,9 @@ def test_wrong_kept_row_value_fails_route_direct(monkeypatch):
 
     case = (21, 4, 1)
     cert = right(21, 4)
-    want = int(harness.walsh_at_many(harness.monomial_rsbf(harness.MonomialRsbfSpec(21, 4, 1)),
+    want = int(sweep.walsh_at_many(sweep.monomial_rsbf(sweep.MonomialRsbfSpec(21, 4, 1)),
                                      [cert.mask])[0])
-    monkeypatch.setattr(harness, "peak_certificate", wrong)
+    monkeypatch.setattr(sweep, "peak_certificate", wrong)
     (report,) = scan_family([case])
     assert report.witnesses == [("route:direct:t=21", want, want + 2)]
 
@@ -973,10 +1024,11 @@ def test_check_all_pooled_equals_in_process():
 
 
 class _CountingFork:
-    """Stands in for os.fork as harness calls it: forks for real, counts in
-    ``sizes`` the children of each pool (one opens at each
-    harness._pooled call), and holds the parent ``lag`` seconds after
-    each fork, as a parent waiting on a busy pool would see it."""
+    """Stands in for os.fork as harness and sweep call it: forks for real,
+    counts in ``sizes`` the children of each pool (one opens at each
+    harness._pooled or sweep._pooled call), and holds the parent ``lag``
+    seconds after each fork, as a parent waiting on a busy pool would see
+    it."""
 
     def __init__(self, monkeypatch, sizes: list, lag: float = 0.0):
         self.sizes, self.lag, self.fork, pooled = sizes, lag, os.fork, harness._pooled
@@ -985,7 +1037,8 @@ class _CountingFork:
             sizes.append(0)
             return pooled(calls, workers)
 
-        monkeypatch.setattr(harness, "_pooled", opening)
+        for module in (harness, sweep):
+            monkeypatch.setattr(module, "_pooled", opening)
         monkeypatch.setattr(os, "fork", self)
 
     def __call__(self):
@@ -1003,12 +1056,15 @@ def test_pools_are_capped_at_their_task_count(monkeypatch):
     with within(120):
         reports = scan_family(cases, workers=10**6)
     # one job per distinct factor plus one full-route job per arity (n <=
-    # 16) for its distinct tables: (4, 4, 1) and (4, 4, 2) are both 0, and
-    # (5, 4, 1) and (5, 4, 2) both take every 4-subset of the 5 variables
+    # 16) for its distinct tables that are no factor's own: (4, 4, 1) and
+    # (4, 4, 2) are both 0, and (5, 4, 1) and (5, 4, 2) both take every
+    # 4-subset of the 5 variables, as their factors do; only (6, 4, 2) is left
+    factors = sweep._factor_tasks(_decompositions(cases))
     tables = {(case[0], monomial_rsbf(MonomialRsbfSpec(*case)).words.tobytes()) for case in cases}
     assert len(tables) == len(cases) - 2
-    arities = {n for n, _ in tables}
-    assert sizes == [len(harness._factor_tasks(_decompositions(cases))) + len(arities)]
+    arities = {n for n, _ in tables - {(t, monomial_rsbf(MonomialRsbfSpec(t, l, 1)).words.tobytes())
+                                       for t, l in factors}}
+    assert sizes == [len(factors) + len(arities)] == [len(factors) + 1]
     assert _without_elapsed(reports) == _without_elapsed(scan_family(cases, workers=1))
     sizes.clear()
     chosen = ["table2", "bound", "theorem"]
@@ -1215,13 +1271,13 @@ def test_quadratic_findings_do_not_gate_run_all():
 
 
 def test_route_fault_in_a_quadratic_case_gates(monkeypatch):
-    summary_of = harness._factor_summary
+    summary_of = sweep._factor_summary
 
     def faulty(t, *args):
         factor = summary_of(t, *args)
         return factor._replace(witnesses=factor.witnesses + ((f"route:parseval:t={t}", 4**t, 0),))
 
-    monkeypatch.setattr(harness, "_factor_summary", faulty)
+    monkeypatch.setattr(sweep, "_factor_summary", faulty)
     window = {"n_range": (3, 5), "e_range": (1, 1)}
     result = run_all(HarnessConfig(workers=1), only=["counterexample"], **window)
     *cases, summary = result.reports
