@@ -5,6 +5,7 @@ what it measured, and the script exits 1 if any row failed.
 """
 
 import filecmp
+import json
 import os
 import re
 import subprocess
@@ -82,6 +83,13 @@ def at_line(mib: float):
     ok, figures = passes(argv, mib=mib)
     printed, want = run(argv)[1].strip(), f"walsh at 0: {transfer(28)}"
     return ok and printed == want, f"{figures}, printed {printed!r}, transfer route {want!r}"
+
+
+def analyze_line(mib: float):
+    argv = rsbf("analyze", "--n", "26", "--max-n", "26", "--format", "json")
+    ok, figures = passes(argv, mib=mib)
+    got, want = json.loads(run(argv)[1] or "{}").get("walsh_at_zero"), transfer(26)
+    return ok and got == want, f"{figures}, walsh_at_zero {got}, transfer route {want}"
 
 
 def json_dump(mib: float):
@@ -171,8 +179,9 @@ CHECKS = [
     ("the bound at n = 4..28 reads no table", passes,
      rsbf("check", "bound", "--n-range", "4..28", *MAX), 0, 25, 100),
     # the factor's int32 spectrum alone is 64 MiB (about 101 MiB ru_maxrss);
-    # the blocked route holds a 16 MiB int8 store and two 1 MiB buffers (about
-    # 54 MiB); l = 6 stays on that route, where l = 4 now takes the peak certificate
+    # the blocked route holds the table's bits transposed (2 MiB) and two
+    # 1 MiB buffers (about 39 MiB, 53 MiB with the int8 store it had); l = 6
+    # stays on that route, where l = 4 now takes the peak certificate
     ("a t = 24 butterfly factor (l = 6) holds no full int32 spectrum", passes,
      rsbf("check", "conjecture", "--l", "6", "--n-range", "24..24", "--e-range", "1..1", *ONE),
      0, 1, 80),
@@ -187,8 +196,13 @@ CHECKS = [
     # a Python-int copy of the table and its bytes took it to 131 MiB
     ("an n = 28 --at line holds one copy of the table", at_line, 100),
     # the int32 spectrum alone is 64 MiB (about 102 MiB ru_maxrss); the blocked
-    # route holds a 16 MiB int8 store and two 1 MiB buffers (about 53 MiB)
+    # route holds the table's bits transposed (2 MiB) and two 1 MiB buffers
+    # (about 38 MiB, 52 MiB with the int8 store it had)
     ("an n = 24 JSON dump holds no full int32 spectrum", json_dump, 80),
+    # the blocked butterfly over 2^26 masks: the int8 store it had was 64 MiB
+    # (about 108 MiB ru_maxrss); the table's bits transposed are 8 MiB, beside
+    # the table's own words and a 4 MiB block (about 53 MiB)
+    ("an n = 26 analyze holds no 2^n-byte store", analyze_line, 80),
     ("no child sets an n = 22 dump's peak, and one CPU dumps the same bytes", dump_peaks),
     # these grids hand the direct oracle whole mask ranges, its dense
     # rectangle, at arities the default windows leave to the butterfly

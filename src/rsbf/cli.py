@@ -198,12 +198,15 @@ def _full_spectrum_guard(n: int, out: str | None, force: bool) -> None:
 # and a child's text beyond that waits in its pipe (forks._PIPE_BYTES).
 _BLOCK_ROWS = 1 << 13
 _COMPACT_BYTES = 1 << 15
-# Up to core._BLOCKED_ABOVE a dump is shared out in pieces of this many rows
-# of the one-pass spectrum, which every process reads from the parent's
-# copy; above, a piece is one of walsh_pieces' blocks (2**18 rows at n =
-# 21..24), and each process holds its own block buffer and tiles.  A piece of
-# 2**15 rows is 0.15 MB of JSON to 0.75 MB of text --bits at n = 18, so a
-# child's pipe holds one whole.
+# Up to n = 18 a dump is shared out in pieces of this many rows of the
+# one-pass spectrum, which every process reads from the parent's copy (1
+# MiB at most).  From n = 19 a piece is one of walsh_pieces' blocked
+# pieces, 2**16 rows at n = 19 and 20 and 2**18 at n = 21..24, which each
+# process makes for itself from the table's bits transposed (2**n bits),
+# with its own block buffer and tiles.  A piece of 2**15 rows is 0.15 MB
+# of JSON to 0.75 MB of text --bits at n = 18, and one of 2**16 rows 0.8
+# MB of CSV at n = 20, so a child's pipe holds one whole; text --bits at
+# n = 20 (1.65 MB a piece) fills it before the piece ends.
 _PIECE_ROWS = 1 << 15
 
 

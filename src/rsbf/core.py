@@ -368,19 +368,32 @@ def walsh_transform(tables) -> WalshSpectrum:
 
 
 # walsh_pieces hands out the spectrum in blocks of 2**_BLOCK_BITS masks, 1
-# MiB of int32, once n is above _BLOCKED_ABOVE.  Up to there the one-pass
-# transform, which reads its first three stages from _BYTE_SPECTRA, is as
-# fast or faster, and its spectrum is 4 MiB at most.  Medians of the
-# transform plus its signed extremes for the stride-1 quartic, one-pass
-# against blocked, on a 2-CPU Xeon with NumPy 2.4: 6.9 against 8.1 ms at
-# n = 19, 14.3 against 14.3 ms at n = 20, 29.7 against 27.3 ms at n = 21,
-# 70.3 against 57.1 ms at n = 22 and 411 against 234 ms at n = 24.
+# MiB of int32, above n = _BLOCKED_ABOVE, where the one-pass transform's
+# spectrum passes 4 MiB.  Medians of 9 of the transform plus its signed
+# extremes for the stride-1 quartic, one-pass against blocked, on a 2-CPU
+# Xeon with NumPy 2.4: 4.1/7.3 ms at n = 19, 8.5/11.3 at 20, 19.0/24.0 at
+# 21, 41.4/50.6 at 22 and 246/206 at 24.  A dump at n = 19 and 20 is cut
+# into pieces of 2**_PIECE_BITS masks of the blocked route (one-pass
+# against blocked 3.5/6.0 and 9.0/13.2 ms in one process), so no process
+# holds the spectrum.  A word of the transposed table holds 2**k <= 64
+# bits, so the top stages are _TOP_STAGES at most.
 _BLOCK_BITS = 18
 _BLOCKED_ABOVE = 20
-# The top stages run on an int8 store.  Entering stage k every entry is a
-# signed count of 2**(k - 1) inputs, so a + b, -2b and a - b, all that the
-# stage forms, are at most 2**k in magnitude: k <= 6 keeps |v| <= 64 < 127.
-_INT8_STAGES = 6
+_PIECE_BITS = 16
+_TOP_STAGES = 6
+# bytes of words transposed at a time, and words counted at a time (the
+# count's scratch, 128 KiB at most, stays in cache)
+_TRANSPOSE_BYTES = 1 << 20
+_COUNT_WORDS = 1 << 14
+
+# _PARITY[j] has bit h set where j.h is odd: the signs at j of the spectra
+# of the 64 unit vectors, so it is the butterfly's own, as _BYTE_SPECTRA
+# is, and shares nothing with _LOW and the direct oracle.  It is built in
+# int16 with _BYTE_SPECTRA's NumPy loops: int8 ones would page 0.24 MiB
+# more of NumPy's code into every process.
+_PARITY = np.eye(64, dtype=np.int16)
+_stages(_PARITY.reshape(-1), 1, 64)
+_PARITY = np.packbits((1 - _PARITY) >> 1, axis=1, bitorder="little").view("<u8")[:, 0]
 
 
 def walsh_blocks(table: TruthTable):
@@ -406,41 +419,101 @@ def walsh_pieces(table: TruthTable, rows: int):
 
     Up to n = _BLOCKED_ABOVE the one-pass transform runs here, and a piece
     is a view of ``rows`` of its entries (all of them if fewer).  Above,
-    ``rows`` is not read: the table is unpacked once to an int8 store of
-    (-1)**f(x), 2**n bytes, and its top k = min(6, n - 18) stages run
-    there in place (exact, see _INT8_STAGES).  The 2**k contiguous runs
-    of the store are then the 2**k pieces, of span 2**(n - k), each
-    widened into one reused int32 buffer (1 MiB up to n = 24) where
-    _tiled_stages runs the low stages; the buffer is overwritten by the
-    next piece.  Working memory: the store, unpacked straight from a view
-    of the table's words, the buffer and a pair of int32 tiles of at most
-    1 MiB in all.
+    a piece is one of _block_pieces' at depth k = min(6, n - 18), and so
+    it is for ``rows`` under 2**n at n = 19 and 20, at k = n - 16.  Their
+    working memory is 2**n bits of transposed table, a span of int32 (1
+    MiB up to n = 24), two tiles of 1 MiB in all and 1.5 MiB of scratch
+    at most: nothing of 2**n bytes.
     """
-    if table.n <= _BLOCKED_ABOVE:
-        values = walsh_transform(table).values
-        span = min(rows, table.size)
-        return span, lambda offset: values[offset : offset + span]
-    return _block_pieces(table, min(_INT8_STAGES, table.n - _BLOCK_BITS))
+    n = table.n
+    if n > _BLOCKED_ABOVE:
+        return _block_pieces(table, min(_TOP_STAGES, n - _BLOCK_BITS))
+    if rows < table.size and n - _PIECE_BITS >= 3:  # P of 2**n bits
+        return _block_pieces(table, n - _PIECE_BITS)
+    values = walsh_transform(table).values
+    span = min(rows, table.size)
+    return span, lambda offset: values[offset : offset + span]
+
+
+def _transposed(table: TruthTable, k: int) -> np.ndarray:
+    """P: with span = 2**(n - k), word x holds f(h * span + x) at bit h
+    for each of the 2**k slices h, in words of w = max(2**k, 8) bits:
+    2**n bits in all for k >= 3, a byte a word below.
+
+    The slices' rows, cut into w-bit words, are transposed a w x w bit
+    block at a time by the mask-swap of "Hacker's Delight" (Warren, 2002,
+    section 7-3): stage j swaps bit b + j of row r with bit b of row r + j
+    for the r and b without bit j, rows past the slices being zero.  Rows
+    under a word (a table of at most 4096 bits) are unpacked instead.
+    """
+    slices, span = 1 << k, table.size >> k
+    w = max(slices, 8)
+    dtype = np.dtype(f"<u{w // 8}")
+    if span < w:
+        bits = np.unpackbits(table.words.view(np.uint8), bitorder="little")[: table.size]
+        packed = np.packbits(bits.reshape(slices, span).T, axis=1, bitorder="little")
+        return np.ascontiguousarray(packed).view(dtype).reshape(span)
+    columns = span // w
+    rows = table.words.view(dtype)[: table.size // w].reshape(slices, columns)
+    p = np.empty(span, dtype=dtype)
+    chunk = min(columns, _TRANSPOSE_BYTES // (w * dtype.itemsize))
+    block = np.empty((w, chunk), dtype=dtype)
+    swap = np.empty(w // 2 * chunk, dtype=dtype)
+    masks = [(j, dtype.type(sum(1 << b for b in range(w) if not b & j)))
+             for j in (w >> s for s in range(1, w.bit_length()))]
+    for c0 in range(0, columns, chunk):
+        block[:slices] = rows[:, c0 : c0 + chunk]
+        block[slices:] = 0
+        for j, mask in masks:
+            pairs = block.reshape(-1, 2, j, chunk)
+            lo, hi, t = pairs[:, 0], pairs[:, 1], swap.reshape(-1, j, chunk)
+            np.right_shift(lo, j, out=t)
+            t ^= hi
+            t &= mask
+            hi ^= t
+            np.multiply(t, dtype.type(1 << j), out=t)  # t << j; uint8 shifts are slow
+            lo ^= t
+        p.reshape(columns, w)[c0 : c0 + chunk] = block.T
+    return p
 
 
 def _block_pieces(table: TruthTable, k: int):
-    """walsh_pieces with its top k stages on the int8 store; k must be at
-    most min(_INT8_STAGES, n) for int8 to stay exact."""
-    size = table.size
-    store = np.unpackbits(table.words.view(np.uint8), bitorder="little")[:size].view(np.int8)
-    store *= -2
-    store += 1  # (-1)**f(x)
-    span = size >> k
-    _stages(store, span, size)
+    """walsh_pieces with its top k stages, 0 <= k <= min(_TOP_STAGES, n),
+    read from P (_transposed): after them, entry j * span + x is the sum
+    over slices h of (-1)**(f(h * span + x) + j.h), that is 2**k - 2 *
+    popcount(P[x] ^ L_j), L_j = _PARITY[j] cut to 2**k bits.  Piece j
+    forms these in the tile fill, a tile block at a time, as int8 (exact:
+    at most 2**k <= 64 in magnitude), widened into one reused int32
+    buffer where _tiled_stages runs the low stages.
+    """
+    span = table.size >> k
+    p = _transposed(table, k)
+    patterns = (_PARITY[: 1 << k] & np.uint64((1 << (1 << k)) - 1)).astype(p.dtype)
     v = np.empty(span, dtype=np.int32)
     # the tile stages take entries of up to 2**k to 2**(k + 12) in
     # magnitude, past int16 for the k >= 3 that n > _BLOCKED_ABOVE takes
     tiles = _tiles(span, np.int32)
     width = min(span, _TILE_WIDTH)
+    # NumPy 2.4 counts uint16 bits at about 1.25 ns a word, uint32 at 0.43
+    wide = np.uint32 if p.dtype == np.uint16 else p.dtype
+    words = np.empty(min(tiles[0].shape[0], _COUNT_WORDS), dtype=wide)
+    top = np.uint8(1 << k)
 
     def piece(offset: int) -> np.ndarray:
-        rows = store[offset : offset + span].reshape(-1, width)
-        _tiled_stages(v, tiles, lambda r0, count, spare: rows[r0 : r0 + count], 0, span)
+        pattern = patterns[offset // span]
+
+        def fill(r0: int, rows: int, spare: np.ndarray) -> np.ndarray:
+            x0, count = r0 * width, rows * width
+            out = spare.view(np.uint8)[:count]
+            for s in range(0, count, words.size):
+                ones = words[: min(words.size, count - s)]
+                np.bitwise_xor(p[x0 + s : x0 + s + ones.size], pattern, out=ones)
+                c = np.bitwise_count(ones, out=out[s : s + ones.size])
+                np.add(c, c, out=c)
+                np.subtract(top, c, out=c)  # 2**k - 2 * popcount, mod 2**8
+            return out.view(np.int8).reshape(rows, width)
+
+        _tiled_stages(v, tiles, fill, 0, span)
         return v
 
     return span, piece

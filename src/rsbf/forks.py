@@ -25,7 +25,10 @@ import numpy as np
 # A piece stream's child may run this many bytes ahead of the parent, held
 # in its pipe (kernel memory, in no process's resident set): the most an
 # unprivileged Linux process may set, about one 2**18-row JSON piece
-# (1.2 to 1.4 MB at n = 22).  A child holds at most one buffer beside it.
+# (1.2 to 1.4 MB at n = 22) or one whole 2**16-row CSV piece (0.8 MB at
+# n = 20).  A child holds at most one buffer beside it, and makes its
+# own pieces from the table's bits transposed, so nothing it holds is of
+# 2**n bytes.
 _PIPE_BYTES = 1 << 20
 
 

@@ -398,13 +398,14 @@ def _identity_suite(names: tuple, cfg: HarnessConfig, n_range=None) -> list[Veri
 
 
 def _sweep(name: str, degrees, cfg: HarnessConfig, n_range=None, e_range=None):
-    reports = []
-    for l in degrees:
-        cases = sweep_cases(*_sweep_window(l, n_range, e_range), l=l)
-        reports += scan_family(
-            cases, workers=cfg.resolved_workers(), max_n=cfg.max_n, check_name=name, seed=cfg.seed
-        )
-    return reports
+    # one scan_family call over every degree, so the degrees' cases share
+    # their tables' transforms (l = 5 and 6 share 7 cross-checked tables
+    # at n = 6..15)
+    cases = [case for l in degrees
+             for case in sweep_cases(*_sweep_window(l, n_range, e_range), l=l)]
+    return scan_family(
+        cases, workers=cfg.resolved_workers(), max_n=cfg.max_n, check_name=name, seed=cfg.seed
+    )
 
 
 def _counterexample(cfg: HarnessConfig, n_range=None, e_range=None) -> list[VerificationReport]:

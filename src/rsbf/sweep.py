@@ -294,13 +294,21 @@ def _table_zero(case: tuple[int, int, int]) -> tuple[int, float]:
     return tbl.size - 2 * weight(tbl), time.perf_counter() - t0
 
 
+def _factor_key(dec: CycleDecomposition, l: int) -> tuple[int, int]:
+    """(t, l) of the factor a degree-l case with cycles ``dec`` is built
+    on, l cut to t (to 2 at t = 1, the least degree): every degree l >= t
+    wraps its monomial onto all t variables, so those factors are one
+    table, summarized once."""
+    return dec.t, min(l, max(dec.t, 2))
+
+
 def _factor_tasks(decs: dict) -> dict:
     """(t, l) -> the first cycles of the cases built on that factor, the
     placements its summary ranks tied masks under; ``decs`` maps each case
     (n, l, e) to its cycle_decompose(n, e)."""
     placements: dict = {}
     for (_, l, _), dec in decs.items():
-        placements.setdefault((dec.t, l), set()).add(dec.cycles[0])
+        placements.setdefault(_factor_key(dec, l), set()).add(dec.cycles[0])
     return {key: tuple(sorted(cycles)) for key, cycles in placements.items()}
 
 
@@ -318,21 +326,22 @@ def scan_family(
 
     A case passes when nonlinearity equals weight and no coefficient
     magnitude beats the zero-mask value.  Every case is built from its
-    stride-1 cycle factor, summarized once per distinct (t, l) by
-    _factor_summary: a peak certificate where _certificate_route allows
-    and it holds, else the butterfly.  A case carries its factor's
-    ``route:`` witnesses, and these checks of its own back the factored
-    route: every case with n <= CROSS_CHECK_MAX_N against the full
-    transform of its table, field by field, one transform per distinct
-    table: a butterfly factor's own (e = +-1 mod n) is reduced by that
-    factor, the rest in one job (_family_cases) per arity; and,
-    for each arity above that, one case with e % n != 1
-    drawn from ``seed`` whose W(0) is checked against the popcount of its
-    own stride-e table (a case with e % n == 1 is its factor, whose table
-    route:factor-zero has already counted, so an arity with no other case
-    gets no spot check).  One log line per factor gives its route, kept
-    rows and seconds.  Results come back sorted by (l, n, e) regardless
-    of worker count.
+    stride-1 cycle factor, summarized once per distinct (t, l), l cut to
+    t (_factor_key), by _factor_summary: a peak certificate where
+    _certificate_route allows and it holds, else the butterfly.  A case
+    carries its factor's ``route:`` witnesses, and these checks of its
+    own back the factored route: every case with n <= CROSS_CHECK_MAX_N
+    against the full transform of its table, field by field, one
+    transform per distinct table: a butterfly factor's own (e = +-1 mod
+    n) is reduced by that factor, the rest in one job (_family_cases) per
+    arity; and, for each arity and degree above that, one case with
+    e % n != 1 drawn from ``seed`` (by the arity alone, so the draws do
+    not depend on the other degrees in ``cases``) whose W(0) is checked
+    against the popcount of its own stride-e table (a case with e % n ==
+    1 is its factor, whose table route:factor-zero has already counted,
+    so an arity with no other case gets no spot check).  One log line per
+    factor gives its route, kept rows and seconds.  Results come back
+    sorted by (l, n, e) regardless of worker count.
     """
     reports = []
     todo = []
@@ -342,11 +351,12 @@ def scan_family(
         else:
             todo.append((n, l, e))
     decs = {case: cycle_decompose(case[0], case[2]) for case in todo}
-    above: dict = {}  # n -> its cases, for each n above the cross-check cap
+    above: dict = {}  # (n, l) -> its cases, for each n above the cross-check cap
     for n, l, e in todo:
         if n > CROSS_CHECK_MAX_N and e % n != 1:
-            above.setdefault(n, []).append((n, l, e))
-    spots = sorted(random.Random(seed * 1_000_003 + n).choice(group) for n, group in above.items())
+            above.setdefault((n, l), []).append((n, l, e))
+    spots = sorted(random.Random(seed * 1_000_003 + n).choice(group)
+                   for (n, _), group in above.items())
     tasks = _factor_tasks(decs)
     # a full transform's fields are its table's alone, so the cases up to
     # CROSS_CHECK_MAX_N with one anf_key (e and n - e give one monomial
@@ -387,7 +397,7 @@ def scan_family(
     for (t, l), factor in sorted(factors.items()):
         log.info("factor t=%d l=%d: %s route, kept rows %s, %.3f s",
                  t, l, factor.route, "-" if factor.rows is None else factor.rows, factor.seconds)
-    factor_of = {case: (dec.t, case[1]) for case, dec in decs.items()}
+    factor_of = {case: _factor_key(dec, case[1]) for case, dec in decs.items()}
     uses = Counter(factor_of[case] for case in todo)
     sharing = Counter(first_of.values())
     for case in todo:

@@ -91,10 +91,11 @@ def test_analyze_reads_blocks_into_the_same_record(runner, l, e):
 
 def test_analyze_working_memory(runner):
     # NumPy reports its buffers to tracemalloc.  analyze --n 22 may hold
-    # the int8 store (1 byte a mask), the table's words, bytes and packed
-    # int (1/8 byte a mask each), one int32 block and one tile (1 MiB
-    # each), plus 256 KiB of slack.  Measured: 6,969,118 B against
-    # 8,126,464 B allowed; a full int32 spectrum (16 MiB) does not fit.
+    # the table's words and P, its bits transposed (1/8 byte a mask each),
+    # one int32 block and one tile pair (1 MiB each), plus 256 KiB of
+    # slack.  Measured: 3,332,208 B against 3,407,872 B allowed; the int8
+    # store this route had (1 byte a mask, 4 MiB) does not fit, nor does a
+    # full int32 spectrum (16 MiB).
     n = 22
     runner.invoke(main, ["analyze", "--n", "8"])  # first-call imports and caches
     tracemalloc.start()
@@ -105,7 +106,7 @@ def test_analyze_working_memory(runner):
         tracemalloc.stop()
     assert json.loads(result.output)["nonlinearity_equals_weight"] is True
     size = 1 << n
-    assert peak < size + 3 * size // 8 + (2 << 20) + (256 << 10)
+    assert peak < size // 4 + (2 << 20) + (256 << 10)
 
 
 def test_spectrum_small_degenerate(runner):
@@ -323,6 +324,34 @@ def test_full_dump_blocked_route(runner, monkeypatch, tmp_path, workers, dump, f
     assert sizes == {block_size}
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_full_dump_pieces_take_the_blocked_route(runner, monkeypatch, tmp_path, workers, fmt):
+    # A dump cut into pieces takes the blocked route at depth n -
+    # _PIECE_BITS (n = 19 and 20 at the defaults), while walsh_blocks keeps
+    # the one-pass transform: here n = 10 with _PIECE_BITS = 6 and pieces
+    # of 16 rows asked for, so the pieces are 64 masks at depth 4.
+    argv, record, values = _family_dump(10, 4, 3)
+    expected = _reference_dump(record, values, fmt, 10, False).encode("ascii")
+    monkeypatch.setattr(core, "_PIECE_BITS", 6)
+    monkeypatch.setattr(cli_module, "_PIECE_ROWS", 16)
+    table = monomial_rsbf(MonomialRsbfSpec(10, 4, 3))
+    assert [offset for offset, _ in core.walsh_blocks(table)] == [0]
+    sizes = set()
+
+    def spy(table, rows):
+        span, piece = core.walsh_pieces(table, rows)
+        sizes.add(span)
+        return span, piece
+
+    monkeypatch.setattr(cli_module, "walsh_pieces", spy)
+    for _ in workers.each(dumps=1, pieces=16):
+        out = tmp_path / "dump"
+        with within(60):
+            assert runner.invoke(main, argv + ["--format", fmt, "--out", str(out)]).exit_code == 0
+        assert out.read_bytes() == expected
+    assert sizes == {64}
+
+
 # every digit count from 1 to 9, zero, and both sides of each four-digit
 # group boundary, up to |W| = 2**28
 EDGE_VALUES = [0, 1, -1, 9, -10, 999, -1000, 9999, 10000, -10001, 99999999, -100000000,
@@ -486,10 +515,11 @@ def test_dump_render_working_memory(tmp_path, fmt, bits):
 
 def test_full_dump_working_memory(runner, tmp_path):
     # NumPy reports its buffers to tracemalloc.  A whole dump at n = 22,
-    # transform and render, holds the int8 store (4 MiB), the table's
-    # packed forms, one int32 block and one tile (1 MiB each) and the
-    # renderer's buffers.  The int32 spectrum alone is 16 MiB.  Measured:
-    # 7.2 MiB.
+    # transform and render, holds the table's words and P, its bits
+    # transposed (512 KiB each), one int32 block and one tile pair (1 MiB
+    # each) and the renderer's buffers.  Measured: 3.77 MiB.  The int8
+    # store this route had (4 MiB) does not fit beside them, nor does the
+    # int32 spectrum (16 MiB).
     out = tmp_path / "dump.json"
     runner.invoke(main, ["spectrum", "--n", "8", "--format", "json"])  # first-call imports
     tracemalloc.start()
@@ -503,7 +533,30 @@ def test_full_dump_working_memory(runner, tmp_path):
     with out.open("rb") as fh:
         head = fh.read(64)
     assert head.startswith(b'{"n":22,"l":4,"e":1,"degenerate":false,"values":[')
-    assert peak < 9 * 2**20
+    assert peak < 5 * 2**20
+
+
+def test_n20_dump_working_memory(runner, tmp_path):
+    # NumPy reports its buffers to tracemalloc.  A dump at n = 20 takes
+    # the blocked route in pieces of 2**16 masks, so it holds the table's
+    # words and P (128 KiB each), one int32 piece and one tile pair (256
+    # KiB each) and the renderer's buffers, where the one-pass transform
+    # held the whole int32 spectrum (4 MiB), which does not fit.
+    # Measured: 2.15 MiB.
+    out = tmp_path / "dump.csv"
+    # first-call imports
+    runner.invoke(main, ["subfn", "--i", "1", "--j", "2", "--n", "8", "--format", "csv"])
+    tracemalloc.start()
+    try:
+        with within(60):
+            result = runner.invoke(main, ["subfn", "--i", "1", "--j", "2", "--n", "20",
+                                          "--format", "csv", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 0
+    assert out.stat().st_size > 1 << 20
+    assert peak < 3 * 2**20
 
 
 def test_json_dump_round_trips(runner):

@@ -458,8 +458,8 @@ def _read_blocks(blocks):
     return offsets, parts
 
 
-def _int8_blocks(tbl, k):
-    """The pieces of the int8 route at depth k as a walsh_blocks stream."""
+def _top_blocks(tbl, k):
+    """The pieces of the blocked route at depth k as a walsh_blocks stream."""
     span, piece = core._block_pieces(tbl, k)
     for offset in range(0, tbl.size, span):
         yield offset, piece(offset)
@@ -467,17 +467,19 @@ def _int8_blocks(tbl, k):
 
 @pytest.mark.parametrize("n", range(1, 23))
 def test_walsh_blocks_concatenate_to_the_transform(n):
-    # The public route, and the int8 route at every depth k it can take,
-    # k = 0 .. min(6, n): its int32 tiles then take 2**k blocks of 1 ..
-    # 2**n entries, the low stages of 2**(n - k - 12) tile blocks each
-    # from n - k = 18 up.  walsh_blocks takes k = n - 18 from n = 21 up.
+    # The public route, and the blocked route at every depth k it can
+    # take, k = 0 .. min(6, n): P's words are then 1 to 64 bits, and
+    # spans under one word (n - k < 6) are transposed from unpacked bits;
+    # its int32 tiles take 2**k blocks of 1 .. 2**n entries, the low
+    # stages of 2**(n - k - 12) tile blocks each from n - k = 18 up.
+    # walsh_blocks takes k = n - 18 from n = 21 up.
     rng = random.Random(n)
     member = monomial_rsbf(MonomialRsbfSpec(n, 4, 1 + n % 3))
-    depths = list(range(min(core._INT8_STAGES, n) + 1))
+    depths = list(range(min(core._TOP_STAGES, n) + 1))
     for tbl in (from_int(n, rng.getrandbits(1 << n)), member):
         full = walsh_transform(tbl).values
         counts = []
-        for blocks in [walsh_blocks(tbl)] + [_int8_blocks(tbl, k) for k in depths]:
+        for blocks in [walsh_blocks(tbl)] + [_top_blocks(tbl, k) for k in depths]:
             offsets, parts = _read_blocks(blocks)
             span = parts[0].size
             assert offsets == list(range(0, 1 << n, span))
@@ -490,13 +492,34 @@ def test_walsh_blocks_concatenate_to_the_transform(n):
         assert nonlinearity(tbl) == (tbl.size - int(full.max())) // 2
 
 
+@pytest.mark.parametrize("k", range(3, 7))
+def test_blocked_route_reads_its_own_parity_patterns(monkeypatch, k):
+    # L_j comes from the butterfly's own _PARITY, which no other route
+    # reads: with bit 3 of L_5 flipped, piece 5 of the blocked route is
+    # wrong and every other piece, the one-pass transform and the direct
+    # oracle are not
+    n = 12
+    tbl = from_int(n, random.Random(k).getrandbits(1 << n))
+    full = walsh_transform(tbl).values
+    parity = core._PARITY.copy()
+    parity[5] ^= np.uint64(1 << 3)
+    monkeypatch.setattr(core, "_PARITY", parity)
+    offsets, parts = _read_blocks(_top_blocks(tbl, k))
+    wrong = [i for i, (offset, part) in enumerate(zip(offsets, parts))
+             if not np.array_equal(part, full[offset : offset + part.size])]
+    assert wrong == [5]
+    assert np.array_equal(walsh_transform(tbl).values, full)
+    masks = np.arange(offsets[5], offsets[6])
+    assert walsh_at_many(tbl, masks).tolist() == full[masks].tolist()
+
+
 def test_walsh_blocks_at_n24_against_direct_sums_and_parseval():
     # No full spectrum is made here: the blocks are read one at a time, the
-    # values at seeded masks kept, and the squares summed.  The int8 store
-    # (2**24 B), one block and one tile (1 MiB each) and this test's int64
-    # copies of a block (2 MiB, two while one replaces the other) fit in
-    # the bound with 1.25 MiB to spare; a full int32 spectrum (64 MiB) does
-    # not.  Measured: 23.07 MB against 24.38 MB allowed.
+    # values at seeded masks kept, and the squares summed.  P (2**24 bits),
+    # one block and one tile pair (1 MiB each) and this test's int64 copies
+    # of a block (2 MiB, two while one replaces the other) fit in the bound
+    # with 512 KiB to spare; the int8 store this route had (2**24 B), or
+    # any 4 MiB array, does not.  Measured: 8.52 MB against 8.91 MB allowed.
     n = 24
     rng = random.Random(n)
     tbl = monomial_rsbf(MonomialRsbfSpec(n, 4, 1))
@@ -517,7 +540,7 @@ def test_walsh_blocks_at_n24_against_direct_sums_and_parseval():
     assert power == 4**n
     assert [got[c] for c in masks] == walsh_at_many(tbl, masks).tolist()
     assert got[0] == tbl.size - 2 * weight(tbl)
-    assert peak < (1 << n) + 2 * (4 * span) + 2 * (8 * span) + (1280 << 10)
+    assert peak < (1 << n) // 8 + 2 * (4 * span) + 2 * (8 * span) + (512 << 10)
 
 
 def test_walsh_at_many_working_memory():

@@ -446,7 +446,7 @@ def test_factored_cases_match_the_full_route():
     failing = 0
     for case in cases:
         n, l, e = case
-        factor = factors[(decs[case].t, l)]
+        factor = factors[sweep._factor_key(decs[case], l)]
         wt, nl, peak, k_abs, abs_max, zero = sweep._factored_case(decs[case], factor)
         _, _, _, *full, _ = sweep._family_case(case)
         assert [wt, nl, peak, abs_max, zero] == full[:3] + full[4:], case
@@ -590,6 +590,25 @@ def test_a_sweep_transforms_each_distinct_table_once(monkeypatch):
     tables |= {(t, monomial_rsbf(MonomialRsbfSpec(t, l, 1)).words.tobytes())
                for t, l in factors if not sweep._certificate_route(t, l)}
     assert sorted(seen) == sorted(tables)
+
+
+def test_conjecture_transforms_each_distinct_table_once(monkeypatch):
+    # l = 5 and l = 6 run through one scan_family call, and a factor's l is
+    # cut to its t, so the tables the two degrees share (7 cross-checked
+    # ones at n = 6..15, the factors at t = 2..5) go through one butterfly:
+    # 67 transforms where a call per degree made 78
+    seen, right = [], core.walsh_transform
+
+    def counted(table):
+        rows = table.words if isinstance(table, core.TableStack) else [table.words]
+        seen.extend((table.n, words.tobytes()) for words in rows)
+        return right(table)
+
+    for module in (core, sweep):
+        monkeypatch.setattr(module, "walsh_transform", counted)
+    result = run_all(HarnessConfig(workers=1), only=["conjecture"])
+    assert len(result.reports) == 93 and result.ok
+    assert len(seen) == len(set(seen)) == 67
 
 
 def test_scan_family_builds_and_decomposes_each_case_once(monkeypatch):
@@ -736,13 +755,13 @@ def test_factor_summary_ties_follow_the_running_peak(monkeypatch):
 
 def test_factor_summary_working_memory():
     # NumPy reports its buffers to tracemalloc.  At t = 22 the blocked
-    # route may hold the int8 store (1 byte a mask), the packed table, its
-    # bytes while they unpack and the words of its build (1/8 byte a mask
-    # each, not all at once), one int32 block and one tile (1 MiB each) and
-    # the int64 squares of one tie block (512 KiB), plus 256 KiB of slack.
-    # Measured at l = 6, which stays on the butterfly: 7,906,968 B against
-    # 8,126,464 B allowed, under the 16 MiB of a full int32 spectrum, which
-    # does not fit.
+    # route may hold the table's words and P, its bits transposed (1/8 byte
+    # a mask each), one int32 block and one tile pair (1 MiB each) and the
+    # int64 squares of one tie block (512 KiB), plus 768 KiB of slack for
+    # the bit count's scratch and the direct sums.  Measured at l = 6, which
+    # stays on the butterfly: 4,267,269 B against 4,456,448 B allowed; the
+    # int8 store this route had (1 byte a mask, 4 MiB) does not fit, nor
+    # do the 16 MiB of a full int32 spectrum.
     t = 22
     placements = (tuple(range(t)),)
     tracemalloc.start()
@@ -753,7 +772,7 @@ def test_factor_summary_working_memory():
         tracemalloc.stop()
     assert (factor.route, factor.witnesses) == ("butterfly", ())
     size = 1 << t
-    assert peak < size + 2 * size // 8 + (2 << 20) + (512 << 10) + (256 << 10) < 4 * size
+    assert peak < 2 * size // 8 + (2 << 20) + (512 << 10) + (768 << 10) < 4 * size
 
 
 def _blocks_then(mutate):

@@ -248,7 +248,8 @@ def test_certificate_working_memory():
     # stacks are 64 * 2^12 int64 each (2 MiB); the row bounds take |A| in
     # one chunk of the same size, and the kept rows' products are 8 * 2^12
     # int64 twice (512 KiB), after it.  Measured 6,334,656 B against
-    # 6,422,528 B allowed; the butterfly route's int8 store alone is 16 MiB.
+    # 6,422,528 B allowed; the one-pass butterfly's int32 spectrum alone is
+    # 64 MiB.
     stack_bytes = 64 * (1 << 12) * 8
     tracemalloc.start()
     try:
