@@ -37,11 +37,13 @@ def run(argv: tuple) -> tuple[int, str, str, float]:
     return proc.returncode, *texts, usage.ru_maxrss / 1024  # KiB on Linux
 
 
-def transfer(n: int) -> int:
-    """W(0) of the n-variable quartic from the transfer matrices: no table,
-    no butterfly.  It runs in a child, because a command's ru_maxrss starts
-    from this process's resident set when it is spawned."""
-    code = f"from rsbf import family_walsh_transfer as w; print(w({n}, 4, 0))"
+def transfer(n: int, variant: tuple | None = None) -> int:
+    """W(0) of the n-variable quartic, or of the chain variant (i, j), from
+    the transfer matrices: no table, no butterfly.  It runs in a child,
+    because a command's ru_maxrss starts from this process's resident set
+    when it is spawned."""
+    code = (f"from rsbf import subfn_zero_transfer as w; print(w({n})[{n}][{variant}])" if variant
+            else f"from rsbf import family_walsh_transfer as w; print(w({n}, 4, 0))")
     return int(run((PY, "-c", code))[1])
 
 
@@ -78,10 +80,13 @@ def agree(lines: int, *runs: tuple):
                              f"differing lines {diff[:10]}, distinct streams {len(streams)}")
 
 
-def at_line(mib: float):
-    argv = rsbf("spectrum", "--n", "28", "--at", "0", "--max-n", "28")
+def at_line(mib: float, *variant: int):
+    """The n = 28 --at 0 line of the quartic, or of the chain variant
+    (i, j), against the transfer route."""
+    member = ("subfn", "--i", str(variant[0]), "--j", str(variant[1])) if variant else ("spectrum",)
+    argv = rsbf(*member, "--n", "28", "--at", "0", "--max-n", "28")
     ok, figures = passes(argv, mib=mib)
-    printed, want = run(argv)[1].strip(), f"walsh at 0: {transfer(28)}"
+    printed, want = run(argv)[1].strip(), f"walsh at 0: {transfer(28, variant)}"
     return ok and printed == want, f"{figures}, printed {printed!r}, transfer route {want!r}"
 
 
@@ -192,12 +197,18 @@ CHECKS = [
     # case is its factor, so no spot check builds that table a second time
     ("a t = 28 factor by the peak certificate", passes,
      rsbf("check", "theorem", "--n-range", "28..28", "--e-range", "1..1", *MAX, *ONE), 0, 1, 100),
-    # the direct oracle reads the 32 MiB of table words in place (about 66 MiB);
-    # a Python-int copy of the table and its bytes took it to 131 MiB
-    ("an n = 28 --at line holds one copy of the table", at_line, 100),
+    # --at sums the member from its monomials one subcube of 2^20 inputs at
+    # a time, 128 KiB of table each (about 32 MiB, of which importing the CLI
+    # takes 31 MiB); reading the 32 MiB of table words in place took it to
+    # about 65 MiB, and a Python-int copy of the table and its bytes to 131 MiB
+    ("an n = 28 --at line reads no table", at_line, 48),
+    # a chain variant's --at fills neither the variant nor the chain cache,
+    # where building them would take 64 MiB of tables
+    ("an n = 28 subfn --at line reads no table", at_line, 48, 3, 3),
     # the int32 spectrum alone is 64 MiB (about 102 MiB ru_maxrss); the blocked
-    # route holds the table's bits transposed (2 MiB) and two 1 MiB buffers
-    # (about 38 MiB, 52 MiB with the int8 store it had)
+    # route holds the table's bits transposed (2 MiB) and two 1 MiB buffers,
+    # and the table's words (2 MiB) are freed once P is made (about 37 MiB;
+    # 38 MiB while the words were held, 52 MiB with the int8 store it had)
     ("an n = 24 JSON dump holds no full int32 spectrum", json_dump, 80),
     # the blocked butterfly over 2^26 masks: the int8 store it had was 64 MiB
     # (about 108 MiB ru_maxrss); the table's bits transposed are 8 MiB, beside

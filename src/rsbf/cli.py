@@ -20,12 +20,13 @@ from .core import (
     DEFAULT_MAX_N,
     HARD_MAX_N,
     SpectrumPeaks,
-    walsh_at,
+    anf_table,
+    walsh_at_anf,
     walsh_blocks,
     walsh_pieces,
     weight,
 )
-from .families import MonomialRsbfSpec, monomial_rsbf, sub_function
+from .families import MonomialRsbfSpec, family_monomials, monomial_rsbf, variant_monomials
 from .forks import usable_cpus, write_pieces
 from .harness import SUITES, HarnessConfig, run_all, validate_windows
 from .report import write_jsonl
@@ -201,12 +202,14 @@ _COMPACT_BYTES = 1 << 15
 # Up to n = 18 a dump is shared out in pieces of this many rows of the
 # one-pass spectrum, which every process reads from the parent's copy (1
 # MiB at most).  From n = 19 a piece is one of walsh_pieces' blocked
-# pieces, 2**16 rows at n = 19 and 20 and 2**18 at n = 21..24, which each
-# process makes for itself from the table's bits transposed (2**n bits),
-# with its own block buffer and tiles.  A piece of 2**15 rows is 0.15 MB
-# of JSON to 0.75 MB of text --bits at n = 18, and one of 2**16 rows 0.8
-# MB of CSV at n = 20, so a child's pipe holds one whole; text --bits at
-# n = 20 (1.65 MB a piece) fills it before the piece ends.
+# pieces, 2**16 rows at n = 19 and 20, 2**17 at n = 21..23 and 2**18 at
+# n = 24, which each process makes for itself from the table's bits
+# transposed (2**n bits), with its own block buffer and tiles; the table
+# itself is freed once they are made (see _spectrum_command).  A piece of
+# 2**15 rows is 0.15 MB of JSON to 0.75 MB of text --bits at n = 18, and
+# one of 2**16 rows 0.8 MB of CSV at n = 20, so a child's pipe holds one
+# whole; text --bits at n = 20 (1.65 MB a piece) fills it before the
+# piece ends.
 _PIECE_ROWS = 1 << 15
 
 
@@ -373,22 +376,33 @@ def _render_spectrum(record: dict, pieces, fmt: str, n: int, bits: bool, out: st
         fh.flush()
 
 
-def _spectrum_command(tbl, record: dict, note: str, at, force, fmt, out, bits) -> None:
-    """The body of spectrum and subfn: the coefficient of ``tbl`` at mask
-    ``at`` by direct summation, a line that ends in ``note`` as text, or
-    with ``at`` None the full spectrum; ``record`` heads either."""
-    n = tbl.n
+def _spectrum_command(n: int, monomials, record: dict, note: str, at, force, fmt, out,
+                      bits) -> None:
+    """The body of spectrum and subfn, for the XOR of ``monomials`` on n
+    variables: its coefficient at mask ``at`` by direct summation, a line
+    that ends in ``note`` as text, or with ``at`` None the full spectrum;
+    ``record`` heads either.
+
+    Neither holds a table it no longer reads.  The coefficient is summed
+    from the monomials one subcube at a time (walsh_at_anf), so no 2**n-bit
+    table is built: an out-of-range mask is refused before any work, and
+    at n = 28 the sum holds about 0.5 MiB where the table's words alone
+    are 32 MiB.  A dump builds its table only to hand it to walsh_pieces,
+    whose pieces keep what they read (P, or the one-pass spectrum up to
+    n = 18) and not the table, so the table is freed before the renderer's
+    buffers are made.
+    """
     if at is not None:
         try:
-            value = walsh_at(tbl, at)
+            value = walsh_at_anf(n, monomials, at)
         except IndexError:
-            raise click.UsageError(f"--at {at} is outside 0..{tbl.size - 1}") from None
+            raise click.UsageError(f"--at {at} is outside 0..{(1 << n) - 1}") from None
         record = {**record, "at": _mask_text(at, n, bits) if bits else at, "value": value}
         _emit(record, fmt, f"walsh at {record['at']}: {record['value']}{note}", out)
         return
     _full_spectrum_guard(n, out, force)
-    span, piece = walsh_pieces(tbl, _PIECE_ROWS)
-    pieces = [(offset, partial(piece, offset)) for offset in range(0, tbl.size, span)]
+    span, piece = walsh_pieces(anf_table(n, monomials), _PIECE_ROWS)
+    pieces = [(offset, partial(piece, offset)) for offset in range(0, 1 << n, span)]
     _render_spectrum(record, pieces, fmt, n, bits, out)
 
 
@@ -406,7 +420,7 @@ def spectrum(n, l, e, at, force, fmt, out, max_n, bits):
     spec = _capped(n, max_n, MonomialRsbfSpec, n, l, e)
     record = {"n": n, "l": l, "e": e, "degenerate": spec.degenerate}
     note = " (degenerate: n < l)" if spec.degenerate else ""
-    _spectrum_command(monomial_rsbf(spec), record, note, at, force, fmt, out, bits)
+    _spectrum_command(n, family_monomials(spec), record, note, at, force, fmt, out, bits)
 
 
 @main.command()
@@ -422,8 +436,8 @@ def spectrum(n, l, e, at, force, fmt, out, max_n, bits):
 @_common_options
 def subfn(i, j, n, at, force, fmt, out, max_n, bits):
     """Walsh spectrum of one chain variant (all masks, or one with --at)."""
-    tbl = _capped(n, max_n, sub_function, i, j, n)
-    _spectrum_command(tbl, {"i": i, "j": j, "n": n}, "", at, force, fmt, out, bits)
+    monomials = _capped(n, max_n, variant_monomials, i, j, n)
+    _spectrum_command(n, monomials, {"i": i, "j": j, "n": n}, "", at, force, fmt, out, bits)
 
 
 def _stream_reports(reports, fmt: str, out: str | None) -> None:

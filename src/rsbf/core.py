@@ -39,6 +39,7 @@ __all__ = [
     "walsh_pieces",
     "walsh_at",
     "walsh_at_many",
+    "walsh_at_anf",
     "nonlinearity",
     "SpectrumPeaks",
 ]
@@ -375,10 +376,17 @@ def walsh_transform(tables) -> WalshSpectrum:
 # 21, 41.4/50.6 at 22 and 246/206 at 24.  A dump at n = 19 and 20 is cut
 # into pieces of 2**_PIECE_BITS masks of the blocked route (one-pass
 # against blocked 3.5/6.0 and 9.0/13.2 ms in one process), so no process
-# holds the spectrum.  A word of the transposed table holds 2**k <= 64
-# bits, so the top stages are _TOP_STAGES at most.
+# holds the spectrum, and one at n = 21..23 into pieces of 2**_DUMP_BITS
+# masks, 512 KiB of int32 each, at k = n - 17 where walsh_blocks takes
+# k = n - 18, so a dump holds half the block.  Every piece of the stride-1
+# quartic in one process, thread time, medians of 21 interleaved, k =
+# n - 18 against n - 17: 22.7/23.5 ms at n = 21, 46.0/46.2 at 22 and
+# 91.5/91.5 at 23; at n = 24 both take k = 6, 190.7 ms.  A word of the
+# transposed table holds 2**k <= 64 bits, so the top stages are
+# _TOP_STAGES at most.
 _BLOCK_BITS = 18
 _BLOCKED_ABOVE = 20
+_DUMP_BITS = 17
 _PIECE_BITS = 16
 _TOP_STAGES = 6
 # bytes of words transposed at a time, and words counted at a time (the
@@ -419,15 +427,17 @@ def walsh_pieces(table: TruthTable, rows: int):
 
     Up to n = _BLOCKED_ABOVE the one-pass transform runs here, and a piece
     is a view of ``rows`` of its entries (all of them if fewer).  Above,
-    a piece is one of _block_pieces' at depth k = min(6, n - 18), and so
-    it is for ``rows`` under 2**n at n = 19 and 20, at k = n - 16.  Their
+    a piece is one of _block_pieces' at depth k = min(6, n - 18), or with
+    ``rows`` under 2**n (a dump's pieces) k = min(6, n - 17); at n = 19
+    and 20 it is one for ``rows`` under 2**n, at k = n - 16.  Their
     working memory is 2**n bits of transposed table, a span of int32 (1
     MiB up to n = 24), two tiles of 1 MiB in all and 1.5 MiB of scratch
-    at most: nothing of 2**n bytes.
+    at most: nothing of 2**n bytes.  The pieces keep P, not the table.
     """
     n = table.n
     if n > _BLOCKED_ABOVE:
-        return _block_pieces(table, min(_TOP_STAGES, n - _BLOCK_BITS))
+        bits = _BLOCK_BITS if rows >= table.size else _DUMP_BITS
+        return _block_pieces(table, min(_TOP_STAGES, n - bits))
     if rows < table.size and n - _PIECE_BITS >= 3:  # P of 2**n bits
         return _block_pieces(table, n - _PIECE_BITS)
     values = walsh_transform(table).values
@@ -667,6 +677,67 @@ def walsh_at(table: TruthTable, mask) -> int:
     """One Walsh coefficient by direct summation over all inputs; see
     walsh_at_many.  A mask out of range raises IndexError, however large."""
     return int(walsh_at_many(table, [_check_masks(table.n, mask)])[0])
+
+
+# walsh_at_anf sums subcubes of 2**_SUBCUBE_BITS inputs, a 128 KiB table
+# each.  Medians of one mask's sum on a 2-CPU Xeon with NumPy 2.4, for
+# subcubes of 2**18 / 2**20 / 2**22 inputs: 2.8 / 2.8 / 5.5 ms for the
+# stride-1 quartic at n = 24, 20 / 6.8 / 35 ms at n = 28, and 140 / 87 /
+# 99 ms for stride 5 at n = 28, whose restrictions seldom repeat; building
+# the whole table and summing it took 5.1, 77 and 63 ms.  Smaller subcubes
+# pay NumPy's cost per call on more of them, and larger ones leave the
+# cache.
+_SUBCUBE_BITS = 20
+
+
+def walsh_at_anf(n: int, monomials, masks):
+    """Walsh coefficients of the XOR of ``monomials`` (as anf_table takes
+    them) on n variables at ``masks``, by direct summation, with no table
+    of 2**n bits: one int for one mask, an int64 array for an array.
+
+    With m = min(n, _SUBCUBE_BITS), the inputs split into the 2**(n - m)
+    subcubes whose top n - m variables are fixed to a, and
+
+        W(c) = sum over a of (-1)**popcount(c_hi & a) * W_a(c_lo),
+
+    with c_lo = c mod 2**m, c_hi = c >> m and W_a the spectrum of f with
+    its top variables fixed to a (Carlet, Boolean Functions for
+    Cryptography and Coding Theory, CUP 2021, ch. 2).  That restriction is
+    the XOR of the monomials whose fixed variables are all 1 in a, cut to
+    their low variables, so each subcube's table of 2**m bits is built
+    from them and summed by walsh_at_many, the one direct oracle; a kept
+    monomial with no low variable is the constant 1 and negates W_a, and
+    subcubes whose other kept monomials agree share one sum (the
+    quartic's 256 subcubes at n = 28 take 16).  Every term is at most
+    2**m in magnitude and the sum at most 2**n <= 2**28, so int64 is
+    exact.  A mask out of range raises IndexError before anything is
+    built.
+    """
+    _check_arity(n)
+    c = _check_masks(n, masks)
+    scalar = isinstance(c, int)
+    c = np.asarray(c, dtype=np.int64)
+    m = min(n, _SUBCUBE_BITS)
+    # each monomial as (its fixed variables' bits, its variables below m)
+    terms = []
+    for monomial in monomials:
+        bits = 0
+        for v in monomial:
+            if not 0 <= v < n:
+                raise ValueError(f"variable index {v} out of range for n={n}")
+            bits |= 1 << v
+        terms.append((bits >> m, tuple(v for v in range(m) if bits >> v & 1)))
+    low, high = c.reshape(-1) & ((1 << m) - 1), c.reshape(-1) >> m
+    total = np.zeros(c.size, dtype=np.int64)
+    sums: dict = {}
+    for a in range(1 << (n - m)):
+        kept = [low_vars for fixed, low_vars in terms if fixed & a == fixed]
+        key = tuple(low_vars for low_vars in kept if low_vars)
+        if key not in sums:
+            sums[key] = walsh_at_many(anf_table(m, key), low)
+        odd = (np.bitwise_count(high & a) + (len(kept) - len(key))) & 1
+        total += np.where(odd, -sums[key], sums[key])
+    return int(total[0]) if scalar else total.reshape(c.shape)
 
 
 def nonlinearity(table: TruthTable) -> int:

@@ -18,6 +18,8 @@ __all__ = [
     "quartic_chain",
     "sub_function",
     "monomial_rsbf",
+    "family_monomials",
+    "variant_monomials",
     "anf_key",
     "cycle_decompose",
     "factored_walsh",
@@ -68,6 +70,22 @@ def _tail(first: int, last: int, count: int) -> list:
 _HEADS = ((0, 1, 2), (0, 1), (0,))
 
 
+def _corrections(i: int, j: int, n: int) -> list:
+    """The tail and head corrections of variant (i, j), checked."""
+    if not (0 <= i <= 3 and 0 <= j <= 3):
+        raise ValueError(f"variant indices must be in 0..3, got ({i},{j})")
+    _check_arity(n)
+    if n < 4:
+        raise ValueError(f"variants need arity at least 4, got {n}")
+    return _tail(n - 3, n - 1, i) + list(_HEADS[:j])
+
+
+def variant_monomials(i: int, j: int, n: int) -> list:
+    """The monomials of sub_function(i, j, n): the chain, then the
+    variant's tail and head corrections."""
+    return _chain(n) + _corrections(i, j, n)
+
+
 # every variant of an arity shares its chain; four entries serve an identity
 # grid arity, which reads the chains at n and the three arities below it,
 # and the cap keeps a library sweep over many arities from holding all
@@ -88,14 +106,17 @@ def sub_function(i: int, j: int, n: int) -> TruthTable:
     """The chain plus the (i, j)-indexed tail and head corrections: a copy
     of the shared chain table with at most six correction monomials XORed
     into it in place, so a build holds two tables, the chain and its own."""
-    if not (0 <= i <= 3 and 0 <= j <= 3):
-        raise ValueError(f"variant indices must be in 0..3, got ({i},{j})")
-    _check_arity(n)
-    if n < 4:
-        raise ValueError(f"variants need arity at least 4, got {n}")
+    corrections = _corrections(i, j, n)
     words = quartic_chain(n).words.copy()
-    _xor_monomials(n, words, _tail(n - 3, n - 1, i) + list(_HEADS[:j]))
+    _xor_monomials(n, words, corrections)
     return TruthTable(n, words)
+
+
+def family_monomials(spec: MonomialRsbfSpec) -> list:
+    """The n monomials x_i x_{i+e} ... x_{i+(l-1)e} of monomial_rsbf(spec),
+    indices mod n, as anf_table takes them."""
+    n, l, e = spec.n, spec.l, spec.e
+    return [[(i + k * e) % n for k in range(l)] for i in range(n)]
 
 
 def monomial_rsbf(spec: MonomialRsbfSpec) -> TruthTable:
@@ -104,8 +125,7 @@ def monomial_rsbf(spec: MonomialRsbfSpec) -> TruthTable:
     Repeated indices inside one monomial collapse (x * x = x); identical
     monomials then cancel in pairs under XOR.
     """
-    n, l, e = spec.n, spec.l, spec.e
-    return anf_table(n, [[(i + k * e) % n for k in range(l)] for i in range(n)])
+    return anf_table(spec.n, family_monomials(spec))
 
 
 def anf_key(spec: MonomialRsbfSpec) -> tuple[int, tuple[int, ...]]:

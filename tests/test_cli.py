@@ -18,7 +18,9 @@ from rsbf import (
     MonomialRsbfSpec,
     RunResult,
     VerificationReport,
+    anf_table,
     core,
+    families,
     monomial_rsbf,
     sub_function,
     walsh_transform,
@@ -123,6 +125,46 @@ def test_spectrum_single_coefficient(runner):
     assert result.output.strip() == "walsh at 0: 20"
     result = runner.invoke(main, ["spectrum", "--n", "5", "--at", "32"])
     assert result.exit_code == 2
+
+
+def test_out_of_range_at_is_refused_before_any_work(runner, monkeypatch):
+    def no_table(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(core, "anf_table", no_table)
+    monkeypatch.setattr(cli_module, "anf_table", no_table)
+    for command in (["spectrum", "--n", "24"], ["subfn", "--i", "3", "--j", "3", "--n", "24"]):
+        for at in (1 << 24, -1, 1 << 70):
+            result = runner.invoke(main, command + ["--at", str(at)])
+            assert result.exit_code == 2
+            assert f"Error: --at {at} is outside 0..16777215" in result.output
+            assert "Traceback" not in result.output
+
+
+def test_at_reads_no_table(runner):
+    # NumPy reports its buffers to tracemalloc.  --at sums the coefficient
+    # from the member's monomials one subcube of 2**20 inputs at a time
+    # (core.walsh_at_anf): measured 430,474 B at n = 24, where the table's
+    # words alone are 2 MiB.  A chain variant's --at fills neither the
+    # variant nor the chain cache.
+    runner.invoke(main, ["spectrum", "--n", "8", "--at", "5"])  # first-call imports
+    tracemalloc.start()
+    try:
+        result = runner.invoke(main, ["spectrum", "--n", "24", "--at", "12345"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 0
+    value = core.walsh_at(monomial_rsbf(MonomialRsbfSpec(24, 4, 1)), 12345)
+    assert result.output == f"walsh at 12345: {value}\n"
+    assert peak < 0.75 * 2**20
+    caches = families.sub_function, families.quartic_chain
+    before = [cache.cache_info().currsize for cache in caches]
+    result = runner.invoke(main, ["subfn", "--i", "3", "--j", "3", "--n", "24", "--at", "12345",
+                                  "--format", "json"])
+    assert [cache.cache_info().currsize for cache in caches] == before
+    assert json.loads(result.output) == {"i": 3, "j": 3, "n": 24, "at": 12345,
+                                         "value": core.walsh_at(sub_function(3, 3, 24), 12345)}
 
 
 def test_spectrum_bits_rendering(runner):
@@ -515,11 +557,13 @@ def test_dump_render_working_memory(tmp_path, fmt, bits):
 
 def test_full_dump_working_memory(runner, tmp_path):
     # NumPy reports its buffers to tracemalloc.  A whole dump at n = 22,
-    # transform and render, holds the table's words and P, its bits
-    # transposed (512 KiB each), one int32 block and one tile pair (1 MiB
-    # each) and the renderer's buffers.  Measured: 3.77 MiB.  The int8
-    # store this route had (4 MiB) does not fit beside them, nor does the
-    # int32 spectrum (16 MiB).
+    # transform and render, holds P, the table's bits transposed (512
+    # KiB), one int32 piece of 2**17 masks (512 KiB), one tile pair (1 MiB)
+    # and the renderer's buffers; the table's words (512 KiB) are freed
+    # once P is made.  Measured: 2.77 MiB (2,906,252 B).  Holding the table
+    # through the render with pieces of 2**18 masks (1 MiB), as this dump
+    # did, took 3.77 MiB, which does not fit; nor does the int8 store this
+    # route had (4 MiB), nor the int32 spectrum (16 MiB).
     out = tmp_path / "dump.json"
     runner.invoke(main, ["spectrum", "--n", "8", "--format", "json"])  # first-call imports
     tracemalloc.start()
@@ -533,7 +577,7 @@ def test_full_dump_working_memory(runner, tmp_path):
     with out.open("rb") as fh:
         head = fh.read(64)
     assert head.startswith(b'{"n":22,"l":4,"e":1,"degenerate":false,"values":[')
-    assert peak < 5 * 2**20
+    assert peak < 3.25 * 2**20
 
 
 def test_n20_dump_working_memory(runner, tmp_path):

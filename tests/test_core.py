@@ -364,6 +364,102 @@ def test_walsh_at_rejects_any_int_out_of_range():
             walsh_at(tbl, mask)
 
 
+def _random_anf(rng, n):
+    """Random monomials on n variables with repeated indices, a duplicate
+    monomial (it cancels) and the empty monomial (the constant 1)."""
+    monomials = [[rng.randrange(n) for _ in range(rng.randint(1, min(n, 5)))]
+                 for _ in range(rng.randint(0, 12))]
+    monomials += [[n - 1, n - 1], []]
+    return monomials + monomials[:2]
+
+
+def _anf_masks(rng, n, m):
+    """0, all ones, the bits at and above m alone, and random masks."""
+    top = (1 << n) - 1
+    return np.array([0, top, top & ~((1 << m) - 1)] + [rng.randrange(1 << n) for _ in range(5)])
+
+
+@pytest.mark.parametrize("subcube_bits", [None, 3])
+def test_walsh_at_anf_equals_the_built_tables_direct_sum(monkeypatch, subcube_bits):
+    # the sum over subcubes against walsh_at_many on the whole table, at
+    # n = 1..14 on one subcube (n <= _SUBCUBE_BITS), and with subcubes of 8
+    # inputs, up to 2**11 of them: the restriction of each monomial, the
+    # signs of the high mask bits and n < m all count
+    if subcube_bits is not None:
+        monkeypatch.setattr(core, "_SUBCUBE_BITS", subcube_bits)
+    m = core._SUBCUBE_BITS
+    rng = random.Random(14 + m)
+    for n in range(1, 15):
+        for _ in range(3):
+            monomials = _random_anf(rng, n)
+            masks = _anf_masks(rng, n, min(n, m))
+            want = walsh_at_many(anf_table(n, monomials), masks)
+            got = core.walsh_at_anf(n, monomials, masks)
+            assert got.dtype == np.int64 and got.tolist() == want.tolist(), (n, monomials)
+            assert core.walsh_at_anf(n, monomials, int(masks[-1])) == want[-1]
+    # families across subcubes: every mask of a stride-3 member at n = 8
+    spec = MonomialRsbfSpec(8, 4, 3)
+    monomials = [[(i + 3 * k) % 8 for k in range(4)] for i in range(8)]
+    masks = np.arange(1 << 8)
+    assert core.walsh_at_anf(8, monomials, masks).tolist() == \
+        walsh_transform(monomial_rsbf(spec)).values.tolist()
+
+
+def test_walsh_at_anf_checks_its_arguments(monkeypatch):
+    # a mask or an index out of range is refused before any subcube is built
+    def no_table(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(core, "anf_table", no_table)
+    for mask in (16, -1, 1 << 70):
+        with pytest.raises(IndexError):
+            core.walsh_at_anf(4, [[0, 1]], mask)
+    with pytest.raises(IndexError):
+        core.walsh_at_anf(4, [[0, 1]], [0, 16])
+    with pytest.raises(TypeError):
+        core.walsh_at_anf(4, [[0, 1]], 1.0)
+    for bad in (4, -1):
+        with pytest.raises(ValueError, match="variable index"):
+            core.walsh_at_anf(4, [[0], [bad]], 0)
+    with pytest.raises(ValueError, match="arity"):
+        core.walsh_at_anf(HARD_MAX_N + 1, [], 0)
+
+
+def test_walsh_at_anf_never_calls_the_butterfly(monkeypatch):
+    # the direct route shares nothing with the transform: with every
+    # butterfly entry point broken it still answers, at n = 24 over 16
+    # subcubes
+    def broken(*args):
+        raise AssertionError("the butterfly was called")
+
+    for name in ("walsh_transform", "walsh_blocks", "walsh_pieces", "_block_pieces"):
+        monkeypatch.setattr(core, name, broken)
+    n = 24
+    monomials = [[(i + k) % n for k in range(4)] for i in range(n)]
+    tbl = anf_table(n, monomials)
+    masks = [0, 12345, (1 << n) - 1, 1 << 23]
+    assert core.walsh_at_anf(n, monomials, masks).tolist() == walsh_at_many(tbl, masks).tolist()
+
+
+def test_walsh_at_anf_working_memory():
+    # NumPy reports its buffers to tracemalloc.  At n = 24 the sum holds
+    # one subcube's table of 2**20 bits (128 KiB) at a time, and
+    # walsh_at_many's block temporaries for a table that size (a uint64
+    # work row and word indices, 128 KiB each).  Measured: 413,676 B.  The
+    # n = 24 table alone (2 MiB) does not fit.
+    n = 24
+    monomials = [[(i + k) % n for k in range(4)] for i in range(n)]
+    core.walsh_at_anf(8, [[0, 1, 2, 3]], 0)  # first-call imports
+    tracemalloc.start()
+    try:
+        value = core.walsh_at_anf(n, monomials, 12345)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == walsh_at(monomial_rsbf(MonomialRsbfSpec(n, 4, 1)), 12345)
+    assert peak < 0.75 * 2**20
+
+
 def test_walsh_transform_is_exact_int32_at_full_range():
     n = 20
     for tbl, c, value in (

@@ -107,14 +107,27 @@ def test_sub_function_matches_reference_evaluator():
 
 
 def test_sub_function_validation():
-    with pytest.raises(ValueError, match=r"variant indices must be in 0\.\.3, got \(4,0\)"):
-        sub_function(4, 0, 8)
-    with pytest.raises(ValueError, match="variant indices"):
-        sub_function(0, -1, 3)  # the indices are checked first
-    with pytest.raises(ValueError, match="arity must be in"):
-        sub_function(0, 0, 0)
-    with pytest.raises(ValueError, match="variants need arity at least 4, got 3"):
-        sub_function(0, 0, 3)
+    # the variant's monomial list is checked as its table is
+    for make in (sub_function, families.variant_monomials):
+        with pytest.raises(ValueError, match=r"variant indices must be in 0\.\.3, got \(4,0\)"):
+            make(4, 0, 8)
+        with pytest.raises(ValueError, match="variant indices"):
+            make(0, -1, 3)  # the indices are checked first
+        with pytest.raises(ValueError, match="arity must be in"):
+            make(0, 0, 0)
+        with pytest.raises(ValueError, match="variants need arity at least 4, got 3"):
+            make(0, 0, 3)
+
+
+def test_monomial_lists_build_the_members():
+    # the lists the direct sum reads from are the ones the builders XOR
+    for n in (4, 7, 13):
+        for i in range(4):
+            for j in range(4):
+                assert anf_table(n, families.variant_monomials(i, j, n)) == sub_function(i, j, n)
+        for l, e in ((4, 1), (3, 2), (5, n - 1), (2, n)):
+            spec = MonomialRsbfSpec(n, l, e)
+            assert anf_table(n, families.family_monomials(spec)) == monomial_rsbf(spec)
 
 
 def test_sub_function_reversal_pairs():
